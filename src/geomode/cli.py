@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: evolve, enumerate, check, scan, plateau, simulate-counts,
-ingest, fidelity.  Global flags: --config, --seed, --out-dir, --jobs.
-All emitted JSON is deterministic: floats are serialized with 17
-significant digits and re-running a command reproduces byte-identical
-files.
+ingest, fidelity.  Global flags: --config, --seed, --out-dir, --jobs
+(accepted; every command runs serially).  All emitted JSON is
+deterministic: floats are serialized with 17 significant digits and
+re-running a command reproduces byte-identical files.
 
 The system definition comes from ``--config`` (a JSON file, see
 ``coupledmode.system_from_json``) or the built-in ``paper-jx4`` preset:
-the calibrated four-waveguide Jx structure at its ideal length.
+the calibrated four-waveguide Jx structure at its ideal length.  Scans
+and ingest use its structure family: the preset with its flat section
+varied, or U(0 -> L) of a file-defined system.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -114,40 +115,27 @@ def load_config(args) -> dict:
 
 
 def build_system(config: dict, length_mm: float | None = None):
-    """(system, structure_factory) from a config document.
+    """(system, structure family) from a config document.
 
-    The preset produces the structure *family* (ramps fixed, middle
-    section varied); a file-defined system scans by truncating its
-    envelope at the requested propagation length.
+    The preset's family fixes the ramps and varies the middle section;
+    a file-defined system's family evolves that system over [0, L].
     """
     preset = config.get("preset")
     if preset is not None:
         if preset != PRESET_NAME:
             raise CommandError("invalid-config", f"unknown preset {preset!r}")
         omega = float(config.get("omega_flat_per_mm", cm.FLAT_COUPLING_PER_MM))
-
-        def factory(length):
-            return cm.jx4_structure(length, omega_flat=omega)
-
         length = length_mm if length_mm is not None else float(
             config.get("length_mm", cm.IDEAL_LENGTH_MM))
         try:
-            return factory(length), factory
+            return cm.jx4_structure(length, omega_flat=omega), cm.jx4_family(omega)
         except ValueError as exc:
             raise CommandError("invalid-config", str(exc))
     try:
         system = cm.system_from_json(config)
     except (ValueError, KeyError) as exc:
         raise CommandError("invalid-config", f"bad system definition: {exc}")
-
-    def truncating_factory(length):
-        return cm.CoupledModeSystem(
-            system.pattern,
-            cm.truncate_envelope(system.envelope, length),
-            system.static_pattern,
-        )
-
-    return system, truncating_factory
+    return system, cm.system_family(system)
 
 
 def load_subspace(args) -> hol.Subspace:
@@ -233,7 +221,7 @@ def cmd_evolve(args) -> int:
         u = system.pattern.unitary(args.delta)
         delta = args.delta
     else:
-        system, factory = build_system(config, length_mm=args.length)
+        system, _ = build_system(config, length_mm=args.length)
         if config.get("preset") is None:
             if args.length > system.length + 1e-9:
                 raise CommandError("invalid-arguments",
@@ -321,28 +309,12 @@ def cmd_check(args) -> int:
 
 def _run_scan(args, mode: str):
     config = load_config(args)
-    _, factory = build_system(config)
+    _, family = build_system(config)
     sub = load_subspace(args)
     specs = _scan_inputs(sub, args)
     lengths = _parse_lengths(args)
-    detection = _detection(args)
-    if args.jobs > 1 and mode == "theory" and len(specs) > 1:
-        engine = xp.CurveEngine(lengths, factory)
-
-        def one(spec):
-            return spec.label(), engine.success_curve(sub, spec)
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(one, specs))  # ordered collection
-        result = xp.ScanResult(sub, "theory")
-        for label, curve in pairs:
-            result.curves[label] = [
-                xp.ScanPoint(float(length), float(p), 0.0)
-                for length, p in zip(lengths, curve)
-            ]
-        return sub, result
-    result = xp.scan(sub, specs, lengths, mode=mode, detection=detection,
-                     structure_factory=factory)
+    result = xp.scan(sub, specs, lengths, mode=mode, detection=_detection(args),
+                     family=family)
     return sub, result
 
 
@@ -450,13 +422,13 @@ def cmd_plateau(args) -> int:
 
 def cmd_simulate_counts(args) -> int:
     config = load_config(args)
-    _, factory = build_system(config)
+    _, family = build_system(config)
     sub = load_subspace(args)
     specs = _scan_inputs(sub, args)
     lengths = _parse_lengths(args)
     try:
         rows = xp.simulate_counts(sub, specs, lengths, detection=_detection(args),
-                                  structure_factory=factory)
+                                  family=family)
     except ValueError as exc:
         raise CommandError("invalid-arguments", str(exc))
     path = out_dir(args) / "counts.csv"
@@ -466,11 +438,12 @@ def cmd_simulate_counts(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    _, family = build_system(load_config(args))
     sub = load_subspace(args)
     if not args.counts:
         raise CommandError("invalid-arguments", "ingest needs --counts FILE")
     try:
-        result = xp.ingest_counts(args.counts, sub, _detection(args))
+        result = xp.ingest_counts(args.counts, sub, _detection(args), family)
     except FileNotFoundError:
         raise CommandError("invalid-arguments", f"count file {args.counts} not found")
     except ValueError as exc:
@@ -523,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=xp.DEFAULT_SEED,
                         help="master random seed (default %(default)s)")
     parser.add_argument("--out-dir", default=".", help="directory for report files")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; commands run serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="print the single-particle evolution operator")

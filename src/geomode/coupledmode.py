@@ -7,17 +7,19 @@ commutes with the pattern) the Hamiltonians at different z commute and
 the evolution depends only on the accumulated phase
 delta(z) = int_0^z Omega; the evolution operator is then computed
 exactly from the eigendecomposition of the pattern.  A midpoint-rule
-product integrator covers the non-commuting case.
+product integrator covers the non-commuting case.  Envelopes,
+Hamiltonians and :func:`evolution_on_grid` take arrays of positions.
 
 The module also builds the calibrated four-waveguide Jx structure used
 throughout the package: nearest-neighbour couplings
 (sqrt(3)/2, 1, sqrt(3)/2), zero detuning, a 30 mm cosine fan-in/out in
 waveguide separation with exponentially distance-dependent coupling,
-and a flat section whose length is varied between structures.  Two
-frozen calibration constants pin the model: the flat coupling strength
-(from the single-photon outer-pair stability width, 23.7 mm) and the
-ramp sharpness (so that one cycle, delta = pi, completes at the ideal
-length 84.9 mm).
+and a flat section whose length is varied.  Two frozen calibration
+constants pin the model: the flat coupling strength (from the
+single-photon outer-pair stability width, 23.7 mm) and the ramp
+sharpness (so that one cycle, delta = pi, completes at the ideal length
+84.9 mm).  A :class:`StructureFamily` maps an array of lengths to a
+stack of evolution operators.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import iv
 
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
+from .fock import HERMITIAN_TOL
 
 #: Default propagation-length derivative limit defining a plateau (1.5 %/mm).
 SLOPE_LIMIT_PER_MM = 0.015
@@ -48,6 +50,9 @@ FLAT_COUPLING_PER_MM = 0.08424871417403404
 #: Separation-ramp sharpness (fan amplitude over coupling decay length);
 #: solves delta(IDEAL_LENGTH_MM) == pi given FLAT_COUPLING_PER_MM.
 RAMP_SHARPNESS = 4.018128255630664
+
+#: Largest step (mm) of the midpoint-rule integrator for non-commuting systems.
+STEP_MM = 0.01
 
 #: The seven realized structure lengths: 80 mm to 100 mm in steps of 10/3 mm.
 STRUCTURE_LENGTHS_MM = tuple(80.0 + 10.0 * k / 3.0 for k in range(7))
@@ -207,30 +212,12 @@ class ExpCosineRampSegment:
 
 
 @dataclass(frozen=True)
-class TruncatedSegment:
-    """A segment cut short at ``length`` (same profile, shorter domain)."""
-
-    inner: object
-    length: float
-
-    def __post_init__(self):
-        if not 0 < self.length <= self.inner.length + 1e-12:
-            raise ValueError("truncation must lie inside the segment")
-
-    def value_at(self, z):
-        return self.inner.value_at(z)
-
-    def phase_to(self, z):
-        return self.inner.phase_to(z)
-
-    @property
-    def total_phase(self):
-        return float(self.inner.phase_to(self.length))
-
-
-@dataclass(frozen=True)
 class Envelope:
-    """Piecewise non-negative envelope Omega(z) over z in [0, L]."""
+    """Piecewise non-negative envelope Omega(z) over z in [0, L].
+
+    ``value`` and ``phase`` take one position or an array of positions;
+    a scalar position gives a float.
+    """
 
     segments: tuple
 
@@ -243,43 +230,43 @@ class Envelope:
     def length(self) -> float:
         return float(sum(s.length for s in self.segments))
 
-    def _locate(self, z: float):
-        offset = 0.0
-        for seg in self.segments:
-            if z <= offset + seg.length or seg is self.segments[-1]:
-                return seg, z - offset, offset
-            offset += seg.length
-        raise AssertionError("unreachable")
+    def _locate(self, z: np.ndarray):
+        """Segment index and local coordinate; a boundary belongs to the segment ending there."""
+        ends = np.cumsum([s.length for s in self.segments])
+        starts = np.concatenate(([0.0], ends[:-1]))
+        k = np.minimum(np.searchsorted(ends, z), len(self.segments) - 1)
+        return k, z - starts[k]
 
-    def value(self, z: float) -> float:
-        z = float(z)
-        if z < 0 or z > self.length + 1e-12:
-            return 0.0
-        seg, local, _ = self._locate(min(z, self.length))
-        return float(seg.value_at(min(local, seg.length)))
+    def value(self, z):
+        """Omega(z); zero outside [0, L]."""
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        inside = (zs >= 0) & (zs <= self.length + 1e-12)
+        k, local = self._locate(np.minimum(zs, self.length))
+        out = np.zeros(zs.shape)
+        for i, seg in enumerate(self.segments):
+            here = inside & (k == i)
+            out[here] = seg.value_at(np.minimum(local[here], seg.length))
+        return float(out[0]) if np.ndim(z) == 0 else out
 
-    def phase(self, z: float) -> float:
+    def phase(self, z):
         """int_0^z Omega, exact per-segment analytic integrals.
 
         Positions outside [0, L] clamp to the boundary value (the
-        structure is decoupled beyond its ends).
+        structure is decoupled beyond its ends).  A position within
+        1e-15 of a segment's end takes that segment's total phase.
         """
-        z = float(z)
-        if z <= 0:
-            return 0.0
-        z = min(z, self.length)
-        total = 0.0
-        remaining = z
-        for seg in self.segments:
-            if remaining >= seg.length - 1e-15:
-                total += seg.total_phase
-                remaining -= seg.length
-                if remaining <= 1e-15:
-                    break
-            else:
-                total += float(seg.phase_to(remaining))
-                break
-        return total
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        k, local = self._locate(np.clip(zs, 0.0, self.length))
+        before = np.cumsum([0.0] + [s.total_phase for s in self.segments])
+        out = before[k]
+        for i, seg in enumerate(self.segments):
+            here = k == i
+            if not here.any():
+                continue  # phase_to of an exp-cosine ramp sums a Bessel series
+            part = local[here]
+            out[here] += np.where(part >= seg.length - 1e-15, seg.total_phase,
+                                  seg.phase_to(part))
+        return float(out[0]) if np.ndim(z) == 0 else out
 
     @property
     def total_phase(self) -> float:
@@ -326,14 +313,13 @@ class CoupledModeSystem:
                 - self.static_pattern.matrix @ self.pattern.matrix)
         return bool(np.max(np.abs(comm)) < 1e-12)
 
-    def hamiltonian(self, z: float) -> np.ndarray:
-        h = self.envelope.value(z) * self.pattern.matrix
+    def hamiltonian(self, z) -> np.ndarray:
+        """H(z), or the (Z, M, M) stack over an array of positions."""
+        omega = np.asarray(self.envelope.value(z))
+        h = omega[..., None, None] * self.pattern.matrix
         if self.static_pattern is not None:
             h = h + self.static_pattern.matrix
         return h
-
-    def delta(self, z: float) -> float:
-        return self.envelope.phase(z)
 
 
 def accumulated_phase(system: CoupledModeSystem, z: float) -> float:
@@ -343,8 +329,53 @@ def accumulated_phase(system: CoupledModeSystem, z: float) -> float:
     return system.envelope.phase(z)
 
 
+def _commuting_stack(system: CoupledModeSystem, deltas, spans) -> np.ndarray:
+    """exp(-1j * delta * pattern) @ exp(-1j * span * static) per pair."""
+    u = system.pattern.unitary_batch(deltas)
+    if system.static_pattern is not None:
+        u = u @ system.static_pattern.unitary_batch(spans)
+    return u
+
+
+def _stepper_stack(system: CoupledModeSystem, z0: float, zs: np.ndarray,
+                   max_step: float) -> np.ndarray:
+    """U(z0 -> z) for each z in ``zs`` by one chained midpoint-rule product.
+
+    The positions are visited in ascending order; each interval between
+    consecutive positions is cut into equal steps of at most ``max_step``.
+    """
+    knots, where = np.unique(zs, return_inverse=True)
+    starts = np.concatenate(([z0], knots[:-1]))
+    spans = knots - starts
+    steps = np.maximum(1, np.ceil(spans / max_step).astype(int))
+    h = np.repeat(spans / steps, steps)
+    within = np.arange(h.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    mids = np.repeat(starts, steps) + (within + 0.5) * h
+    lam, v = np.linalg.eigh(system.hamiltonian(mids))
+    factors = (v * np.exp(-1j * h[:, None] * lam)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    u = np.eye(system.modes, dtype=complex)
+    for i, factor in enumerate(factors):
+        u = factor @ u
+        factors[i] = u  # the running products replace the consumed factors
+    return factors[np.cumsum(steps) - 1][where.reshape(-1)]
+
+
+def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
+    """U(0 -> z) for each z in the grid, shape (Z, M, M).
+
+    Commuting systems evaluate exactly from the pattern spectrum;
+    otherwise the midpoint-product integrator steps through the grid
+    positions.  Outside [0, L] the coupling is zero and only the static
+    part acts.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if system.commuting_family:
+        return _commuting_stack(system, system.envelope.phase(grid), grid)
+    return _stepper_stack(system, 0.0, grid, STEP_MM)
+
+
 def evolve(system: CoupledModeSystem, z0: float = 0.0, z1: float | None = None,
-           *, max_step: float = 0.01, method: str = "auto") -> EvolutionOperator:
+           *, max_step: float = STEP_MM, method: str = "auto") -> EvolutionOperator:
     """Evolution operator over [z0, z1].
 
     Commuting systems use exp(-1j * (delta(z1) - delta(z0)) * pattern)
@@ -364,39 +395,10 @@ def evolve(system: CoupledModeSystem, z0: float = 0.0, z1: float | None = None,
         raise ValueError("system is not a commuting family")
 
     if use_commuting:
-        u = system.pattern.unitary(ddelta)
-        if system.static_pattern is not None:
-            u = u @ system.static_pattern.unitary(z1 - z0)
+        u = _commuting_stack(system, [ddelta], [z1 - z0])[0]
     else:
-        steps = max(1, math.ceil((z1 - z0) / max_step))
-        h = (z1 - z0) / steps
-        u = np.eye(system.modes, dtype=complex)
-        for i in range(steps):
-            zm = z0 + (i + 0.5) * h
-            hm = system.hamiltonian(zm)
-            lam, v = np.linalg.eigh(hm)
-            u = ((v * np.exp(-1j * h * lam)) @ v.conj().T) @ u
+        u = _stepper_stack(system, z0, np.array([z1], dtype=float), max_step)[0]
     return EvolutionOperator(matrix=u, delta=ddelta, z0=z0, z1=z1)
-
-
-def truncate_envelope(envelope: Envelope, length: float) -> Envelope:
-    """Clip an envelope at ``length``; extends with zero coupling beyond."""
-    if length <= 0:
-        raise ValueError("truncation length must be positive")
-    segments = []
-    used = 0.0
-    for seg in envelope.segments:
-        if used >= length:
-            break
-        if used + seg.length <= length + 1e-12:
-            segments.append(seg)
-            used += seg.length
-        else:
-            segments.append(TruncatedSegment(seg, length - used))
-            used = length
-    if used < length - 1e-12:
-        segments.append(ConstantSegment(0.0, length - used))
-    return Envelope(tuple(segments))
 
 
 # ------------------------------------------------- the Jx(4) structure
@@ -448,6 +450,13 @@ def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM,
     return brentq(lambda s: math.exp(-s) * iv(0, s) - target, 1e-9, 200.0, xtol=1e-14)
 
 
+def _ramp_sharpness(omega_flat: float, ramp_mm: float, ideal_length_mm: float) -> float:
+    if (omega_flat, ramp_mm, ideal_length_mm) == (
+            FLAT_COUPLING_PER_MM, RAMP_LENGTH_MM, IDEAL_LENGTH_MM):
+        return RAMP_SHARPNESS
+    return calibrate_ramp_sharpness(omega_flat, ideal_length_mm, ramp_mm)
+
+
 def jx4_structure(length_mm: float,
                   omega_flat: float = FLAT_COUPLING_PER_MM,
                   ramp_mm: float = RAMP_LENGTH_MM,
@@ -463,11 +472,7 @@ def jx4_structure(length_mm: float,
     if length_mm < 2 * ramp_mm:
         raise ValueError(f"total length must be at least {2 * ramp_mm} mm")
     if sharpness is None:
-        if (omega_flat, ramp_mm, ideal_length_mm) == (
-                FLAT_COUPLING_PER_MM, RAMP_LENGTH_MM, IDEAL_LENGTH_MM):
-            sharpness = RAMP_SHARPNESS
-        else:
-            sharpness = calibrate_ramp_sharpness(omega_flat, ideal_length_mm, ramp_mm)
+        sharpness = _ramp_sharpness(omega_flat, ramp_mm, ideal_length_mm)
     segments = [ExpCosineRampSegment(omega_flat, sharpness, ramp_mm, rising=True)]
     flat = length_mm - 2 * ramp_mm
     if flat > 0:
@@ -483,6 +488,51 @@ def jx4_delta(length_mm, omega_flat: float = FLAT_COUPLING_PER_MM,
     lengths = np.asarray(length_mm, dtype=float)
     eff = 2 * ramp_mm * math.exp(-sharpness) * iv(0, sharpness)
     return omega_flat * (eff + lengths - 2 * ramp_mm)
+
+
+# ------------------------------------------------------ structure families
+
+
+@dataclass(frozen=True)
+class StructureFamily:
+    """Structures indexed by their length.
+
+    ``stack(lengths)`` gives the (L, M, M) single-particle evolution
+    operators, one per length.  ``pattern`` is the coupling pattern whose
+    half cycle exp(-1j * pi * pattern) defines each input's ideal outcome.
+    """
+
+    pattern: CouplingPattern
+    stack: Callable[[np.ndarray], np.ndarray]
+
+
+def jx4_family(omega_flat: float) -> StructureFamily:
+    """:func:`jx4_structure` at each length, from its total phase :func:`jx4_delta`."""
+    sharpness = _ramp_sharpness(omega_flat, RAMP_LENGTH_MM, IDEAL_LENGTH_MM)
+    pattern = jx_pattern(4)
+
+    def stack(lengths):
+        lengths = np.asarray(lengths, dtype=float)
+        if np.any(lengths < 2 * RAMP_LENGTH_MM):
+            raise ValueError(f"total length must be at least {2 * RAMP_LENGTH_MM} mm")
+        return pattern.unitary_batch(jx4_delta(lengths, omega_flat, sharpness=sharpness))
+
+    return StructureFamily(pattern, stack)
+
+
+def system_family(system: CoupledModeSystem) -> StructureFamily:
+    """U(0 -> L) of one system for each propagation length L > 0.
+
+    Lengths past the end of the envelope see zero coupling.
+    """
+
+    def stack(lengths):
+        lengths = np.asarray(lengths, dtype=float)
+        if np.any(lengths <= 0):
+            raise ValueError("propagation lengths must be positive")
+        return evolution_on_grid(system, lengths)
+
+    return StructureFamily(system.pattern, stack)
 
 
 # ----------------------------------------------------------------- JSON

@@ -10,7 +10,7 @@ classifies the holonomic survivors.
 from __future__ import annotations
 
 import csv
-import warnings
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,8 +279,6 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
     union_sets = {frozenset(m) for _, m in _orbit_unions(decomposition.orbits)}
-    import itertools
-
     for r in range(1, basis.size):
         for combo in itertools.combinations(range(basis.size), r):
             sub = hol.Subspace(basis, tuple(basis.states[i] for i in combo))

@@ -32,12 +32,13 @@ import numpy as np
 from . import holonomy as hol
 from .coupledmode import (
     FLAT_COUPLING_PER_MM,
-    IDEAL_LENGTH_MM,
     SLOPE_LIMIT_PER_MM,
     STRUCTURE_LENGTHS_MM,
     CoupledModeSystem,
+    StructureFamily,
     evolve,
-    jx4_structure,
+    jx4_family,
+    jx_pattern,
 )
 from .fock import BOSON, DISTINGUISHABLE, FERMION, OccupationState, lift_unitary, lift_unitary_batch
 from .holonomy import Subspace
@@ -179,10 +180,9 @@ class ScanResult:
 # ----------------------------------------------------------- theory curves
 
 
-def _ideal_target_index(sub: Subspace, system: CoupledModeSystem, input_state) -> int:
-    """Member hit by the input under the ideal (delta = pi) evolution."""
-    v = lift_unitary(system.pattern.unitary(math.pi), sub.basis)
-    col = v[:, sub.basis.index_of(input_state)]
+def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
+    """Member hit by the input under ``ideal``, the lifted delta = pi cycle."""
+    col = ideal[:, sub.basis.index_of(input_state)]
     idx = list(sub.member_indices)
     amps = np.abs(col[idx])
     m = int(np.argmax(amps))
@@ -207,20 +207,30 @@ def _distagg_probs(u_stack, members, input_modes):
 
 
 class CurveEngine:
-    """Batched outcome probabilities of a structure family over lengths."""
+    """Batched outcome probabilities of a structure family over lengths.
 
-    def __init__(self, lengths, structure_factory=jx4_structure):
+    The family (default: the calibrated Jx structure) gives one evolution
+    stack; it and the ideal cycle are lifted once per basis.
+    """
+
+    def __init__(self, lengths, family: StructureFamily | None = None):
+        family = family or jx4_family(FLAT_COUPLING_PER_MM)
         self.lengths = np.asarray(lengths, dtype=float)
-        self.structures = [structure_factory(float(length)) for length in self.lengths]
-        self.system = self.structures[0]
-        self.u_stack = np.stack([evolve(s).matrix for s in self.structures])
+        self.u_stack = family.stack(self.lengths)
+        self._ideal = family.pattern.unitary(math.pi)
         self._lift_cache = {}
 
-    def _lifted(self, basis):
-        key = (basis.particle.kind, basis.particle.labels, basis.modes, basis.particles)
+    def _lifted(self, basis, ideal: bool):
+        """The lifted evolution stack, or with ``ideal`` the lifted ideal cycle."""
+        key = (ideal, basis.particle.kind, basis.particle.labels, basis.modes, basis.particles)
         if key not in self._lift_cache:
-            self._lift_cache[key] = lift_unitary_batch(self.u_stack, basis)
+            self._lift_cache[key] = (lift_unitary(self._ideal, basis) if ideal
+                                     else lift_unitary_batch(self.u_stack, basis))
         return self._lift_cache[key]
+
+    def target_index(self, sub: Subspace, input_state) -> int:
+        """Member hit by the input under the ideal (delta = pi) evolution."""
+        return _ideal_target_index(sub, self._lifted(sub.basis, ideal=True), input_state)
 
     def outcome_probabilities(self, sub: Subspace, spec: InputSpec,
                               over_members=True) -> np.ndarray:
@@ -245,7 +255,7 @@ class CurveEngine:
             if sub.basis.particles != 2:
                 raise ValueError("distinguishable statistics need two particles")
             return _distagg_probs(self.u_stack, states, spec.state.mode_list())
-        lifted = self._lifted(sub.basis)
+        lifted = self._lifted(sub.basis, ideal=False)
         col = sub.basis.index_of(spec.state)
         rows = [sub.basis.index_of(s) for s in states]
         return np.abs(lifted[:, rows, col]) ** 2
@@ -253,7 +263,7 @@ class CurveEngine:
     def success_curve(self, sub: Subspace, spec: InputSpec) -> np.ndarray:
         """Post-selected success probability per length."""
         probs = self.outcome_probabilities(sub, spec)
-        target = _ideal_target_index(sub, self.system, spec.state)
+        target = self.target_index(sub, spec.state)
         total = probs.sum(axis=1)
         return probs[:, target] / total
 
@@ -262,13 +272,14 @@ def success_probability(sub: Subspace, spec: InputSpec, system: CoupledModeSyste
     """P(ideal outcome | outcome in subspace) at the system's length."""
     if spec.state.occupations not in {m.occupations for m in sub.members}:
         raise ValueError("input state must be a member of the subspace")
-    engine = CurveEngine([system.length], structure_factory=lambda _: system)
+    family = StructureFamily(system.pattern, lambda _: evolve(system).matrix[None])
+    engine = CurveEngine([system.length], family)
     return float(engine.success_curve(sub, spec)[0])
 
 
 def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theory",
          detection: DetectionModel | None = None,
-         structure_factory=jx4_structure) -> ScanResult:
+         family: StructureFamily | None = None) -> ScanResult:
     """Success-probability scan over structure lengths.
 
     ``theory`` returns exact probabilities; ``synthetic-experiment``
@@ -285,7 +296,7 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
         if spec.state.occupations not in member_keys:
             raise ValueError(f"input {spec.label()} is outside the subspace")
 
-    engine = CurveEngine(lengths, structure_factory)
+    engine = CurveEngine(lengths, family)
     if mode == "theory":
         result = ScanResult(sub, "theory")
         for spec in inputs:
@@ -302,7 +313,7 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
         raise ValueError("synthetic scans need a positive Poisson trial count")
     result = ScanResult(sub, "synthetic-experiment")
     for i, spec in enumerate(inputs):
-        target = _ideal_target_index(sub, engine.system, spec.state)
+        target = engine.target_index(sub, spec.state)
         full = engine.outcome_probabilities(sub, spec, over_members=False)
         points = []
         for j, length in enumerate(lengths):
@@ -489,6 +500,20 @@ class PlateauReport:
         }
 
 
+def _slope_edge(lengths, excess, peak: int, step: int) -> float:
+    """Edge reached from ``peak`` in direction ``step`` (+1 or -1) while the
+    slope excess stays negative; undefined (NaN) samples stop the walk and
+    the interpolation to the excess's zero crossing."""
+    i = peak
+    while 0 <= i + step < len(lengths) and excess[i + step] < 0:
+        i += step
+    j = i + step
+    if 0 <= j < len(lengths) and not np.isnan(excess[i] + excess[j]):
+        t = -excess[i] / (excess[j] - excess[i])
+        return lengths[i] + t * (lengths[j] - lengths[i])
+    return lengths[i]
+
+
 def plateau_interval(lengths, probs, rule: str = THEORY_RULE,
                      slope_limit: float = SLOPE_LIMIT_PER_MM,
                      step_limit: float = EXPERIMENTAL_STEP_LIMIT) -> PlateauInterval:
@@ -497,37 +522,24 @@ def plateau_interval(lengths, probs, rule: str = THEORY_RULE,
     Theory rule: |dp/dL| < slope_limit (central differences; the edge
     positions are interpolated between grid samples).  Experimental
     rule: consecutive-point differences below ``step_limit``, edges at
-    the first/last conforming sample.
+    the first/last conforming sample.  Undefined (NaN) points are never
+    the peak and end the region; a curve without defined points raises
+    ValueError.
     """
     lengths = np.asarray(lengths, dtype=float)
     probs = np.asarray(probs, dtype=float)
+    if np.all(np.isnan(probs)):
+        raise ValueError("curve has no defined points")
+    peak = int(np.nanargmax(probs))
     if rule == THEORY_RULE:
         if len(lengths) < 5:
             raise ValueError("theory rule needs a dense grid")
-        slopes = np.gradient(probs, lengths)
-        excess = np.abs(slopes) - slope_limit
-        peak = int(np.argmax(probs))
-        i = peak
-        while i + 1 < len(lengths) and excess[i + 1] < 0:
-            i += 1
-        if i + 1 < len(lengths):
-            t = -excess[i] / (excess[i + 1] - excess[i])
-            end = lengths[i] + t * (lengths[i + 1] - lengths[i])
-        else:
-            end = lengths[-1]
-        i = peak
-        while i - 1 >= 0 and excess[i - 1] < 0:
-            i -= 1
-        if i - 1 >= 0:
-            t = -excess[i] / (excess[i - 1] - excess[i])
-            start = lengths[i] - t * (lengths[i] - lengths[i - 1])
-        else:
-            start = lengths[0]
-        return PlateauInterval(float(start), float(end))
+        excess = np.abs(np.gradient(probs, lengths)) - slope_limit
+        return PlateauInterval(float(_slope_edge(lengths, excess, peak, -1)),
+                               float(_slope_edge(lengths, excess, peak, +1)))
     if rule == EXPERIMENTAL_RULE:
         if len(lengths) < 3:
             raise ValueError("experimental rule needs at least 3 points")
-        peak = int(np.argmax(probs))
         i = peak
         while i + 1 < len(lengths) and abs(probs[i + 1] - probs[i]) < step_limit:
             i += 1
@@ -556,12 +568,11 @@ def plateau_report(result: ScanResult, rule: str = THEORY_RULE,
 def theory_plateau_widths(sub: Subspace, inputs, lo: float = 60.0, hi: float = 115.0,
                           grid_step: float = 0.005,
                           restricted_window: tuple = (80.0, 100.0),
-                          structure_factory=jx4_structure,
                           engine: "CurveEngine" = None) -> tuple[float, float]:
     """(restricted, unrestricted) mean plateau widths on a dense grid."""
     lengths = np.arange(lo, hi + grid_step / 2, grid_step)
     if engine is None:
-        engine = CurveEngine(lengths, structure_factory)
+        engine = CurveEngine(lengths)
     widths_r, widths_u = [], []
     for spec in inputs:
         spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
@@ -586,16 +597,8 @@ def plateau_width_delta(sub: Subspace, spec: InputSpec,
     """
     spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
     deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, samples)
-    pattern = jx4_structure(IDEAL_LENGTH_MM).pattern
-
-    class _DeltaEngine(CurveEngine):
-        def __init__(self):
-            self.lengths = deltas
-            self.system = jx4_structure(IDEAL_LENGTH_MM)
-            self.u_stack = pattern.unitary_batch(deltas)
-            self._lift_cache = {}
-
-    engine = _DeltaEngine()
+    pattern = jx_pattern(4)
+    engine = CurveEngine(deltas, StructureFamily(pattern, pattern.unitary_batch))
     curve = engine.success_curve(sub, spec)
     interval = plateau_interval(deltas, curve, THEORY_RULE,
                                 slope_limit=slope_limit / omega)
@@ -640,14 +643,14 @@ COUNT_COLUMNS = ("structure_id", "length_mm", "input_state", "detector_pair", "c
 
 def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
                     detection: DetectionModel | None = None,
-                    structure_factory=jx4_structure) -> list[dict]:
+                    family: StructureFamily | None = None) -> list[dict]:
     """Synthetic count records in the count-file schema."""
     detection = detection or DetectionModel()
     if detection.trials <= 0:
         raise ValueError("count simulation needs a positive Poisson trial count")
     lengths = np.asarray(lengths, dtype=float)
     inputs = [spec if isinstance(spec, InputSpec) else InputSpec(spec) for spec in inputs]
-    engine = CurveEngine(lengths, structure_factory)
+    engine = CurveEngine(lengths, family)
     rows = []
     for i, spec in enumerate(inputs):
         full = engine.outcome_probabilities(sub, spec, over_members=False)
@@ -692,12 +695,15 @@ def _parse_input_label(label: str, sub: Subspace) -> InputSpec:
     raise ValueError(f"input state {label!r} does not match the subspace")
 
 
-def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None) -> ScanResult:
+def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
+                  family: StructureFamily | None = None) -> ScanResult:
     """Rebuild success probabilities from a count CSV.
 
     Expects the :data:`COUNT_COLUMNS` schema.  Malformed rows raise a
     ValueError naming the line number; groups with zero post-selected
-    counts yield an undefined-probability point (None, not 0).
+    counts yield an undefined-probability point (None, not 0).  The
+    family (default: the calibrated Jx structure) fixes each input's
+    ideal outcome, as in :func:`scan`.
     """
     detection = detection or DetectionModel()
     grouped = {}
@@ -727,12 +733,13 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None) 
         warnings.warn(f"count file {path} has no data rows")
         return ScanResult(sub, "ingested")
 
-    system = jx4_structure(IDEAL_LENGTH_MM)
+    pattern = (family or jx4_family(FLAT_COUPLING_PER_MM)).pattern
+    ideal = lift_unitary(pattern.unitary(math.pi), sub.basis)
     result = ScanResult(sub, "ingested")
     labels = sorted({label for label, _ in grouped}, key=str)
     for label in labels:
         spec = _parse_input_label(label, sub)
-        target = _ideal_target_index(sub, system, spec.state)
+        target = _ideal_target_index(sub, ideal, spec.state)
         points = []
         for (lab, length) in sorted((k for k in grouped if k[0] == label), key=lambda k: k[1]):
             counts = grouped[(lab, length)]

@@ -23,14 +23,13 @@ the evolved member kets.  The two must agree; tests enforce it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .coupledmode import CoupledModeSystem
+from .coupledmode import CoupledModeSystem, evolution_on_grid, evolve
 from .fock import (
     BOSON,
     DISTINGUISHABLE,
@@ -172,40 +171,13 @@ def subspace_to_json(sub: Subspace) -> dict:
 # ------------------------------------------------------- mode families
 
 
-def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
-    """U(0 -> z) for each z in the grid, shape (Z, M, M).
-
-    Commuting systems evaluate exactly from the pattern spectrum;
-    otherwise the midpoint-product integrator steps between grid points.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if system.commuting_family:
-        deltas = np.array([system.envelope.phase(float(z)) for z in grid])
-        u = system.pattern.unitary_batch(deltas)
-        if system.static_pattern is not None:
-            extra = np.stack([system.static_pattern.unitary(float(z)) for z in grid])
-            u = np.einsum("zij,zjk->zik", u, extra)
-        return u
-    from .coupledmode import evolve
-
-    out = np.empty((len(grid), system.modes, system.modes), dtype=complex)
-    prev = np.eye(system.modes, dtype=complex)
-    z_prev = 0.0
-    for i, z in enumerate(grid):
-        step = evolve(system, z_prev, float(z), method="stepper").matrix
-        prev = step @ prev
-        out[i] = prev
-        z_prev = float(z)
-    return out
-
-
 def mode_family_matrices(system: CoupledModeSystem, grid, family: str = HEISENBERG) -> np.ndarray:
     """Columns are the family's single-particle mode vectors at each z."""
     u = evolution_on_grid(system, grid)
     if family == HEISENBERG:
         return u
     if family == PHASE_ADJUSTED:
-        deltas = np.array([system.envelope.phase(float(z)) for z in np.asarray(grid, dtype=float)])
+        deltas = system.envelope.phase(np.asarray(grid, dtype=float))
         return u * np.exp(-0.5j * deltas)[:, None, None]
     raise ValueError(f"unknown mode family {family!r}")
 
@@ -217,7 +189,7 @@ def mode_coupling(system: CoupledModeSystem, z: float, family: str = HEISENBERG)
 
 def mode_coupling_on_grid(system: CoupledModeSystem, grid, family: str = HEISENBERG) -> np.ndarray:
     phi = mode_family_matrices(system, grid, family)
-    h = np.stack([system.hamiltonian(float(z)) for z in np.asarray(grid, dtype=float)])
+    h = system.hamiltonian(np.asarray(grid, dtype=float))
     return np.einsum("zji,zjk,zkl->zil", phi.conj(), h, phi)
 
 
@@ -424,20 +396,16 @@ def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
         fock.lift_hamiltonian(system.static_pattern.matrix, sub.basis)
         if system.static_pattern is not None else None
     )
-    omegas = np.array([system.envelope.value(float(z)) for z in grid])
-    out = np.empty((len(grid), dim, dim), dtype=complex)
-    for i in range(len(grid)):
-        h = omegas[i] * h_pattern
-        if h_static is not None:
-            h = h + h_static
-        out[i] = kets[i].conj().T @ h @ kets[i]
+    bras = np.swapaxes(kets.conj(), 1, 2)
+    out = system.envelope.value(grid)[:, None, None] * (bras @ (h_pattern @ kets))
+    if h_static is not None:
+        out = out + bras @ (h_static @ kets)
     return DynamicalContribution(grid, out, sub)
 
 
 def holonomic_tolerance(system: CoupledModeSystem, scale: float = HOLONOMIC_TOL_SCALE) -> float:
     """Absolute |K| threshold: scale times the coupling magnitude."""
-    omega_max = max(system.envelope.value(z)
-                    for z in np.linspace(0.0, system.length, 101))
+    omega_max = float(np.max(system.envelope.value(np.linspace(0.0, system.length, 101))))
     h_scale = float(np.max(np.abs(system.pattern.matrix))) * omega_max
     if system.static_pattern is not None:
         h_scale += float(np.max(np.abs(system.static_pattern.matrix)))
@@ -469,10 +437,12 @@ def _member_kets_batch(sub: Subspace, system: CoupledModeSystem, grid, family: s
 
 def _gauge_samples(sub, system, grid, family, step):
     zs = np.asarray(grid, dtype=float)
-    plus = _member_kets_batch(sub, system, zs + step, family)
-    minus = _member_kets_batch(sub, system, zs - step, family)
+    hi = np.minimum(zs + step, system.length)
+    lo = np.maximum(zs - step, 0.0)
+    plus = _member_kets_batch(sub, system, hi, family)
+    minus = _member_kets_batch(sub, system, lo, family)
     center = _member_kets_batch(sub, system, zs, family)
-    deriv = (plus - minus) / (2 * step)
+    deriv = (plus - minus) / (hi - lo)[:, None, None]
     return 1j * np.einsum("zsm,zsn->zmn", center.conj(), deriv)
 
 
@@ -481,9 +451,11 @@ def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
                 hermiticity_limit: float = 1e-6) -> GaugeField:
     """Gauge field of the family's member kets by central differences.
 
-    ``step`` defaults to 1e-3 of the system length.  If the Hermiticity
-    residual exceeds ``hermiticity_limit`` the estimate is refined by
-    Richardson extrapolation (half step).
+    Difference points are clamped to [0, L], which makes the difference
+    one-sided within ``step`` of either end.  ``step`` defaults to 1e-3
+    of the system length.  If the Hermiticity residual exceeds
+    ``hermiticity_limit`` the estimate is refined by Richardson
+    extrapolation (half step).
     """
     if grid is None:
         grid = np.linspace(0.0, system.length, K_GRID_POINTS)
@@ -545,8 +517,6 @@ class CyclicityResult:
 def lifted_cycle_unitary(sub_or_basis, system: CoupledModeSystem,
                          z_end: float | None = None) -> np.ndarray:
     basis = sub_or_basis.basis if isinstance(sub_or_basis, Subspace) else sub_or_basis
-    from .coupledmode import evolve
-
     u = evolve(system, 0.0, z_end).matrix
     return fock.lift_unitary(u, basis)
 

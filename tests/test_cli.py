@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from geomode import cli
+from geomode import coupledmode as cm
+from geomode import experiment as xp
 from geomode.cli import main
 
 
@@ -228,6 +230,20 @@ def test_plateau_dummy_constant_system(tmp_path):
     assert doc["mean_width_mm"] == pytest.approx(20.0)
 
 
+def test_plateau_all_undefined_points(tmp_path, capsys, outer_pair_file, monkeypatch):
+    def undefined_scan(sub, specs, lengths, **kwargs):
+        result = xp.ScanResult(sub, "synthetic-experiment")
+        for spec in specs:
+            result.curves[spec.label()] = [xp.ScanPoint(float(x), None, None) for x in lengths]
+        return result
+
+    monkeypatch.setattr(xp, "scan", undefined_scan)
+    code = main(["--out-dir", str(tmp_path), "plateau", "--subspace", outer_pair_file,
+                 "--mode", "synthetic", "--rule", "experimental", "--lengths", "80,90,100"])
+    assert code == 2
+    assert "error[invalid-arguments]: curve has no defined points" in capsys.readouterr().err
+
+
 def test_plateau_table_preset(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path), "plateau", "--table-s2",
                  "--table-grid-step", "0.02"]) == 0
@@ -257,6 +273,33 @@ def test_simulate_and_ingest_round_trip(tmp_path, three_state_file):
     direct = json.loads((d2 / "scan_result.json").read_text())
     for label, points in direct["curves"].items():
         got = {p["length_mm"]: p["probability"] for p in ingested["curves"][label]}
+        for p in points:
+            assert got[p["length_mm"]] == pytest.approx(p["probability"], abs=1e-12)
+
+
+def test_ingest_uses_configured_system(tmp_path):
+    """A Jx4 with modes 0 and 1 swapped: ingest must use its own ideal cycle."""
+    doc = cm.system_to_json(cm.jx4_structure(cm.IDEAL_LENGTH_MM))
+    swap = [1, 0, 2, 3]
+    doc["pattern"] = [[doc["pattern"][i][j] for j in swap] for i in swap]
+    cfg = tmp_path / "swapped.json"
+    cfg.write_text(json.dumps(doc))
+    sub_file = write_subspace(
+        tmp_path / "sub.json",
+        {"particle": "boson", "states": [[0, 2, 0, 0], [0, 1, 0, 1], [0, 0, 0, 2]]})
+    common = ["--config", str(cfg), "--seed", "5"]
+    scan_opts = ["--subspace", sub_file, "--trials", "20000", "--lengths", "70,80,84.9,90,100"]
+    assert main([*common, "--out-dir", str(tmp_path), "simulate-counts", *scan_opts]) == 0
+    assert main([*common, "--out-dir", str(tmp_path), "ingest", "--subspace", sub_file,
+                 "--trials", "20000", "--counts", str(tmp_path / "counts.csv")]) == 0
+    d2 = tmp_path / "direct"
+    assert main([*common, "--out-dir", str(d2), "scan", "--mode", "synthetic", *scan_opts]) == 0
+    ingested = json.loads((tmp_path / "ingested_scan.json").read_text())["curves"]
+    direct = json.loads((d2 / "scan_result.json").read_text())["curves"]
+    assert set(ingested) == set(direct) == {"|0200>", "|0101>", "|0002>"}
+    for label, points in direct.items():
+        got = {p["length_mm"]: p["probability"] for p in ingested[label]}
+        assert len(got) == len(points) == 5
         for p in points:
             assert got[p["length_mm"]] == pytest.approx(p["probability"], abs=1e-12)
 

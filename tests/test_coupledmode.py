@@ -77,6 +77,72 @@ def test_envelope_length_and_values(ideal_system):
     assert env.value(-1.0) == 0.0 and env.value(200.0) == 0.0
 
 
+def _mixed_envelope():
+    """One segment of every kind, including both exp-cosine directions."""
+    return cm.Envelope((
+        cm.ExpCosineRampSegment(0.09, 3.0, 12.0, rising=True),
+        cm.ConstantSegment(0.09, 7.5),
+        cm.CosineRampSegment(0.09, 0.02, 9.25),
+        cm.ExpCosineRampSegment(0.02, 2.0, 6.0, rising=False),
+    ))
+
+
+def _walk_phase(env, z):
+    """Reference: the segment-by-segment scalar walk of int_0^z Omega."""
+    if z <= 0:
+        return 0.0
+    remaining = min(z, env.length)
+    total = 0.0
+    for seg in env.segments:
+        if remaining >= seg.length - 1e-15:
+            total += seg.total_phase
+            remaining -= seg.length
+            if remaining <= 1e-15:
+                break
+        else:
+            return total + float(seg.phase_to(remaining))
+    return total
+
+
+def _walk_value(env, z):
+    """Reference: Omega(z) from the first segment whose end is >= z."""
+    if z < 0 or z > env.length + 1e-12:
+        return 0.0
+    z = min(z, env.length)
+    offset = 0.0
+    for seg in env.segments:
+        if z <= offset + seg.length or seg is env.segments[-1]:
+            return float(seg.value_at(min(z - offset, seg.length)))
+        offset += seg.length
+
+
+def test_array_envelope_matches_scalar_calls():
+    env = _mixed_envelope()
+    ends = np.cumsum([s.length for s in env.segments])
+    grid = np.concatenate([
+        [-3.0, -1e-13, 0.0, 1e-16], ends, ends - 1e-16, ends + 1e-14, ends + 1e-9,
+        np.linspace(0.0, env.length, 97), [env.length + 1e-13, env.length + 2.0, 1e3],
+    ])
+    phases = env.phase(grid)
+    values = env.value(grid)
+    assert phases.shape == values.shape == grid.shape
+    for z, p, v in zip(grid, phases, values):
+        assert isinstance(env.phase(z), float) and isinstance(env.value(z), float)
+        assert env.phase(z) == p and env.value(z) == v
+        assert p == pytest.approx(_walk_phase(env, z), rel=1e-14, abs=1e-15)
+        assert v == pytest.approx(_walk_value(env, z), rel=1e-14, abs=1e-15)
+    assert phases[0] == 0.0 and values[0] == 0.0
+    assert env.phase(1e3) == env.phase(env.length) and env.value(1e3) == 0.0
+
+
+def test_hamiltonian_stack_matches_scalar_calls(ideal_system):
+    grid = np.array([0.0, 12.5, 30.0, 61.2, ideal_system.length])
+    stack = ideal_system.hamiltonian(grid)
+    assert stack.shape == (5, 4, 4)
+    for z, h in zip(grid, stack):
+        assert np.array_equal(h, ideal_system.hamiltonian(z))
+
+
 # ------------------------------------------------------ accumulated phase
 
 
@@ -244,3 +310,67 @@ def test_system_json_rejects_bad_length(ideal_system):
 def test_segment_json_unknown_kind():
     with pytest.raises(ValueError):
         cm.segment_from_json({"kind": "spline"})
+
+
+# ---------------------------------------------------- evolution kernel
+
+
+def _extended(system, length):
+    """The system with zero coupling appended out to ``length``."""
+    extra = length - system.length
+    if extra <= 0:
+        return system
+    env = cm.Envelope(system.envelope.segments + (cm.ConstantSegment(0.0, extra),))
+    return cm.CoupledModeSystem(system.pattern, env, system.static_pattern)
+
+
+def _per_length(system, lengths, **kwargs):
+    return np.stack([cm.evolve(_extended(system, L), 0.0, float(L), **kwargs).matrix
+                     for L in lengths])
+
+
+def test_preset_family_matches_per_length_structures():
+    lengths = np.array([60.0, 71.3, 80.0, 84.9, 93.3333, 115.0])
+    stack = cm.jx4_family(cm.FLAT_COUPLING_PER_MM).stack(lengths)
+    want = np.stack([cm.evolve(cm.jx4_structure(L)).matrix for L in lengths])
+    assert np.max(np.abs(stack - want)) <= 1e-13
+    omega = 0.09
+    stack = cm.jx4_family(omega).stack(lengths)
+    want = np.stack([cm.evolve(cm.jx4_structure(L, omega_flat=omega)).matrix for L in lengths])
+    assert np.max(np.abs(stack - want)) <= 1e-13
+    with pytest.raises(ValueError, match="at least 60.0 mm"):
+        cm.jx4_family(cm.FLAT_COUPLING_PER_MM).stack([59.9, 80.0])
+
+
+def test_file_family_matches_evolve_commuting(ideal_system):
+    static = cm.CouplingPattern(0.02 * np.eye(4))
+    system = cm.CoupledModeSystem(ideal_system.pattern, ideal_system.envelope, static)
+    lengths = np.array([0.5, 17.0, 30.0, 55.55, 84.9, 90.0, 120.0])
+    stack = cm.system_family(system).stack(lengths)
+    assert np.max(np.abs(stack - _per_length(system, lengths))) <= 1e-13
+    with pytest.raises(ValueError):
+        cm.system_family(system).stack([0.0, 10.0])
+
+
+def test_file_family_non_commuting_within_stepper_accuracy(ideal_system):
+    static = cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0]))
+    system = cm.CoupledModeSystem(ideal_system.pattern, ideal_system.envelope, static)
+    assert not system.commuting_family
+    lengths = np.array([10.003, 42.5117, 80.0071, 84.9, 95.00013])
+    stack = cm.system_family(system).stack(lengths)
+    # each length on its own step partition: both are O(h^2) midpoint products
+    assert np.max(np.abs(stack - _per_length(system, lengths))) < 1e-7
+    fine = _per_length(system, lengths, max_step=2.5e-3)
+    assert np.max(np.abs(stack - fine)) < 1e-7
+
+
+def test_evolution_on_grid_accepts_any_order(ideal_system):
+    static = cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0]))
+    system = cm.CoupledModeSystem(ideal_system.pattern, ideal_system.envelope, static)
+    grid = np.array([50.0, 3.0, 50.0, 20.0])
+    u = cm.evolution_on_grid(system, grid)
+    assert np.array_equal(u[0], u[2])
+    assert np.max(np.abs(u - _per_length(system, grid))) < 1e-7
+    # before z = 0 only the static part acts, as on the commuting path
+    back = cm.evolution_on_grid(system, [-2.0])[0]
+    assert np.max(np.abs(back - static.unitary(-2.0))) < 1e-14

@@ -286,6 +286,26 @@ def test_plateau_report_means(three_state):
     assert report.mean_width == pytest.approx(20.2, abs=max(0.15 * 20.2, 1.5))
 
 
+def test_plateau_report_skips_undefined_points(outer_single):
+    spec = xp.InputSpec(outer_single.members[0])
+    label = spec.label()
+    for rule, lengths, walk_stop in ((xp.THEORY_RULE, np.arange(60.0, 115.0, 0.05), 2),
+                                     (xp.EXPERIMENTAL_RULE, np.arange(80.0, 100.01, 0.5), 1)):
+        want = xp.plateau_report(xp.scan(outer_single, [spec], lengths), rule).per_input[label]
+        holed = xp.scan(outer_single, [spec], lengths)
+        k = int(np.argmin(np.abs(lengths - 82.5)))  # inside the plateau, left of the peak
+        holed.curves[label][k] = xp.ScanPoint(float(lengths[k]), None, None)
+        got = xp.plateau_report(holed, rule).per_input[label]
+        # the walk stops at the hole (theory: the slopes beside it are undefined too)
+        assert got.start == lengths[k + walk_stop]
+        assert got.end == want.end
+        assert got.start <= cm.IDEAL_LENGTH_MM <= got.end
+        for i in range(len(lengths)):
+            holed.curves[label][i] = xp.ScanPoint(float(lengths[i]), None, None)
+        with pytest.raises(ValueError, match="no defined points"):
+            xp.plateau_report(holed, rule)
+
+
 # ----------------------------------------------------------- HOM / fidelity
 
 

@@ -377,6 +377,38 @@ def test_gauge_field_heisenberg_hermitian(system, boson_basis):
     assert a.max_hermiticity_residual < 1e-6
 
 
+def test_gauge_field_interior_is_central_difference(system, boson_basis):
+    sub = sub_boson(boson_basis, (2, 0, 0, 0), (1, 0, 0, 1), (0, 0, 0, 2))
+    grid = np.linspace(0.0, system.length, 201)
+    step = 1e-3 * system.length
+    a = hol.gauge_field(sub, system, grid, hol.PHASE_ADJUSTED, hermiticity_limit=math.inf)
+
+    def kets(zs):
+        phi = hol.mode_family_matrices(system, zs, hol.PHASE_ADJUSTED)
+        return fock.lift_unitary_batch(phi, sub.basis)[:, :, list(sub.member_indices)]
+
+    inner = grid[1:-1]
+    central = (kets(inner + step) - kets(inner - step)) / (2 * step)
+    want = 1j * np.einsum("zsm,zsn->zmn", kets(inner).conj(), central)
+    assert np.max(np.abs(a.matrices[1:-1] - want)) < 1e-12
+    # one-sided at the ends: A = Omega * identity for this subspace
+    for i in (0, -1):
+        omega = system.envelope.value(grid[i])
+        assert np.max(np.abs(a.matrices[i] - omega * np.eye(3))) < 0.01 * omega
+
+
+def test_gauge_field_non_commuting_system(system, boson_basis):
+    static = cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0]))
+    detuned = cm.CoupledModeSystem(system.pattern, system.envelope, static)
+    assert not detuned.commuting_family
+    sub = sub_boson(boson_basis, (2, 0, 0, 0), (1, 0, 0, 1), (0, 0, 0, 2))
+    a = hol.gauge_field(sub, detuned)
+    assert a.grid[0] == 0.0 and a.grid[-1] == detuned.length
+    assert np.all(np.isfinite(a.matrices))
+    rebuilt = hol.holonomy_from_gauge_field(sub, detuned, steps=200)
+    assert np.all(np.isfinite(rebuilt))
+
+
 # --------------------------------------------- two-particle gauge relation
 
 
