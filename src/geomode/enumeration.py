@@ -3,8 +3,8 @@
 For systems whose cycle maps basis states to basis states up to a
 phase, cyclicity of a subset of basis states is equivalent to being a
 union of orbits of the induced permutation.  Enumeration therefore
-walks the 2^(#orbits) - 2 orbit unions, K-checks each one, and
-classifies the holonomic survivors.
+walks the 2^(#orbits) - 2 orbit unions, K-checks each one against one
+basis-wide table of max_z |K|, and classifies the holonomic survivors.
 """
 
 from __future__ import annotations
@@ -229,9 +229,10 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
 
     grid = np.linspace(0.0, system.length, k_grid_points)
     tol = hol.holonomic_tolerance(system)
-    j_grid = None
-    if basis.particles <= 2 or basis.particle.kind == "boson":
-        j_grid = hol.mode_coupling_on_grid(system, grid)
+    # A union's closed-form K is the basis-wide K restricted to its
+    # members, so one (S, S) table of max_z |K| serves every union.
+    k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system, grid)
+                            .matrices), axis=0)
     v = hol.lifted_cycle_unitary(basis, system)
     candidates = sorted(
         _orbit_unions(decomposition.orbits, skip_full=not include_full),
@@ -245,9 +246,8 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
         if len(records) >= cap:
             report.records = records
             raise EnumerationCapError(cap, report, pos)
-        sub = hol.Subspace(basis, tuple(basis.states[i] for i in member_idx))
-        k = hol.k_matrix(sub, system, grid, j_grid=j_grid)
-        holonomic = k.max_abs < tol
+        max_k = float(np.max(k_table[np.ix_(member_idx, member_idx)]))
+        holonomic = max_k < tol
         classification = None
         if holonomic:
             r = v[np.ix_(member_idx, member_idx)]
@@ -257,7 +257,7 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
             member_indices=member_idx,
             dimension=len(member_idx),
             cyclic=True,
-            max_k=k.max_abs,
+            max_k=max_k,
             holonomic=holonomic,
             classification=classification,
             abelian_by_construction=len(member_idx) == 1,

@@ -97,15 +97,12 @@ class DetectionModel:
 
     ``splitter_ratios`` holds the first-arm probability of each output
     port (pairs summing to 1 are also accepted).  Coincidence windows
-    are modeled as pure accept/reject; timing is not simulated.  Dark
-    counts and detector efficiency default to the ideal values.
+    are modeled as pure accept/reject; timing is not simulated.
     """
 
     splitter_ratios: tuple = (0.5, 0.5, 0.5, 0.5)
     trials: int = 100_000
     seed: int = DEFAULT_SEED
-    dark_rate: float = 0.0
-    detector_efficiency: float = 1.0
 
     def __post_init__(self):
         ratios = []

@@ -1,11 +1,13 @@
 """Multi-particle state spaces over M optical modes.
 
 Provides ordered Fock bases for bosons, fermions, and distinguishable
-particles, the lifting of single-particle matrices to multi-particle
-operators (permanents / determinants / per-label products), and a
-brute-force vacuum-expectation evaluator for ladder-operator strings.
-The vacuum-expectation evaluator is deliberately independent of the
-lifting code so the two can be used to validate each other.
+particles, the lifting of single-particle unitaries to multi-particle
+operators (permanents / determinants / per-label products), the
+one-body tensor T[s, t, a, b] = <s| a_a^dag a_b |t> that lifts every
+one-body operator, and a brute-force vacuum-expectation evaluator for
+ladder-operator strings.  The unitary lift, the one-body tensor and
+the vacuum-expectation evaluator are built independently of each other
+so that they can be used to validate each other.
 
 Conventions
 -----------
@@ -15,8 +17,9 @@ Conventions
 * Normalized kets: |n> = prod_k (a_k^dag)^{n_k} / sqrt(n_k!) |0>.
   Fermion reference kets apply creation operators in increasing mode
   order.
-* ``lift_hamiltonian(h)`` represents sum_{jk} h[j,k] a_j^dag a_k, so it
-  generates ``lift_unitary(expm(-1j*delta*h))``.
+* ``lift_hamiltonian(h)`` represents sum_{jk} h[j,k] a_j^dag a_k (the
+  one-body tensor contracted with h), so it generates
+  ``lift_unitary(expm(-1j*delta*h))``.
 """
 
 from __future__ import annotations
@@ -159,6 +162,7 @@ class FockBasis:
     particles: int
     states: tuple[OccupationState, ...]
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    _cache: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -412,6 +416,42 @@ def _create(occ: tuple, mode: int, kind: str):
     return sign, tuple(new)
 
 
+def one_body_tensor(basis: FockBasis) -> np.ndarray:
+    """T[s, t, a, b] = <s| a_a^dag a_b |t> on the basis, cached on it.
+
+    Built once from the ladder rules (for distinguishable particles, by
+    moving each label in turn from mode b to mode a), so any one-body
+    operator sum_ab X[a,b] a_a^dag a_b is T contracted with X.  The
+    entries are real; the cached array is read-only.
+    """
+    cached = basis._cache.get("one_body")
+    if cached is not None:
+        return cached
+    m = basis.modes
+    t = np.zeros((basis.size, basis.size, m, m))
+    kind = basis.particle.kind
+    for col, st in enumerate(basis.states):
+        occ = st.occupations
+        if kind == DISTINGUISHABLE:
+            for li, b in enumerate(occ):
+                for a in range(m):
+                    t[basis.index_of(occ[:li] + (a,) + occ[li + 1 :]), col, a, b] += 1.0
+            continue
+        for b in range(m):
+            down = _annihilate(occ, b, kind)
+            if down is None:
+                continue
+            f1, occ1 = down
+            for a in range(m):
+                up = _create(occ1, a, kind)
+                if up is not None:
+                    f2, occ2 = up
+                    t[basis.index_of(occ2), col, a, b] = f1 * f2
+    t.setflags(write=False)
+    basis._cache["one_body"] = t
+    return t
+
+
 def lift_hamiltonian(h, basis: FockBasis) -> np.ndarray:
     """Represent sum_{jk} h[j,k] a_j^dag a_k on the N-particle basis.
 
@@ -423,35 +463,7 @@ def lift_hamiltonian(h, basis: FockBasis) -> np.ndarray:
         raise ValueError("matrix dimension must equal the basis mode count")
     if not is_hermitian(h):
         raise ValueError(f"input matrix is not Hermitian within {HERMITIAN_TOL}")
-
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    nz = [(j, k) for j in range(basis.modes) for k in range(basis.modes) if h[j, k] != 0]
-
-    if basis.particle.kind == DISTINGUISHABLE:
-        for col, st in enumerate(basis.states):
-            for li in range(len(basis.particle.labels)):
-                k = st.occupations[li]
-                for j in range(basis.modes):
-                    if h[j, k] == 0:
-                        continue
-                    new = list(st.occupations)
-                    new[li] = j
-                    out[basis.index_of(tuple(new)), col] += h[j, k]
-        return out
-
-    kind = basis.particle.kind
-    for col, st in enumerate(basis.states):
-        for j, k in nz:
-            down = _annihilate(st.occupations, k, kind)
-            if down is None:
-                continue
-            f1, occ1 = down
-            up = _create(occ1, j, kind)
-            if up is None:
-                continue
-            f2, occ2 = up
-            out[basis.index_of(occ2), col] += h[j, k] * f1 * f2
-    return out
+    return np.tensordot(one_body_tensor(basis), h, axes=([2, 3], [0, 1]))
 
 
 def _norm_factor(factor):

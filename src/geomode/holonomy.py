@@ -14,11 +14,15 @@ propagating waveguide modes), and ``phase_adjusted`` multiplies them by
 exp(-i delta(z)/2), which makes the gauge field of the flat-coupling
 Jx structure a multiple of the identity.
 
-K is computed two ways: closed forms built from the single-particle
-mode coupling J (one line for one particle, the delta/J combination
-for two particles, a permutation sum for N bosons), and an independent
-"lifted" path that sandwiches the second-quantized Hamiltonian between
-the evolved member kets.  The two must agree; tests enforce it.
+K is computed two ways: the closed form contracts the basis's one-body
+tensor <s| a_a^dag a_b |t> (see :func:`fock.one_body_tensor`) with the
+single-particle mode coupling J(z), one contraction for every
+statistics and particle number; an independent "lifted" path
+sandwiches the second-quantized Hamiltonian between the evolved member
+kets, built from permanents and determinants.  The two must agree;
+tests enforce it.  The per-element reference formulas
+:func:`k_two_particle`, :func:`k_n_boson` and
+:func:`gauge_relation_two_particle` are kept as oracles.
 """
 
 from __future__ import annotations
@@ -282,52 +286,6 @@ def k_n_boson(k_modes, l_modes, j_matrix: np.ndarray, h_vac: complex = 0.0) -> c
     return complex(total / math.sqrt(norm))
 
 
-def _k_pair_terms(bra: OccupationState, ket: OccupationState, particle: ParticleType):
-    """Decompose a closed-form K element as sum_i w_i * J[a_i, b_i]."""
-    if particle.kind == DISTINGUISHABLE:
-        terms = []
-        for li in range(len(particle.labels)):
-            others_equal = all(
-                bra.occupations[lj] == ket.occupations[lj]
-                for lj in range(len(particle.labels)) if lj != li
-            )
-            if others_equal:
-                terms.append((bra.occupations[li], ket.occupations[li], 1.0))
-        return terms
-
-    bra_modes, ket_modes = bra.mode_list(), ket.mode_list()
-    n = len(bra_modes)
-    if n == 1:
-        return [(bra_modes[0], ket_modes[0], 1.0)]
-    if particle.kind == FERMION and n == 2:
-        b_, a_ = bra_modes
-        c_, d_ = ket_modes
-        terms = []
-        if a_ == d_:
-            terms.append((b_, c_, 1.0))
-        if a_ == c_:
-            terms.append((b_, d_, -1.0))
-        if b_ == d_:
-            terms.append((a_, c_, -1.0))
-        if b_ == c_:
-            terms.append((a_, d_, 1.0))
-        return terms
-    if particle.kind == BOSON:
-        d = _delta_matrix(bra_modes, ket_modes)
-        norm = math.sqrt(
-            math.prod(math.factorial(c) for c in np.bincount(bra_modes))
-            * math.prod(math.factorial(c) for c in np.bincount(ket_modes))
-        )
-        terms = []
-        for nu in range(n):
-            for mu in range(n):
-                w = fock.permanent_naive(_minor(d, nu, mu))
-                if w != 0:
-                    terms.append((bra_modes[nu], ket_modes[mu], w / norm))
-        return terms
-    raise NotImplementedError("no closed form for fermions with more than two particles")
-
-
 @dataclass(frozen=True)
 class DynamicalContribution:
     """K sampled on a z grid: matrices[i] is K(grid[i]) over the members."""
@@ -350,46 +308,31 @@ class DynamicalContribution:
 
 
 def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
-             family: str = HEISENBERG, method: str = "closed_form",
-             j_grid: np.ndarray | None = None) -> DynamicalContribution:
+             family: str = HEISENBERG, method: str = "closed_form") -> DynamicalContribution:
     """Dynamical contribution of a subspace along the cycle.
 
-    ``closed_form`` assembles K(z) from J(z) with the per-pair delta
-    structure; ``lifted`` sandwiches the second-quantized Hamiltonian
-    between the evolved member kets.  Both paths agree to tight
-    tolerance (enforced in tests); fermion or distinguishable subspaces
-    with more than two particles always use the lifted path.  A
-    precomputed ``j_grid`` (from :func:`mode_coupling_on_grid` over the
-    same grid) avoids recomputing J when checking many subspaces.
+    ``closed_form`` contracts the basis's one-body tensor, restricted to
+    the members, with the mode coupling J(z): K = sum_ab J_ab a_a^dag a_b
+    for any statistics and any particle number.  ``lifted`` sandwiches
+    the second-quantized Hamiltonian between the evolved member kets
+    (permanents / determinants / per-label products).  Both paths agree
+    to tight tolerance (enforced in tests).
     """
     if grid is None:
         grid = np.linspace(0.0, system.length, K_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
-    dim = sub.dimension
-
-    needs_lifted = (
-        sub.basis.particles > 2 and sub.particle.kind in (FERMION, DISTINGUISHABLE)
-    )
-    if method == "closed_form" and needs_lifted:
-        method = "lifted"
+    idx = list(sub.member_indices)
 
     if method == "closed_form":
-        j = j_grid if j_grid is not None else mode_coupling_on_grid(system, grid, family)
-        if j.shape[0] != len(grid):
-            raise ValueError("j_grid does not match the sample grid")
-        out = np.zeros((len(grid), dim, dim), dtype=complex)
-        for mi, bra in enumerate(sub.members):
-            for ni, ket in enumerate(sub.members):
-                for a, b, w in _k_pair_terms(bra, ket, sub.particle):
-                    out[:, mi, ni] += w * j[:, a, b]
-        return DynamicalContribution(grid, out, sub)
+        t = fock.one_body_tensor(sub.basis)[np.ix_(idx, idx)]
+        j = mode_coupling_on_grid(system, grid, family)
+        return DynamicalContribution(grid, np.tensordot(j, t, axes=([1, 2], [2, 3])), sub)
 
     if method != "lifted":
         raise ValueError(f"unknown K method {method!r}")
 
     phi = mode_family_matrices(system, grid, family)
     lifted_phi = fock.lift_unitary_batch(phi, sub.basis)
-    idx = list(sub.member_indices)
     kets = lifted_phi[:, :, idx]  # (Z, S, dim)
     h_pattern = fock.lift_hamiltonian(system.pattern.matrix, sub.basis)
     h_static = (
@@ -616,10 +559,10 @@ def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
     h = z_end / steps
     mids = (np.arange(steps) + 0.5) * h
     a = gauge_field(sub, system, mids, family, step=fd_step).matrices
+    lams, vecs = np.linalg.eigh(a)
     g = np.eye(sub.dimension, dtype=complex)
-    for i in range(steps):
-        lam, vecs = np.linalg.eigh(a[i])
-        g = ((vecs * np.exp(1j * h * lam)) @ vecs.conj().T) @ g
+    for lam, v in zip(lams, vecs):
+        g = ((v * np.exp(1j * h * lam)) @ v.conj().T) @ g
     start = _member_kets_batch(sub, system, [0.0], family)[0]
     end = _member_kets_batch(sub, system, [z_end], family)[0]
     closure = start.conj().T @ end

@@ -161,6 +161,38 @@ def test_monotonicity_of_holonomic_subspaces(two_boson_report):
                 assert is_h, "cyclic subset of a holonomic subspace must be holonomic"
 
 
+def _jx_system(modes):
+    """Jx(modes) under the preset envelope (modes = 4 is the preset)."""
+    return cm.CoupledModeSystem(cm.jx_pattern(modes), cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+
+
+@pytest.mark.parametrize("modes,particles,cyclic,ge2", [
+    (4, 3, 1022, 55),
+    (5, 2, 510, 87),
+    (6, 2, 4094, 299),
+])
+def test_boson_census_counts(modes, particles, cyclic, ge2):
+    report = enum.enumerate_holonomic(_jx_system(modes), enumerate_basis(modes, particles, BOSON))
+    assert report.cyclic_subspaces == cyclic
+    assert len(report.holonomic_records(2)) == ge2
+
+
+@pytest.mark.parametrize("modes,particles", [(4, 2), (3, 3)])
+def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
+    # The lifted K of a union is the basis-wide lifted K restricted to its
+    # members (the kets are the same columns), so one lifted run serves
+    # every record; per-union lifted runs take over a minute for (3, 3).
+    system = _jx_system(modes)
+    basis = enumerate_basis(modes, particles, BOSON)
+    report = enum.enumerate_holonomic(system, basis)
+    full = hol.Subspace(basis, basis.states)
+    lifted = np.max(np.abs(hol.k_matrix(full, system, method="lifted").matrices), axis=0)
+    assert len(report.records) == 62
+    for r in report.records:
+        idx = list(r.member_indices)
+        assert abs(r.max_k - np.max(lifted[np.ix_(idx, idx)])) < 1e-10
+
+
 def test_union_of_orbits_characterization_single_photon(system):
     basis = enumerate_basis(4, 1, BOSON)
     assert enum.verify_union_of_orbits_characterization(system, basis)

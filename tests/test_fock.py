@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
@@ -14,6 +16,7 @@ from geomode.fock import (
     enumerate_basis,
     lift_hamiltonian,
     lift_unitary,
+    one_body_tensor,
     permanent,
     permanent_naive,
     vacuum_expectation,
@@ -327,3 +330,58 @@ def test_fermion_lift_matches_oracle_signs():
             oracle = _sandwich(bra, h, ket, FERMION)
             got = lifted[b.index_of(bra), b.index_of(ket)]
             assert abs(got - oracle) < 1e-10
+
+
+# ----------------------------------------------------- one-body tensor
+
+
+def test_one_body_tensor_is_cached_and_read_only():
+    b = enumerate_basis(4, 2, BOSON)
+    t = one_body_tensor(b)
+    assert t.shape == (b.size, b.size, 4, 4)
+    assert one_body_tensor(b) is t
+    with pytest.raises(ValueError):
+        t[0, 0, 0, 0] = 1.0
+
+
+def test_one_body_tensor_number_operator_distinguishable():
+    # both labels in mode 0: a_0^dag a_0 counts two particles
+    b = enumerate_basis(3, 2, DIST_AB)
+    i = b.index_of((0, 0))
+    assert one_body_tensor(b)[i, i, 0, 0] == 2.0
+
+
+@st.composite
+def bases(draw):
+    kind = draw(st.sampled_from(["boson", "fermion", "distinguishable"]))
+    modes = draw(st.integers(1, 4))
+    particles = draw(st.integers(1, min(3, modes) if kind == "fermion" else 3))
+    if kind == "distinguishable":
+        ptype = ParticleType.distinguishable(*"abc"[:particles])
+    else:
+        ptype = ParticleType(kind)
+    return enumerate_basis(modes, particles, ptype)
+
+
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1))
+def test_lift_hamiltonian_conjugation_matches_lift_unitary(basis, seed):
+    # lift_U(u)^dag lift_H(h) lift_U(u) = lift_H(u^dag h u): the one-body
+    # tensor against the permanent / determinant / per-label lift
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(basis.modes, rng)
+    u = random_unitary(basis.modes, rng)
+    v = lift_unitary(u, basis)
+    left = v.conj().T @ lift_hamiltonian(h, basis) @ v
+    right = lift_hamiltonian(u.conj().T @ h @ u, basis)
+    assert np.max(np.abs(left - right)) < 1e-10 * max(1.0, float(np.max(np.abs(h))))
+
+
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(-3, 3), beta=st.floats(-3, 3))
+def test_lift_hamiltonian_is_linear(basis, seed, alpha, beta):
+    rng = np.random.default_rng(seed)
+    h1 = random_hermitian(basis.modes, rng)
+    h2 = random_hermitian(basis.modes, rng)
+    left = lift_hamiltonian(alpha * h1 + beta * h2, basis)
+    right = alpha * lift_hamiltonian(h1, basis) + beta * lift_hamiltonian(h2, basis)
+    assert np.max(np.abs(left - right)) < 1e-10

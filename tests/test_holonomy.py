@@ -248,6 +248,33 @@ def test_k_matrix_distinguishable_matches_lifted(system, dist_basis):
     assert k1.max_abs < hol.holonomic_tolerance(system)
 
 
+def _jx_system(modes, detuned):
+    """Jx(modes) under the preset envelope; detuned adds diag(0.01, 0, ...)."""
+    envelope = cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope
+    static = None
+    if detuned:
+        static = cm.CouplingPattern(np.diag([0.01] + [0.0] * (modes - 1)))
+    return cm.CoupledModeSystem(cm.jx_pattern(modes), envelope, static)
+
+
+@pytest.mark.parametrize("detuned", [False, True])
+@pytest.mark.parametrize("particle,modes,members", [
+    (FERMION, 5, [(1, 1, 1, 0, 0), (0, 0, 1, 1, 1), (1, 1, 0, 1, 0), (0, 1, 1, 1, 0)]),
+    (ParticleType.distinguishable("a", "b", "c"), 4,
+     [(0, 2, 1), (3, 1, 2), (1, 2, 1), (2, 3, 0), (0, 0, 0)]),
+])
+def test_k_matrix_many_particles_matches_lifted(particle, modes, members, detuned):
+    system = _jx_system(modes, detuned)
+    assert system.commuting_family != detuned
+    basis = enumerate_basis(modes, 3, particle)
+    sub = hol.subspace_from_states(basis, members)
+    grid = np.linspace(0.0, system.length, 21)
+    k1 = hol.k_matrix(sub, system, grid, method="closed_form")
+    k2 = hol.k_matrix(sub, system, grid, method="lifted")
+    assert k1.max_abs > 1e-3
+    assert np.max(np.abs(k1.matrices - k2.matrices)) < 1e-10
+
+
 # -------------------------------------------------------------- cyclicity
 
 
