@@ -279,10 +279,10 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
     union_sets = {frozenset(m) for _, m in _orbit_unions(decomposition.orbits)}
+    v = hol.lifted_cycle_unitary(basis, system)
     for r in range(1, basis.size):
         for combo in itertools.combinations(range(basis.size), r):
-            sub = hol.Subspace(basis, tuple(basis.states[i] for i in combo))
-            projector_cyclic = hol.is_cyclic(sub, system).cyclic
+            projector_cyclic = hol.projector_cyclicity(v, combo).cyclic
             if projector_cyclic != (frozenset(combo) in union_sets):
                 return False
     return True

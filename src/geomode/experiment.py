@@ -40,7 +40,8 @@ from .coupledmode import (
     jx4_family,
     jx_pattern,
 )
-from .fock import BOSON, DISTINGUISHABLE, FERMION, OccupationState, lift_unitary, lift_unitary_batch
+from .fock import BOSON, DISTINGUISHABLE, FERMION, OccupationState, lift_unitary_batch
+from .fock import lift_unitary  # noqa: F401 -- re-exported: the validated single-matrix lift
 from .holonomy import Subspace
 
 DEFAULT_SEED = 1022
@@ -178,10 +179,10 @@ class ScanResult:
 
 
 def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
-    """Member hit by the input under ``ideal``, the lifted delta = pi cycle."""
-    col = ideal[:, sub.basis.index_of(input_state)]
-    idx = list(sub.member_indices)
-    amps = np.abs(col[idx])
+    """Member hit by the input under ``ideal``, the single-particle
+    delta = pi cycle; only the input's column over the members is lifted."""
+    amps = np.abs(lift_unitary_batch(ideal[None], sub.basis, sub.member_indices,
+                                     [sub.basis.index_of(input_state)])[0, :, 0])
     m = int(np.argmax(amps))
     if abs(amps[m] - 1.0) > 1e-8:
         raise ValueError(
@@ -206,8 +207,9 @@ def _distagg_probs(u_stack, members, input_modes):
 class CurveEngine:
     """Batched outcome probabilities of a structure family over lengths.
 
-    The family (default: the calibrated Jx structure) gives one evolution
-    stack; it and the ideal cycle are lifted once per basis.
+    The family (default: the calibrated Jx structure) gives one
+    single-particle evolution stack.  Each query lifts only the
+    amplitudes it reads: the input's column over the outcome states.
     """
 
     def __init__(self, lengths, family: StructureFamily | None = None):
@@ -215,19 +217,10 @@ class CurveEngine:
         self.lengths = np.asarray(lengths, dtype=float)
         self.u_stack = family.stack(self.lengths)
         self._ideal = family.pattern.unitary(math.pi)
-        self._lift_cache = {}
-
-    def _lifted(self, basis, ideal: bool):
-        """The lifted evolution stack, or with ``ideal`` the lifted ideal cycle."""
-        key = (ideal, basis.particle.kind, basis.particle.labels, basis.modes, basis.particles)
-        if key not in self._lift_cache:
-            self._lift_cache[key] = (lift_unitary(self._ideal, basis) if ideal
-                                     else lift_unitary_batch(self.u_stack, basis))
-        return self._lift_cache[key]
 
     def target_index(self, sub: Subspace, input_state) -> int:
         """Member hit by the input under the ideal (delta = pi) evolution."""
-        return _ideal_target_index(sub, self._lifted(sub.basis, ideal=True), input_state)
+        return _ideal_target_index(sub, self._ideal, input_state)
 
     def outcome_probabilities(self, sub: Subspace, spec: InputSpec,
                               over_members=True) -> np.ndarray:
@@ -236,7 +229,6 @@ class CurveEngine:
         Outcomes are the subspace members (``over_members``) or the full
         basis; rows are not normalized (post-selection happens later).
         """
-        states = sub.members if over_members else sub.basis.states
         stats = spec.statistics or (
             DISTINGUISHABLE_STATS if sub.particle.kind == DISTINGUISHABLE else INDISTINGUISHABLE
         )
@@ -251,11 +243,11 @@ class CurveEngine:
         if stats == DISTINGUISHABLE_STATS and sub.particle.kind == BOSON:
             if sub.basis.particles != 2:
                 raise ValueError("distinguishable statistics need two particles")
+            states = sub.members if over_members else sub.basis.states
             return _distagg_probs(self.u_stack, states, spec.state.mode_list())
-        lifted = self._lifted(sub.basis, ideal=False)
-        col = sub.basis.index_of(spec.state)
-        rows = [sub.basis.index_of(s) for s in states]
-        return np.abs(lifted[:, rows, col]) ** 2
+        rows = sub.member_indices if over_members else None
+        col = [sub.basis.index_of(spec.state)]
+        return np.abs(lift_unitary_batch(self.u_stack, sub.basis, rows, col)[:, :, 0]) ** 2
 
     def success_curve(self, sub: Subspace, spec: InputSpec) -> np.ndarray:
         """Post-selected success probability per length."""
@@ -730,8 +722,7 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
         warnings.warn(f"count file {path} has no data rows")
         return ScanResult(sub, "ingested")
 
-    pattern = (family or jx4_family(FLAT_COUPLING_PER_MM)).pattern
-    ideal = lift_unitary(pattern.unitary(math.pi), sub.basis)
+    ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).pattern.unitary(math.pi)
     result = ScanResult(sub, "ingested")
     labels = sorted({label for label, _ in grouped}, key=str)
     for label in labels:

@@ -5,7 +5,11 @@ particles, the lifting of single-particle unitaries to multi-particle
 operators (permanents / determinants / per-label products), the
 one-body tensor T[s, t, a, b] = <s| a_a^dag a_b |t> that lifts every
 one-body operator, and a brute-force vacuum-expectation evaluator for
-ladder-operator strings.  The unitary lift, the one-body tensor and
+ladder-operator strings.  Unitaries are lifted two ways:
+:func:`lift_unitary` validates one matrix and evaluates Ryser
+permanents entry by entry, and :func:`lift_unitary_batch` sums the N!
+permutation products of a whole stack at once, for just the block of
+entries a caller reads.  The unitary lifts, the one-body tensor and
 the vacuum-expectation evaluator are built independently of each other
 so that they can be used to validate each other.
 
@@ -348,41 +352,36 @@ def lift_unitary(u, basis: FockBasis) -> np.ndarray:
     return out
 
 
-def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Lift a stack of single-particle unitaries: (Z, M, M) -> (Z, S, S).
+def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=None) -> np.ndarray:
+    """Lift a stack of single-particle unitaries: (Z, M, M) -> (Z, R, C).
 
-    Fast closed forms for N <= 2; the general case loops over
-    :func:`lift_unitary`.  Inputs are assumed unitary (use
-    :func:`lift_unitary` when validation is wanted).
+    Returns the block <rows| lift(U_z) |cols> for the basis indices
+    ``rows`` and ``cols`` (default: the whole basis, giving (Z, S, S));
+    only that block is allocated.  An entry <s|lift(U)|t> sums
+    sign(sigma) prod_i U[s_i, t_sigma(i)] over the permutations sigma of
+    the occupied modes (every sigma for bosons, with sign +1, and for
+    fermions, with its parity; the identity alone for distinguishable
+    particles) and divides by sqrt(prod n_s! prod n_t!).  Inputs are
+    assumed unitary (use :func:`lift_unitary` when validation is wanted).
     """
     u = np.asarray(u_batch, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (basis.modes, basis.modes):
         raise ValueError("expected a (Z, M, M) stack of matrices")
     n = basis.particles
-
-    if basis.particle.kind == DISTINGUISHABLE:
-        rows = np.array([s.occupations for s in basis.states])  # (S, n_labels)
-        out = np.ones((u.shape[0], basis.size, basis.size), dtype=complex)
-        for li in range(len(basis.particle.labels)):
-            mi = rows[:, li]
-            out = out * u[:, mi[:, None], mi[None, :]]
-        return out
-
-    if n == 1:
-        modes = np.array([s.mode_list()[0] for s in basis.states])
-        return u[:, modes[:, None], modes[None, :]]
-
-    if n == 2:
-        m1 = np.array([s.mode_list()[0] for s in basis.states])
-        m2 = np.array([s.mode_list()[1] for s in basis.states])
-        a = u[:, m1[:, None], m1[None, :]] * u[:, m2[:, None], m2[None, :]]
-        b = u[:, m1[:, None], m2[None, :]] * u[:, m2[:, None], m1[None, :]]
-        if basis.particle.kind == FERMION:
-            return a - b
-        norms = np.array([math.sqrt(s.norm_factorial()) for s in basis.states])
-        return (a + b) / np.outer(norms, norms)
-
-    return np.stack([lift_unitary(m, basis) for m in u])
+    rows = np.arange(basis.size) if rows is None else np.asarray(rows, dtype=int)
+    cols = np.arange(basis.size) if cols is None else np.asarray(cols, dtype=int)
+    modes = np.array([s.mode_list() for s in basis.states], dtype=int)
+    norms = np.sqrt([s.norm_factorial() for s in basis.states])
+    r, c = modes[rows], modes[cols]
+    perms = ([tuple(range(n))] if basis.particle.kind == DISTINGUISHABLE
+             else itertools.permutations(range(n)))
+    out = np.zeros((u.shape[0], len(rows), len(cols)), dtype=complex)
+    for perm in perms:
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        sign = -1 if basis.particle.kind == FERMION and inversions % 2 else 1
+        out += math.prod((u[:, r[:, i, None], c[None, :, j]] for i, j in enumerate(perm)),
+                         start=sign)
+    return out / np.outer(norms[rows], norms[cols])
 
 
 def _annihilate(occ: tuple, mode: int, kind: str):

@@ -331,9 +331,7 @@ def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
     if method != "lifted":
         raise ValueError(f"unknown K method {method!r}")
 
-    phi = mode_family_matrices(system, grid, family)
-    lifted_phi = fock.lift_unitary_batch(phi, sub.basis)
-    kets = lifted_phi[:, :, idx]  # (Z, S, dim)
+    kets = _member_kets_batch(sub, system, grid, family)  # (Z, S, dim)
     h_pattern = fock.lift_hamiltonian(system.pattern.matrix, sub.basis)
     h_static = (
         fock.lift_hamiltonian(system.static_pattern.matrix, sub.basis)
@@ -373,9 +371,9 @@ class GaugeField:
 
 
 def _member_kets_batch(sub: Subspace, system: CoupledModeSystem, grid, family: str) -> np.ndarray:
+    """(Z, S, dim) lifted family kets of the members: their lifted columns."""
     phi = mode_family_matrices(system, grid, family)
-    lifted = fock.lift_unitary_batch(phi, sub.basis)
-    return lifted[:, :, list(sub.member_indices)]
+    return fock.lift_unitary_batch(phi, sub.basis, cols=sub.member_indices)
 
 
 def _gauge_samples(sub, system, grid, family, step):
@@ -466,10 +464,15 @@ def lifted_cycle_unitary(sub_or_basis, system: CoupledModeSystem,
 
 def is_cyclic(sub: Subspace, system: CoupledModeSystem, z_end: float | None = None,
               tol: float = CYCLIC_TOL) -> CyclicityResult:
-    """Projector test: the member span must be invariant under the cycle."""
-    v = lifted_cycle_unitary(sub, system, z_end)
-    idx = list(sub.member_indices)
-    p = np.zeros((sub.basis.size, sub.basis.size))
+    """Projector test of the subspace under the system's lifted cycle."""
+    return projector_cyclicity(lifted_cycle_unitary(sub, system, z_end), sub.member_indices, tol)
+
+
+def projector_cyclicity(v: np.ndarray, member_indices, tol: float = CYCLIC_TOL) -> CyclicityResult:
+    """Projector test: the span of the basis states ``member_indices``
+    must be invariant under the lifted cycle ``v`` (an (S, S) matrix)."""
+    idx = list(member_indices)
+    p = np.zeros(v.shape)
     p[idx, idx] = 1.0
     residual = float(np.max(np.abs(p - v @ p @ v.conj().T)))
     cyclic = residual < tol
@@ -525,7 +528,9 @@ def extract_holonomy(sub: Subspace, system: CoupledModeSystem,
     Raises :class:`NotCyclicError` / :class:`NotHolonomicError`
     otherwise; the latter carries max |K| and the offending element.
     """
-    cyc = is_cyclic(sub, system, z_end)
+    v = lifted_cycle_unitary(sub, system, z_end)
+    idx = list(sub.member_indices)
+    cyc = projector_cyclicity(v, idx)
     if not cyc:
         raise NotCyclicError(cyc.residual)
     if grid is None:
@@ -534,8 +539,6 @@ def extract_holonomy(sub: Subspace, system: CoupledModeSystem,
     tol = holonomic_tolerance(system, tol_scale)
     if k.max_abs >= tol:
         raise NotHolonomicError(k.max_abs, k.worst_element())
-    v = lifted_cycle_unitary(sub, system, z_end)
-    idx = list(sub.member_indices)
     r = v[np.ix_(idx, idx)]
     if np.max(np.abs(r.conj().T @ r - np.eye(len(idx)))) > 1e-9:
         raise NotCyclicError(cyc.residual)

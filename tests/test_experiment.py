@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from geomode import coupledmode as cm
 from geomode import experiment as xp
 from geomode import holonomy as hol
 from geomode import reference as ref
-from geomode.fock import ParticleType, enumerate_basis
+from geomode.fock import ParticleType, enumerate_basis, lift_unitary
 
 BOSON = ParticleType.boson()
 
@@ -275,6 +276,37 @@ def test_plateau_width_delta_cross_check(outer_single, bunched_pair):
         _, unrestricted = xp.theory_plateau_widths(sub, [spec], grid_step=0.005)
         width_delta = xp.plateau_width_delta(sub, spec)
         assert abs(unrestricted * cm.FLAT_COUPLING_PER_MM - width_delta) < 1e-3
+
+
+def test_plateau_width_delta_lifts_only_read_amplitudes():
+    # 60 001 delta samples: the full lifted (Z, 10, 10) stack alone is
+    # ~96 MB, while the members' input column is a few MB
+    row = next(r for r in ref.REFERENCE_WIDTHS
+               if r.statistics == ref.INDIST and len(r.states) == 4)
+    sub, spec = ref.row_subspace(row), ref.row_inputs(row)[0]
+    tracemalloc.start()
+    try:
+        width = xp.plateau_width_delta(sub, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert width > 0
+    assert peak < 64 * 2**20
+
+
+def test_three_boson_success_curve_matches_per_length_lift():
+    basis = enumerate_basis(4, 3, BOSON)
+    sub = hol.subspace_from_states(basis, [(3, 0, 0, 0), (2, 1, 0, 0), (0, 0, 1, 2), (0, 0, 0, 3)])
+    lengths = np.linspace(60.0, 115.0, 23)
+    engine = xp.CurveEngine(lengths)
+    idx = list(sub.member_indices)
+    ideal = lift_unitary(cm.jx_pattern(4).unitary(math.pi), basis)
+    for spec in (xp.InputSpec(sub.members[0]), xp.InputSpec(sub.members[1])):
+        col = basis.index_of(spec.state)
+        target = int(np.argmax(np.abs(ideal[idx, col])))
+        probs = np.array([np.abs(lift_unitary(u, basis)[idx, col]) ** 2 for u in engine.u_stack])
+        expected = probs[:, target] / probs.sum(axis=1)
+        assert np.max(np.abs(engine.success_curve(sub, spec) - expected)) < 1e-12
 
 
 def test_plateau_report_means(three_state):

@@ -16,6 +16,7 @@ from geomode.fock import (
     enumerate_basis,
     lift_hamiltonian,
     lift_unitary,
+    lift_unitary_batch,
     one_body_tensor,
     permanent,
     permanent_naive,
@@ -385,3 +386,33 @@ def test_lift_hamiltonian_is_linear(basis, seed, alpha, beta):
     left = lift_hamiltonian(alpha * h1 + beta * h2, basis)
     right = alpha * lift_hamiltonian(h1, basis) + beta * lift_hamiltonian(h2, basis)
     assert np.max(np.abs(left - right)) < 1e-10
+
+
+def index_subsets(size):
+    return st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
+
+
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lift_unitary_batch_block_matches_lift_unitary(basis, seed, data):
+    # the permutation-sum kernel against validated Ryser / determinant /
+    # per-label lifts, on any block of rows and columns
+    rng = np.random.default_rng(seed)
+    us = np.stack([random_unitary(basis.modes, rng) for _ in range(2)])
+    rows = data.draw(index_subsets(basis.size))
+    cols = data.draw(index_subsets(basis.size))
+    block = lift_unitary_batch(us, basis, rows, cols)
+    assert block.shape == (2, len(rows), len(cols))
+    for z, u in enumerate(us):
+        assert np.max(np.abs(block[z] - lift_unitary(u, basis)[np.ix_(rows, cols)])) < 1e-12
+
+
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1))
+def test_lift_unitary_batch_is_a_unitary_representation(basis, seed):
+    # lift(UV) = lift(U) lift(V), and every lift is unitary
+    rng = np.random.default_rng(seed)
+    u = random_unitary(basis.modes, rng)
+    v = random_unitary(basis.modes, rng)
+    lu, lv, luv = lift_unitary_batch(np.stack([u, v, u @ v]), basis)
+    assert np.max(np.abs(luv - lu @ lv)) < 1e-12
+    for m in (lu, lv, luv):
+        assert np.max(np.abs(m.conj().T @ m - np.eye(basis.size))) < 1e-12
