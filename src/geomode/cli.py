@@ -268,7 +268,8 @@ def cmd_check(args) -> int:
     config = load_config(args)
     system, _ = build_system(config)
     sub = load_subspace(args)
-    cyc = hol.is_cyclic(sub, system)
+    v = hol.lifted_cycle_unitary(sub, system)
+    cyc = hol.projector_cyclicity(v, sub.member_indices)
     k = hol.k_matrix(sub, system)
     tol = hol.holonomic_tolerance(system)
     doc = {
@@ -289,7 +290,7 @@ def cmd_check(args) -> int:
         doc["worst_element"] = [sub.members[mi].label(), sub.members[ni].label()]
         code = EXIT_NOT_HOLONOMIC
     else:
-        h = hol.extract_holonomy(sub, system)
+        h = hol.holonomy_on_cycle(sub, v, cyc, k)
         doc["verdict"] = "holonomic"
         doc["classification"] = h.classification
         doc["holonomy"] = _matrix_json(h.matrix)

@@ -49,6 +49,8 @@ class OrbitDecomposition:
     phases: tuple[complex, ...]
     #: orbits as tuples of basis-state indices
     orbits: tuple[tuple[int, ...], ...]
+    #: the lifted end-of-cycle unitary (S, S) the orbits were read from
+    cycle: np.ndarray = field(compare=False, repr=False)
 
     @property
     def orbit_count(self) -> int:
@@ -101,7 +103,7 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis,
             orbit.append(i)
             i = perm[i]
         orbits.append(tuple(orbit))
-    return OrbitDecomposition(basis, tuple(perm), tuple(phases), tuple(orbits))
+    return OrbitDecomposition(basis, tuple(perm), tuple(phases), tuple(orbits), v)
 
 
 def count_subspaces(basis: FockBasis, decomposition: OrbitDecomposition | None = None,
@@ -233,7 +235,6 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
     # members, so one (S, S) table of max_z |K| serves every union.
     k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system, grid)
                             .matrices), axis=0)
-    v = hol.lifted_cycle_unitary(basis, system)
     candidates = sorted(
         _orbit_unions(decomposition.orbits, skip_full=not include_full),
         key=lambda mc: (len(mc[1]), [basis.states[i].label() for i in mc[1]]),
@@ -250,7 +251,7 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
         holonomic = max_k < tol
         classification = None
         if holonomic:
-            r = v[np.ix_(member_idx, member_idx)]
+            r = decomposition.cycle[np.ix_(member_idx, member_idx)]
             classification = hol.classify_unitary(r)
         records.append(SubspaceRecord(
             members=tuple(basis.states[i].label() for i in member_idx),
@@ -279,10 +280,9 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
     union_sets = {frozenset(m) for _, m in _orbit_unions(decomposition.orbits)}
-    v = hol.lifted_cycle_unitary(basis, system)
     for r in range(1, basis.size):
         for combo in itertools.combinations(range(basis.size), r):
-            projector_cyclic = hol.projector_cyclicity(v, combo).cyclic
+            projector_cyclic = hol.projector_cyclicity(decomposition.cycle, combo).cyclic
             if projector_cyclic != (frozenset(combo) in union_sets):
                 return False
     return True

@@ -1,13 +1,19 @@
 """Simulator and analyzer of the four-waveguide stability experiment.
 
 Success-probability scans over structure length, post-selected onto a
-cyclic subspace; a photon-number-resolving detection model (one two-way
-fiber splitter per output port) with Poisson counting noise; input
+cyclic subspace; detection with Poisson counting noise; input
 preparation including interference-based bunching with finite
 visibility; plateau-width extraction under the theory (slope) and
 experimental (step) rules; Bhattacharyya fidelities; and CSV count-data
 export/ingestion so externally measured counts run through the same
 pipeline.
+
+Detection
+---------
+One :class:`ChannelMap` per (basis, input statistics, detection model)
+covers single-photon, assignment, heralded and splitter (photon-number
+resolving) detection for whole (lengths, channels) arrays; point j of
+input i draws its channels in map order from the stream (seed, i, j).
 
 Statistics conventions
 ----------------------
@@ -26,6 +32,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -178,6 +185,13 @@ class ScanResult:
 # ----------------------------------------------------------- theory curves
 
 
+def _statistics(sub: Subspace, spec: InputSpec) -> str:
+    """The input's launch statistics (default: the subspace's own)."""
+    return spec.statistics or (
+        DISTINGUISHABLE_STATS if sub.particle.kind == DISTINGUISHABLE else INDISTINGUISHABLE
+    )
+
+
 def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
     """Member hit by the input under ``ideal``, the single-particle
     delta = pi cycle; only the input's column over the members is lifted."""
@@ -229,9 +243,7 @@ class CurveEngine:
         Outcomes are the subspace members (``over_members``) or the full
         basis; rows are not normalized (post-selection happens later).
         """
-        stats = spec.statistics or (
-            DISTINGUISHABLE_STATS if sub.particle.kind == DISTINGUISHABLE else INDISTINGUISHABLE
-        )
+        stats = _statistics(sub, spec)
         if spec.preparation == "hom_bunched":
             direct = replace(spec, preparation="direct")
             p_ind = self.outcome_probabilities(sub, direct, over_members)
@@ -302,158 +314,136 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
         raise ValueError("synthetic scans need a positive Poisson trial count")
     result = ScanResult(sub, "synthetic-experiment")
     for i, spec in enumerate(inputs):
-        target = engine.target_index(sub, spec.state)
-        full = engine.outcome_probabilities(sub, spec, over_members=False)
-        points = []
-        for j, length in enumerate(lengths):
-            rng = np.random.default_rng(np.random.SeedSequence((detection.seed, i, j)))
-            counts = _sample_counts(sub, spec, full[j], detection, rng)
-            weights, variances = _estimate_member_weights(sub, spec, counts, detection)
-            points.append(_success_from_weights(float(length), weights, variances, target))
-        result.curves[spec.label()] = points
+        channels, counts = _sample_channels(engine, sub, spec, detection, i)
+        result.curves[spec.label()] = _success_points(
+            lengths, sub, engine.target_index(sub, spec.state), *channels.estimate(counts))
     return result
 
 
 # -------------------------------------------------------------- detection
 
 
-def _pair_label(port_a, arm_a, port_b, arm_b) -> str:
-    names = sorted([f"{port_a + 1}{'ab'[arm_a]}", f"{port_b + 1}{'ab'[arm_b]}"])
-    return "-".join(names)
+@dataclass(frozen=True)
+class ChannelMap:
+    """Detector channels of a Fock basis under one input statistics and
+    detection model.
+
+    Channel ``c`` (``labels[c]``) clicks with probability ``click[c]``
+    when basis state ``source[c]`` arrives.  Channels are in Poisson draw
+    order: by state, and for an anti-bunched pair on the splitters by
+    arms aa, ab, ba, bb.  A state's weight is its channels' count over
+    its ``efficiency`` (2 r (1 - r) if bunched on a splitter, else 1).
+    """
+
+    labels: tuple
+    source: np.ndarray
+    click: np.ndarray
+    efficiency: np.ndarray
+
+    def rates(self, probs, trials) -> np.ndarray:
+        """(L, C) Poisson means for (L, S) basis-state distributions; a
+        distribution off normalization by more than 1e-9 is renormalized."""
+        probs = np.asarray(probs, dtype=float)
+        total = probs.sum(axis=-1, keepdims=True)
+        probs = np.where(np.abs(total - 1.0) > 1e-9, probs / total, probs)
+        return trials * (probs[..., self.source] * self.click)
+
+    def estimate(self, counts) -> tuple[np.ndarray, np.ndarray]:
+        """(L, S) state weights and variances from (L, C) channel counts; a
+        state without counts keeps one unit of variance, so sigma never
+        collapses to zero."""
+        first = np.flatnonzero(np.diff(self.source, prepend=-1))
+        n = np.add.reduceat(counts, first, axis=-1)
+        return n / self.efficiency, np.maximum(n, 1.0) / self.efficiency ** 2
+
+
+def channel_map(basis, statistics: str, model: DetectionModel) -> ChannelMap:
+    """Channels for the four detection cases.
+
+    One particle: one mode detector per mode (``m3``).  Distinguishable
+    particles: one event per photon-to-mode assignment (``a1-b3``).
+    ``distinguishable`` statistics on a number-state basis: heralded
+    pairs resolve the mode multiset (``n14``).  Otherwise two photons
+    meet one two-way splitter per output port (``1a-2b``): a bunched
+    state on port k fires both arms of splitter k with probability
+    2 r_k (1 - r_k); an anti-bunched state on ports j != k spreads over
+    the four cross-port arm pairs by the ratios.
+    """
+    ratios = model.splitter_ratios
+    entries = []
+    efficiency = np.ones(basis.size)
+    for s, state in enumerate(basis.states):
+        modes = state.mode_list()
+        if basis.particles == 1:
+            channels = [(f"m{modes[0] + 1}", 1.0)]
+        elif basis.particle.kind == DISTINGUISHABLE:
+            channels = [("-".join(f"{lab}{m + 1}" for lab, m
+                                  in zip(basis.particle.labels, state.occupations)), 1.0)]
+        elif basis.particles != 2:
+            raise ValueError("detector model covers two indistinguishable particles")
+        elif statistics == DISTINGUISHABLE_STATS:
+            channels = [(f"n{modes[0] + 1}{modes[1] + 1}", 1.0)]
+        elif modes[1] >= len(ratios):
+            raise ValueError(f"detection model has no splitter on output port {modes[1] + 1}")
+        elif modes[0] == modes[1]:
+            efficiency[s] = model.coincidence_efficiency(modes[0])
+            channels = [(f"{modes[0] + 1}a-{modes[0] + 1}b", efficiency[s])]
+        else:
+            arms = [[(f"{m + 1}a", ratios[m]), (f"{m + 1}b", 1.0 - ratios[m])] for m in modes]
+            channels = [("-".join(sorted((name_a, name_b))), p_a * p_b)
+                        for name_a, p_a in arms[0] for name_b, p_b in arms[1]]
+        entries += [(label, s, p) for label, p in channels]
+    labels, source, click = zip(*entries)
+    return ChannelMap(labels, np.array(source), np.array(click), efficiency)
 
 
 def detect(state_probs, model: DetectionModel, basis) -> dict:
-    """Map a two-photon number-state distribution to detector-pair
-    coincidence probabilities.
-
-    A bunched state on port k fires the two arms of splitter k with
-    probability 2 r_k (1 - r_k) (other events lose the coincidence);
-    an anti-bunched state on ports j != k distributes over the four
-    cross-port arm pairs by the respective ratios.
-    """
+    """Detector-pair coincidence probabilities of a two-photon
+    number-state distribution (the splitter case of :func:`channel_map`)."""
     probs = np.asarray(state_probs, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("state distribution must be normalized")
     if basis.particles != 2 or basis.particle.kind not in (BOSON, FERMION):
         raise ValueError("detector model covers two indistinguishable particles")
-    ratios = model.splitter_ratios
-    out = {}
-    for p, state in zip(probs, basis.states):
-        o1, o2 = state.mode_list()
-        if o1 == o2:
-            out[_pair_label(o1, 0, o1, 1)] = out.get(_pair_label(o1, 0, o1, 1), 0.0) \
-                + p * model.coincidence_efficiency(o1)
-        else:
-            for arm_a in (0, 1):
-                for arm_b in (0, 1):
-                    w = (ratios[o1] if arm_a == 0 else 1 - ratios[o1]) * \
-                        (ratios[o2] if arm_b == 0 else 1 - ratios[o2])
-                    label = _pair_label(o1, arm_a, o2, arm_b)
-                    out[label] = out.get(label, 0.0) + p * w
-    return out
+    channels = channel_map(basis, INDISTINGUISHABLE, model)
+    return dict(zip(channels.labels, (probs[channels.source] * channels.click).tolist()))
 
 
 def invert_counts(pair_counts: dict, model: DetectionModel, basis) -> tuple[dict, dict]:
-    """Estimate number-state weights (and variances) from pair counts.
-
-    Bunched states divide the same-port coincidence count by
-    2 r (1 - r); anti-bunched states sum their four cross-port pairs.
-    Zero-count channels contribute one unit of variance so that quoted
-    uncertainties never collapse to zero.
-    """
-    weights, variances = {}, {}
-    for state in basis.states:
-        o1, o2 = state.mode_list()
-        if o1 == o2:
-            n = pair_counts.get(_pair_label(o1, 0, o1, 1), 0.0)
-            eff = model.coincidence_efficiency(o1)
-            weights[state.occupations] = n / eff
-            variances[state.occupations] = max(n, 1.0) / eff ** 2
-        else:
-            labels = [_pair_label(o1, a, o2, b) for a in (0, 1) for b in (0, 1)]
-            n = sum(pair_counts.get(lab, 0.0) for lab in labels)
-            weights[state.occupations] = n
-            variances[state.occupations] = max(n, 1.0)
-    return weights, variances
+    """Number-state weights and variances, keyed by occupations, from
+    detector-pair counts (the splitter case of :func:`channel_map`)."""
+    channels = channel_map(basis, INDISTINGUISHABLE, model)
+    counts = np.array([pair_counts.get(label, 0.0) for label in channels.labels])
+    keys = [state.occupations for state in basis.states]
+    return tuple(dict(zip(keys, a.tolist())) for a in channels.estimate(counts))
 
 
-def _sample_counts(sub, spec, full_probs, model: DetectionModel, rng) -> dict:
-    """Poisson counts per detector channel for one (input, length)."""
-    stats = spec.statistics or (
-        DISTINGUISHABLE_STATS if sub.particle.kind == DISTINGUISHABLE else INDISTINGUISHABLE
-    )
-    basis = sub.basis
-    counts = {}
-    if basis.particles == 1:
-        for p, state in zip(full_probs, basis.states):
-            mode = state.mode_list()[0]
-            counts[f"m{mode + 1}"] = int(rng.poisson(model.trials * p))
-        return counts
-    if basis.particle.kind == DISTINGUISHABLE:
-        for p, state in zip(full_probs, basis.states):
-            labels = basis.particle.labels
-            key = "-".join(f"{lab}{m + 1}" for lab, m in zip(labels, state.occupations))
-            counts[key] = int(rng.poisson(model.trials * p))
-        return counts
-    if stats == DISTINGUISHABLE_STATS:
-        # heralded pairs resolve the mode multiset directly
-        for p, state in zip(full_probs, basis.states):
-            o1, o2 = state.mode_list()
-            counts[f"n{o1 + 1}{o2 + 1}"] = int(rng.poisson(model.trials * p))
-        return counts
-    pair_probs = detect(full_probs / full_probs.sum() if abs(full_probs.sum() - 1) > 1e-9
-                        else full_probs, model, basis)
-    for label, p in pair_probs.items():
-        counts[label] = int(rng.poisson(model.trials * p))
-    return counts
+def _sample_channels(engine: CurveEngine, sub: Subspace, spec: InputSpec,
+                     model: DetectionModel, input_index: int):
+    """The input's channel map and (L, C) Poisson counts; point j draws its
+    channels in order from its own stream, seeded by (seed, input_index, j)."""
+    channels = channel_map(sub.basis, _statistics(sub, spec), model)
+    rates = channels.rates(engine.outcome_probabilities(sub, spec, over_members=False),
+                           model.trials)
+    counts = np.empty(rates.shape, dtype=np.int64)
+    for j, lam in enumerate(rates):
+        seed = np.random.SeedSequence((model.seed, input_index, j))
+        counts[j] = np.random.default_rng(seed).poisson(lam)
+    return channels, counts
 
 
-def _estimate_member_weights(sub, spec, counts: dict, model: DetectionModel):
-    stats = spec.statistics or (
-        DISTINGUISHABLE_STATS if sub.particle.kind == DISTINGUISHABLE else INDISTINGUISHABLE
-    )
-    basis = sub.basis
-    weights = np.zeros(sub.dimension)
-    variances = np.zeros(sub.dimension)
-    if basis.particles == 1:
-        for mi, member in enumerate(sub.members):
-            n = counts.get(f"m{member.mode_list()[0] + 1}", 0.0)
-            weights[mi] = n
-            variances[mi] = max(n, 1.0)
-        return weights, variances
-    if basis.particle.kind == DISTINGUISHABLE:
-        labels = basis.particle.labels
-        for mi, member in enumerate(sub.members):
-            key = "-".join(f"{lab}{m + 1}" for lab, m in zip(labels, member.occupations))
-            n = counts.get(key, 0.0)
-            weights[mi] = n
-            variances[mi] = max(n, 1.0)
-        return weights, variances
-    if stats == DISTINGUISHABLE_STATS:
-        for mi, member in enumerate(sub.members):
-            o1, o2 = member.mode_list()
-            n = counts.get(f"n{o1 + 1}{o2 + 1}", 0.0)
-            weights[mi] = n
-            variances[mi] = max(n, 1.0)
-        return weights, variances
-    w_all, v_all = invert_counts(counts, model, basis)
-    for mi, member in enumerate(sub.members):
-        weights[mi] = w_all[member.occupations]
-        variances[mi] = v_all[member.occupations]
-    return weights, variances
-
-
-def _success_from_weights(length, weights, variances, target) -> ScanPoint:
-    s = float(weights[target])
-    f = float(weights.sum() - s)
-    var_s = float(variances[target])
-    var_f = float(variances.sum() - var_s)
+def _success_points(lengths, sub: Subspace, target: int, weights, variances) -> list:
+    """Post-selected success probability and its Poisson sigma per length
+    from (L, S) state weights; zero post-selected weight is undefined."""
+    w, v = weights[:, sub.member_indices], variances[:, sub.member_indices]
+    s, f = w[:, target], w.sum(axis=1) - w[:, target]
+    var_s, var_f = v[:, target], v.sum(axis=1) - v[:, target]
     total = s + f
-    if total <= 0:
-        return ScanPoint(length, None, None)
-    p = s / total
-    var_p = (f * f * var_s + s * s * var_f) / total ** 4
-    return ScanPoint(length, p, math.sqrt(var_p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = s / total
+        sigma = np.sqrt((f * f * var_s + s * s * var_f) / total ** 4)
+    return [ScanPoint(x, pj, sj) if tj > 0 else ScanPoint(x, None, None) for x, pj, sj, tj
+            in zip(lengths.tolist(), p.tolist(), sigma.tolist(), total.tolist())]
 
 
 # ---------------------------------------------------------------- plateaus
@@ -632,8 +622,10 @@ COUNT_COLUMNS = ("structure_id", "length_mm", "input_state", "detector_pair", "c
 
 def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
                     detection: DetectionModel | None = None,
-                    family: StructureFamily | None = None) -> list[dict]:
-    """Synthetic count records in the count-file schema."""
+                    family: StructureFamily | None = None) -> list[tuple]:
+    """Synthetic count rows: tuples of :data:`COUNT_COLUMNS` fields, length
+    as written (17 significant digits), per input and length the
+    channels sorted by label."""
     detection = detection or DetectionModel()
     if detection.trials <= 0:
         raise ValueError("count simulation needs a positive Poisson trial count")
@@ -642,29 +634,21 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
     engine = CurveEngine(lengths, family)
     rows = []
     for i, spec in enumerate(inputs):
-        full = engine.outcome_probabilities(sub, spec, over_members=False)
-        for j, length in enumerate(lengths):
-            rng = np.random.default_rng(np.random.SeedSequence((detection.seed, i, j)))
-            counts = _sample_counts(sub, spec, full[j], detection, rng)
-            for channel in sorted(counts):
-                rows.append({
-                    "structure_id": f"s{j + 1}",
-                    "length_mm": float(length),
-                    "input_state": spec.label(),
-                    "detector_pair": channel,
-                    "counts": counts[channel],
-                })
+        channels, counts = _sample_channels(engine, sub, spec, detection, i)
+        order = sorted(range(len(channels.labels)), key=channels.labels.__getitem__)
+        names = [channels.labels[c] for c in order]
+        label = spec.label()
+        for j, (length, point) in enumerate(zip(lengths.tolist(), counts[:, order].tolist())):
+            rows.extend(zip(repeat(f"s{j + 1}"), repeat(f"{length:.17g}"), repeat(label),
+                            names, point))
     return rows
 
 
 def write_counts_csv(path, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COUNT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["length_mm"] = f"{float(row['length_mm']):.17g}"
-            writer.writerow(out)
+        writer = csv.writer(fh)
+        writer.writerow(COUNT_COLUMNS)
+        writer.writerows(rows)
 
 
 _INPUT_LABEL = re.compile(r"^\|([0-9]+)>$")
@@ -690,48 +674,53 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
 
     Expects the :data:`COUNT_COLUMNS` schema.  Malformed rows raise a
     ValueError naming the line number; groups with zero post-selected
-    counts yield an undefined-probability point (None, not 0).  The
-    family (default: the calibrated Jx structure) fixes each input's
-    ideal outcome, as in :func:`scan`.
+    counts yield an undefined-probability point (None, not 0).  Each
+    input's channel map follows its first row: heralded (``nXY``
+    labels) or the subspace's own detection; a channel that map does
+    not know raises a ValueError naming its line.  The family (default:
+    the calibrated Jx structure) fixes each input's ideal outcome, as
+    in :func:`scan`.
     """
     detection = detection or DetectionModel()
-    grouped = {}
+    records = {}  # input label -> [(line, length, channel, counts)]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             warnings.warn(f"count file {path} is empty")
             return ScanResult(sub, "ingested")
-        missing = set(COUNT_COLUMNS) - set(reader.fieldnames)
+        missing = set(COUNT_COLUMNS) - set(header)
         if missing:
             raise ValueError(f"count file missing columns {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
+        i_length, i_label, i_channel, i_counts = (header.index(name) for name in COUNT_COLUMNS[1:])
+        for lineno, row in enumerate(filter(None, reader), start=2):
             try:
-                length = float(row["length_mm"])
-                counts = float(row["counts"])
-                label = row["input_state"]
-                channel = row["detector_pair"]
-                if counts < 0 or not label or not channel:
+                length, counts = float(row[i_length]), float(row[i_counts])
+                label, channel = row[i_label], row[i_channel]
+                if counts < 0 or not math.isfinite(length + counts) or not label or not channel:
                     raise ValueError
-            except (TypeError, ValueError, KeyError):
+            except (IndexError, ValueError):
                 raise ValueError(f"malformed count row at line {lineno}") from None
-            key = (label, length)
-            grouped.setdefault(key, {})
-            grouped[key][channel] = grouped[key].get(channel, 0.0) + counts
+            records.setdefault(label, []).append((lineno, length, channel, counts))
 
-    if not grouped:
+    if not records:
         warnings.warn(f"count file {path} has no data rows")
         return ScanResult(sub, "ingested")
 
     ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).pattern.unitary(math.pi)
     result = ScanResult(sub, "ingested")
-    labels = sorted({label for label, _ in grouped}, key=str)
-    for label in labels:
+    for label in sorted(records):
         spec = _parse_input_label(label, sub)
+        lines, lengths, names, values = zip(*records[label])
+        statistics = DISTINGUISHABLE_STATS if names[0].startswith("n") else _statistics(sub, spec)
+        channels = channel_map(sub.basis, statistics, detection)
+        index = {name: c for c, name in enumerate(channels.labels)}
+        for lineno, name in zip(lines, names):
+            if name not in index:
+                raise ValueError(f"unknown detector_pair {name!r} at line {lineno}")
+        grid, at = np.unique(lengths, return_inverse=True)
+        counts = np.zeros((grid.size, len(channels.labels)))
+        np.add.at(counts, (at, [index[name] for name in names]), values)
         target = _ideal_target_index(sub, ideal, spec.state)
-        points = []
-        for (lab, length) in sorted((k for k in grouped if k[0] == label), key=lambda k: k[1]):
-            counts = grouped[(lab, length)]
-            weights, variances = _estimate_member_weights(sub, spec, counts, detection)
-            points.append(_success_from_weights(length, weights, variances, target))
-        result.curves[label] = points
+        result.curves[label] = _success_points(grid, sub, target, *channels.estimate(counts))
     return result

@@ -529,8 +529,7 @@ def extract_holonomy(sub: Subspace, system: CoupledModeSystem,
     otherwise; the latter carries max |K| and the offending element.
     """
     v = lifted_cycle_unitary(sub, system, z_end)
-    idx = list(sub.member_indices)
-    cyc = projector_cyclicity(v, idx)
+    cyc = projector_cyclicity(v, sub.member_indices)
     if not cyc:
         raise NotCyclicError(cyc.residual)
     if grid is None:
@@ -539,6 +538,14 @@ def extract_holonomy(sub: Subspace, system: CoupledModeSystem,
     tol = holonomic_tolerance(system, tol_scale)
     if k.max_abs >= tol:
         raise NotHolonomicError(k.max_abs, k.worst_element())
+    return holonomy_on_cycle(sub, v, cyc, k)
+
+
+def holonomy_on_cycle(sub: Subspace, v: np.ndarray, cyc: CyclicityResult,
+                      k: DynamicalContribution) -> Holonomy:
+    """Holonomy read off the lifted cycle ``v`` of a subspace that passed
+    the projector test ``cyc`` and whose K vanishes."""
+    idx = list(sub.member_indices)
     r = v[np.ix_(idx, idx)]
     if np.max(np.abs(r.conj().T @ r - np.eye(len(idx)))) > 1e-9:
         raise NotCyclicError(cyc.residual)

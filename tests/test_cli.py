@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from geomode import cli
 from geomode import coupledmode as cm
 from geomode import experiment as xp
+from geomode import fock
+from geomode import holonomy as hol
 from geomode.cli import main
 
 
@@ -277,6 +280,18 @@ def test_simulate_and_ingest_round_trip(tmp_path, three_state_file):
             assert got[p["length_mm"]] == pytest.approx(p["probability"], abs=1e-12)
 
 
+#: sha256 of counts.csv from `geomode --seed 1022 simulate-counts` on
+#: {2000, 1001, 0002} (default lengths, trials and splitters)
+GOLDEN_COUNTS_SHA256 = "2c0d6198cdbb3b5d847599475001f0a22c016da52b0022a291dbb730c197931c"
+
+
+def test_simulate_counts_golden_file(tmp_path, three_state_file):
+    assert main(["--seed", "1022", "--out-dir", str(tmp_path), "simulate-counts",
+                 "--subspace", three_state_file]) == 0
+    data = (tmp_path / "counts.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_COUNTS_SHA256
+
+
 def test_ingest_uses_configured_system(tmp_path):
     """A Jx4 with modes 0 and 1 swapped: ingest must use its own ideal cycle."""
     doc = cm.system_to_json(cm.jx4_structure(cm.IDEAL_LENGTH_MM))
@@ -302,6 +317,76 @@ def test_ingest_uses_configured_system(tmp_path):
         assert len(got) == len(points) == 5
         for p in points:
             assert got[p["length_mm"]] == pytest.approx(p["probability"], abs=1e-12)
+
+
+def test_ingest_distinguishable_round_trip(tmp_path):
+    """Heralded (nXY) count files ingest with the heralded channel map."""
+    sub_file = write_subspace(
+        tmp_path / "sub.json",
+        {"particle": "boson", "states": [[0, 2, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]]})
+    opts = ["--subspace", sub_file, "--trials", "5000", "--distinguishable",
+            "--lengths", "70,80,84.9,90,100"]
+    assert main(["--seed", "3", "--out-dir", str(tmp_path), "simulate-counts", *opts]) == 0
+    assert main(["--seed", "3", "--out-dir", str(tmp_path), "ingest", "--subspace", sub_file,
+                 "--counts", str(tmp_path / "counts.csv")]) == 0
+    d2 = tmp_path / "direct"
+    assert main(["--seed", "3", "--out-dir", str(d2), "scan", "--mode", "synthetic",
+                 *opts]) == 0
+    ingested = json.loads((tmp_path / "ingested_scan.json").read_text())["curves"]
+    direct = json.loads((d2 / "scan_result.json").read_text())["curves"]
+    assert set(ingested) == set(direct) == {"|0200>", "|0020>", "|1001>"}
+    for label, points in direct.items():
+        assert len(ingested[label]) == len(points) == 5
+        for got, want in zip(ingested[label], points):
+            assert got["length_mm"] == want["length_mm"]
+            assert got["probability"] is not None
+            assert got["probability"] == pytest.approx(want["probability"], abs=1e-12)
+            assert got["sigma"] == pytest.approx(want["sigma"], abs=1e-12)
+
+
+def test_ingest_unknown_channel(tmp_path, three_state_file, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("structure_id,length_mm,input_state,detector_pair,counts\n"
+                   "s1,80,|2000>,1a-1b,90\n"
+                   "s1,80,|2000>,m4,3\n")
+    code = main(["--out-dir", str(tmp_path), "ingest", "--subspace", three_state_file,
+                 "--counts", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'m4'" in err and "line 3" in err
+
+
+def test_check_lifts_cycle_and_k_once(tmp_path, three_state_file, monkeypatch):
+    calls = {"lift": 0, "k": 0}
+    lift, k_matrix = fock.lift_unitary, hol.k_matrix
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock, "lift_unitary", counted("lift", lift))
+    monkeypatch.setattr(hol, "k_matrix", counted("k", k_matrix))
+    assert main(["--out-dir", str(tmp_path), "check", "--subspace", three_state_file]) == 0
+    doc = json.loads((tmp_path / "check_report.json").read_text())
+    assert doc["verdict"] == "holonomic"
+    assert calls == {"lift": 1, "k": 1}
+
+
+def test_synthetic_scan_beyond_the_splitters(tmp_path, capsys):
+    """Five output ports and four calibrated splitters: exit 2, no crash."""
+    system = cm.CoupledModeSystem(cm.jx_pattern(5),
+                                  cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    cfg = tmp_path / "jx5.json"
+    cfg.write_text(json.dumps(cm.system_to_json(system)))
+    sub_file = write_subspace(tmp_path / "sub.json",
+                              {"particle": "boson", "modes": 5,
+                               "states": [[2, 0, 0, 0, 0], [0, 0, 0, 0, 2]]})
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "scan",
+                 "--subspace", sub_file, "--mode", "synthetic", "--lengths", "80,90"])
+    assert code == 2
+    assert "no splitter on output port 5" in capsys.readouterr().err
 
 
 def test_ingest_malformed_counts(tmp_path, outer_pair_file, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomode import coupledmode as cm
+from geomode import fock
 from geomode import enumeration as enum
 from geomode import holonomy as hol
 from geomode.fock import ParticleType, enumerate_basis
@@ -187,6 +188,15 @@ def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
     for r in report.records:
         sub = hol.Subspace(basis, tuple(basis.states[i] for i in r.member_indices))
         assert abs(r.max_k - hol.k_matrix(sub, system, method="lifted").max_abs) < 1e-10
+
+
+def test_enumeration_lifts_the_cycle_once(system, monkeypatch):
+    calls = []
+    lift = fock.lift_unitary
+    monkeypatch.setattr(fock, "lift_unitary", lambda *a: calls.append(1) or lift(*a))
+    report = enum.enumerate_holonomic(system, enumerate_basis(4, 2, BOSON))
+    assert len(calls) == 1
+    assert len(report.holonomic_records(2)) == 17
 
 
 def test_union_of_orbits_characterization_single_photon(system):

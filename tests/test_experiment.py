@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geomode import coupledmode as cm
 from geomode import experiment as xp
@@ -178,6 +180,108 @@ def test_inverse_estimator_unbiased_on_expected_counts():
     weights, _ = xp.invert_counts(counts, model, basis)
     recovered = np.array([weights[s.occupations] for s in basis.states]) / trials
     assert np.allclose(recovered, probs, atol=1e-12)
+
+
+@st.composite
+def splitter_cases(draw):
+    """A two-particle boson or fermion basis and random splitter ratios."""
+    kind = draw(st.sampled_from(["boson", "fermion"]))
+    modes = draw(st.integers(2, 4))
+    ratios = tuple(draw(st.floats(1e-6, 1 - 1e-6)) for _ in range(modes))
+    return enumerate_basis(modes, 2, ParticleType(kind)), xp.DetectionModel(ratios)
+
+
+@given(case=splitter_cases(), seed=st.integers(0, 2**32 - 1))
+def test_splitter_channel_map_properties(case, seed):
+    basis, model = case
+    channels = xp.channel_map(basis, xp.INDISTINGUISHABLE, model)
+    probs = np.random.default_rng(seed).dirichlet(np.ones(basis.size))
+    trials = 1e6
+    weights, _ = channels.estimate(channels.rates(probs[None], trials))
+    assert np.allclose(weights[0] / trials, probs, rtol=0, atol=1e-12)
+    for s, state in enumerate(basis.states):
+        click = channels.click[channels.source == s]
+        o1, o2 = state.mode_list()
+        if o1 == o2:
+            r = model.splitter_ratios[o1]
+            assert click.tolist() == [pytest.approx(2 * r * (1 - r), rel=1e-15)]
+        else:
+            assert len(click) == 4
+            assert click.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("basis, statistics", [
+    (enumerate_basis(4, 1, BOSON), xp.INDISTINGUISHABLE),
+    (enumerate_basis(3, 2, ParticleType.distinguishable("a", "b")), xp.DISTINGUISHABLE_STATS),
+    (enumerate_basis(4, 2, BOSON), xp.DISTINGUISHABLE_STATS),
+])
+def test_one_channel_per_state_maps_are_identities(basis, statistics):
+    channels = xp.channel_map(basis, statistics, xp.DetectionModel(xp.CALIBRATED_SPLITTERS))
+    assert channels.source.tolist() == list(range(basis.size))
+    assert np.all(channels.click == 1.0) and np.all(channels.efficiency == 1.0)
+    counts = np.arange(basis.size, dtype=float)[None]
+    weights, variances = channels.estimate(counts)
+    assert weights.tolist() == counts.tolist()
+    assert variances.tolist() == [np.maximum(counts[0], 1.0).tolist()]
+
+
+def test_vector_poisson_draw_matches_scalar_draws():
+    rates = np.array([0.0, 3.5, 0.0, 0.0, 120.0, 1e-3, 0.0, 42.0, 9.99, 10.0, 0.0])
+    vector = np.random.default_rng(np.random.SeedSequence((1022, 1, 7))).poisson(rates)
+    rng = np.random.default_rng(np.random.SeedSequence((1022, 1, 7)))
+    assert vector.tolist() == [int(rng.poisson(rate)) for rate in rates]
+
+
+def _scalar_counts(basis, spec, probs, model, seed):
+    """Loop reference of the count sampler at one point: the channels of
+    each basis state in basis order, one Poisson draw each."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ratios = model.splitter_ratios
+    counts = {}
+    for p, state in zip(probs, basis.states):
+        modes = state.mode_list()
+        if basis.particles == 1:
+            channels = {f"m{modes[0] + 1}": 1.0}
+        elif basis.particle.kind == "distinguishable":
+            channels = {f"a{modes[0] + 1}-b{modes[1] + 1}": 1.0}
+        elif spec.statistics == "distinguishable":
+            channels = {f"n{modes[0] + 1}{modes[1] + 1}": 1.0}
+        elif modes[0] == modes[1]:
+            r = ratios[modes[0]]
+            channels = {f"{modes[0] + 1}a-{modes[0] + 1}b": 2.0 * r * (1.0 - r)}
+        else:
+            channels = {}
+            for a in (0, 1):
+                for b in (0, 1):
+                    wa = ratios[modes[0]] if a == 0 else 1 - ratios[modes[0]]
+                    wb = ratios[modes[1]] if b == 0 else 1 - ratios[modes[1]]
+                    channels[f"{modes[0] + 1}{'ab'[a]}-{modes[1] + 1}{'ab'[b]}"] = wa * wb
+        for label, w in channels.items():
+            counts[label] = int(rng.poisson(model.trials * (p * w)))
+    return counts
+
+
+@pytest.mark.parametrize("case", ["single", "splitter", "heralded", "hom", "assignment"])
+def test_simulated_counts_match_scalar_reference(case, outer_single, three_state):
+    sub, spec = three_state, xp.InputSpec(three_state.members[0])
+    if case == "single":
+        sub, spec = outer_single, xp.InputSpec(outer_single.members[0])
+    elif case == "heralded":
+        spec = xp.InputSpec(three_state.members[1], statistics="distinguishable")
+    elif case == "hom":
+        spec = xp.InputSpec(three_state.members[2], preparation="hom_bunched")
+    elif case == "assignment":
+        row = next(r for r in ref.REFERENCE_WIDTHS if r.statistics == ref.ASSIGNMENT)
+        sub = ref.row_subspace(row)
+        spec = xp.InputSpec(sub.members[0])
+    lengths = [70.0, 80.0, 84.9, 95.0]
+    model = xp.DetectionModel(xp.CALIBRATED_SPLITTERS, trials=40, seed=9)
+    probs = xp.CurveEngine(lengths).outcome_probabilities(sub, spec, over_members=False)
+    rows = xp.simulate_counts(sub, [spec], lengths, model)
+    for j, length in enumerate(lengths):
+        got = {channel: n for sid, _, _, channel, n in rows if sid == f"s{j + 1}"}
+        assert got == _scalar_counts(sub.basis, spec, probs[j], model, (9, 0, j))
+        assert [r[3] for r in rows if r[0] == f"s{j + 1}"] == sorted(got)
 
 
 # ------------------------------------------------------------------- scans
@@ -430,6 +534,15 @@ def test_ingest_malformed_row(tmp_path, outer_single):
     )
     with pytest.raises(ValueError, match="line 2"):
         xp.ingest_counts(path, outer_single)
+
+
+def test_ingest_rejects_non_finite_values(tmp_path, outer_single):
+    path = tmp_path / "counts.csv"
+    for row in ["s1,nan,|1000>,m4,90", "s1,84.9,|1000>,m4,inf"]:
+        path.write_text("structure_id,length_mm,input_state,detector_pair,counts\n"
+                        "s1,84.9,|1000>,m1,10\n" + row + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            xp.ingest_counts(path, outer_single)
 
 
 def test_ingest_empty_file(tmp_path, outer_single):
