@@ -138,12 +138,13 @@ def build_system(config: dict, length_mm: float | None = None):
     return system, cm.system_family(system)
 
 
-def load_subspace(args) -> hol.Subspace:
+def load_subspace(args, modes: int) -> hol.Subspace:
+    """The ``--subspace`` file; ``modes`` is the configured system's mode count."""
     if not getattr(args, "subspace", None):
         raise CommandError("invalid-arguments", "this command needs --subspace FILE")
     try:
         doc = json.loads(Path(args.subspace).read_text())
-        return hol.subspace_from_json(doc, modes=4)
+        return hol.subspace_from_json(doc, modes=modes)
     except FileNotFoundError:
         raise CommandError("invalid-arguments", f"subspace file {args.subspace} not found")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -178,8 +179,9 @@ def _parse_lengths(args) -> np.ndarray:
     return np.asarray(cm.STRUCTURE_LENGTHS_MM)
 
 
-def _detection(args) -> xp.DetectionModel:
-    ratios = xp.CALIBRATED_SPLITTERS if args.splitters == "calibrated" else (0.5,) * 4
+def _detection(args, modes: int) -> xp.DetectionModel:
+    """Calibrated ratios on the four measured ports, or 0.5 on each of ``modes`` ports."""
+    ratios = xp.CALIBRATED_SPLITTERS if args.splitters == "calibrated" else (0.5,) * modes
     return xp.DetectionModel(splitter_ratios=ratios, trials=args.trials, seed=args.seed)
 
 
@@ -267,7 +269,7 @@ def cmd_enumerate(args) -> int:
 def cmd_check(args) -> int:
     config = load_config(args)
     system, _ = build_system(config)
-    sub = load_subspace(args)
+    sub = load_subspace(args, system.modes)
     v = hol.lifted_cycle_unitary(sub, system)
     cyc = hol.projector_cyclicity(v, sub.member_indices)
     k = hol.k_matrix(sub, system)
@@ -311,10 +313,11 @@ def cmd_check(args) -> int:
 def _run_scan(args, mode: str):
     config = load_config(args)
     _, family = build_system(config)
-    sub = load_subspace(args)
+    modes = family.pattern.modes
+    sub = load_subspace(args, modes)
     specs = _scan_inputs(sub, args)
     lengths = _parse_lengths(args)
-    result = xp.scan(sub, specs, lengths, mode=mode, detection=_detection(args),
+    result = xp.scan(sub, specs, lengths, mode=mode, detection=_detection(args, modes),
                      family=family)
     return sub, result
 
@@ -424,11 +427,12 @@ def cmd_plateau(args) -> int:
 def cmd_simulate_counts(args) -> int:
     config = load_config(args)
     _, family = build_system(config)
-    sub = load_subspace(args)
+    modes = family.pattern.modes
+    sub = load_subspace(args, modes)
     specs = _scan_inputs(sub, args)
     lengths = _parse_lengths(args)
     try:
-        rows = xp.simulate_counts(sub, specs, lengths, detection=_detection(args),
+        rows = xp.simulate_counts(sub, specs, lengths, detection=_detection(args, modes),
                                   family=family)
     except ValueError as exc:
         raise CommandError("invalid-arguments", str(exc))
@@ -440,11 +444,12 @@ def cmd_simulate_counts(args) -> int:
 
 def cmd_ingest(args) -> int:
     _, family = build_system(load_config(args))
-    sub = load_subspace(args)
+    modes = family.pattern.modes
+    sub = load_subspace(args, modes)
     if not args.counts:
         raise CommandError("invalid-arguments", "ingest needs --counts FILE")
     try:
-        result = xp.ingest_counts(args.counts, sub, _detection(args), family)
+        result = xp.ingest_counts(args.counts, sub, _detection(args, modes), family)
     except FileNotFoundError:
         raise CommandError("invalid-arguments", f"count file {args.counts} not found")
     except ValueError as exc:

@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import iv
 
 from .fock import HERMITIAN_TOL
 
@@ -161,16 +159,74 @@ class CosineRampSegment:
         return (self.start + self.end) * self.length / 2
 
 
+#: Terms of the Bessel series of :func:`_exp_cos_integral` (I_0 .. I_199).
+_SERIES_TERMS = 200
+#: Trapezoid points on the period of exp(lam * cos(theta)).
+_BESSEL_POINTS = 1024
+
+
+@lru_cache(maxsize=128)
+def _bessel_i(lam: float) -> np.ndarray:
+    """Modified Bessel functions I_k(lam) for k = 0 .. _SERIES_TERMS - 1.
+
+    I_k(lam) is the k-th Fourier cosine coefficient of the periodic
+    function exp(lam * cos(theta)), and the trapezoid rule gets such
+    coefficients to rounding error: on n points aliasing adds
+    I_{n-k} + I_{n+k}, below 1e-190 relative to I_0 for n = 1024,
+    k < 200 and lam up to 709, where exp(lam) overflows.  The rule runs
+    on the scaled exp(lam * (cos(theta) - 1)), which stays in [0, 1].
+    """
+    theta = 2.0 * np.pi * np.arange(_BESSEL_POINTS) / _BESSEL_POINTS
+    scaled = np.fft.rfft(np.exp(lam * (np.cos(theta) - 1.0))).real / _BESSEL_POINTS
+    values = scaled[:_SERIES_TERMS] * math.exp(lam)
+    values.setflags(write=False)
+    return values
+
+
+@lru_cache(maxsize=128)
+def _exp_cos_series(lam: float, sign: float) -> tuple:
+    """(I_0(lam), ((k, 2 sign^k I_k(lam) / k), ...)) up to the first term below 1e-18."""
+    bessel = _bessel_i(lam)
+    terms = []
+    for k in range(1, _SERIES_TERMS):
+        coeff = 2.0 * (sign ** k) * bessel[k] / k
+        if abs(coeff) < 1e-18:
+            break
+        terms.append((k, coeff))
+    return bessel[0], tuple(terms)
+
+
 def _exp_cos_integral(x, lam: float, sign: float) -> np.ndarray:
     """int_0^x exp(sign * lam * cos(phi)) dphi via the Bessel series."""
     x = np.asarray(x, dtype=float)
-    total = iv(0, lam) * x
-    for k in range(1, 200):
-        coeff = 2.0 * (sign ** k) * iv(k, lam) / k
-        if abs(coeff) < 1e-18:
-            break
+    i0, terms = _exp_cos_series(lam, sign)
+    total = i0 * x
+    for k, coeff in terms:
         total = total + coeff * np.sin(k * x)
     return total
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign, to within xtol."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # the bracket is two adjacent floats
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -208,7 +264,7 @@ class ExpCosineRampSegment:
     @property
     def total_phase(self):
         # sin(k*pi) = 0, so only the Bessel I0 term survives
-        return self.peak * math.exp(-self.sharpness) * iv(0, self.sharpness) * self.length
+        return self.peak * math.exp(-self.sharpness) * _bessel_i(self.sharpness)[0] * self.length
 
 
 @dataclass(frozen=True)
@@ -424,15 +480,15 @@ def outer_pair_width_mm(omega: float, slope_limit: float = SLOPE_LIMIT_PER_MM) -
     if threshold >= peak_slope:
         # slope never reaches the limit: plateau spans the whole cycle
         return 2 * math.pi / omega
-    u_star = brentq(lambda u: slope(math.pi - u) - threshold, 1e-12, math.pi / 2, xtol=1e-14)
+    u_star = _bisect(lambda u: slope(math.pi - u) - threshold, 1e-12, math.pi / 2, xtol=1e-14)
     return 2 * u_star / omega
 
 
 def calibrate_flat_coupling(target_width_mm: float = CALIBRATION_WIDTH_MM,
                             slope_limit: float = SLOPE_LIMIT_PER_MM) -> float:
     """Flat coupling (rad/mm) whose outer-pair width equals the target."""
-    return brentq(lambda om: outer_pair_width_mm(om, slope_limit) - target_width_mm,
-                  1e-3, 2.0, xtol=1e-15)
+    return _bisect(lambda om: outer_pair_width_mm(om, slope_limit) - target_width_mm,
+                   1e-3, 2.0, xtol=1e-15)
 
 
 def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM,
@@ -447,7 +503,7 @@ def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM,
     target = (math.pi / omega_flat - (ideal_length_mm - 2 * ramp_mm)) / (2 * ramp_mm)
     if not 0 < target < 1:
         raise ValueError("no ramp sharpness reaches delta = pi for these parameters")
-    return brentq(lambda s: math.exp(-s) * iv(0, s) - target, 1e-9, 200.0, xtol=1e-14)
+    return _bisect(lambda s: math.exp(-s) * _bessel_i(s)[0] - target, 1e-9, 200.0, xtol=1e-14)
 
 
 def _ramp_sharpness(omega_flat: float, ramp_mm: float, ideal_length_mm: float) -> float:
@@ -486,7 +542,7 @@ def jx4_delta(length_mm, omega_flat: float = FLAT_COUPLING_PER_MM,
               sharpness: float = RAMP_SHARPNESS):
     """Total accumulated phase of the structure family at given lengths."""
     lengths = np.asarray(length_mm, dtype=float)
-    eff = 2 * ramp_mm * math.exp(-sharpness) * iv(0, sharpness)
+    eff = 2 * ramp_mm * math.exp(-sharpness) * _bessel_i(sharpness)[0]
     return omega_flat * (eff + lengths - 2 * ramp_mm)
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +390,54 @@ def test_synthetic_scan_beyond_the_splitters(tmp_path, capsys):
                  "--subspace", sub_file, "--mode", "synthetic", "--lengths", "80,90"])
     assert code == 2
     assert "no splitter on output port 5" in capsys.readouterr().err
+
+
+def test_synthetic_scan_ideal_splitters_on_every_port(tmp_path):
+    system = cm.CoupledModeSystem(cm.jx_pattern(5),
+                                  cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    cfg = tmp_path / "jx5.json"
+    cfg.write_text(json.dumps(cm.system_to_json(system)))
+    sub_file = write_subspace(tmp_path / "sub.json",
+                              {"particle": "boson", "modes": 5,
+                               "states": [[2, 0, 0, 0, 0], [0, 0, 0, 0, 2]]})
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "scan",
+                 "--subspace", sub_file, "--mode", "synthetic", "--splitters", "ideal",
+                 "--lengths", "80,90"]) == 0
+    doc = json.loads((tmp_path / "scan_result.json").read_text())
+    assert doc["mode"] == "synthetic-experiment"
+
+
+def test_check_subspace_takes_modes_from_config(tmp_path):
+    """A subspace file without "modes" gets the configured system's mode count."""
+    system = cm.CoupledModeSystem(cm.jx_pattern(3),
+                                  cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    cfg = tmp_path / "jx3.json"
+    cfg.write_text(json.dumps(cm.system_to_json(system)))
+    doc = {"particle": "boson", "states": [[2, 0, 0], [0, 0, 2]]}
+    sub_file = write_subspace(tmp_path / "sub.json", doc)
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "check",
+                 "--subspace", sub_file]) == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    sub = hol.subspace_from_json(doc, modes=3)
+    v = hol.lifted_cycle_unitary(sub, system)
+    cyc = hol.projector_cyclicity(v, sub.member_indices)
+    k = hol.k_matrix(sub, system)
+    h = hol.holonomy_on_cycle(sub, v, cyc, k)
+    assert report["verdict"] == "holonomic"
+    assert report["classification"] == h.classification
+    assert np.allclose(read_matrix({"matrix": report["holonomy"]}), h.matrix, atol=1e-12)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The runtime needs numpy only; SciPy is a test oracle."""
+    src = str(Path(cm.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from geomode.cli import main\n"
+            f"assert main(['--out-dir', {str(tmp_path)!r}, 'evolve', '--length', '84.9']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_ingest_malformed_counts(tmp_path, outer_pair_file, capsys):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import iv
 
 from geomode import coupledmode as cm
 
@@ -62,6 +65,22 @@ def test_exp_cosine_ramp_matches_quadrature():
             num, _ = quad(lambda t: float(seg.value_at(t)), 0, z, limit=200)
             assert float(seg.phase_to(z)) == pytest.approx(num, abs=1e-11)
         assert seg.total_phase == pytest.approx(float(seg.phase_to(30.0)), abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 0.5, cm.RAMP_SHARPNESS, 20.0, 100.0, 200.0])
+def test_bessel_coefficients_match_scipy(lam):
+    k = np.arange(cm._SERIES_TERMS)
+    reference = iv(k, lam)
+    assert np.max(np.abs(cm._bessel_i(lam) - reference)) <= 1e-14 * reference[0]
+
+
+@given(sharpness=st.floats(1e-3, 50.0), length=st.floats(1.0, 100.0),
+       fraction=st.floats(0.0, 1.0), rising=st.booleans())
+def test_exp_cosine_ramp_phase_matches_quadrature(sharpness, length, fraction, rising):
+    seg = cm.ExpCosineRampSegment(0.09, sharpness, length, rising=rising)
+    z = fraction * length
+    num, _ = quad(lambda t: float(seg.value_at(t)), 0, z, limit=200, epsabs=0, epsrel=1e-13)
+    assert float(seg.phase_to(z)) == pytest.approx(num, abs=1e-14 * seg.peak * length)
 
 
 def test_exp_cosine_ramp_is_decoupled_at_facet():
