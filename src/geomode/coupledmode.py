@@ -185,12 +185,14 @@ def _bessel_i(lam: float) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _exp_cos_series(lam: float, sign: float) -> tuple:
-    """(I_0(lam), ((k, 2 sign^k I_k(lam) / k), ...)) up to the first term below 1e-18."""
+    """(I_0(lam), ((k, 2 sign^k I_k(lam) / k), ...)) up to the first term
+    below machine epsilon times I_0, the rounding noise of the coefficients."""
     bessel = _bessel_i(lam)
+    cutoff = np.finfo(float).eps * bessel[0]
     terms = []
     for k in range(1, _SERIES_TERMS):
         coeff = 2.0 * (sign ** k) * bessel[k] / k
-        if abs(coeff) < 1e-18:
+        if abs(coeff) < cutoff:
             break
         terms.append((k, coeff))
     return bessel[0], tuple(terms)

@@ -198,25 +198,20 @@ class EnumerationReport:
                 ])
 
 
-def _orbit_unions(orbits, skip_full=True):
-    """All nonempty (proper, unless skip_full is False) unions of orbits."""
+def _orbit_unions(orbits):
+    """All nonempty proper unions of orbits."""
     n = len(orbits)
-    top = (1 << n) - 1
-    for mask in range(1, top + 1):
-        if skip_full and mask == top:
-            continue
+    for mask in range(1, (1 << n) - 1):
         members = []
         for i in range(n):
             if mask & (1 << i):
                 members.extend(orbits[i])
-        yield mask, tuple(sorted(members))
+        yield tuple(sorted(members))
 
 
 def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
                         cap: int = ENUMERATION_CAP,
-                        k_grid_points: int = hol.K_GRID_POINTS,
-                        resume_token: int = 0,
-                        include_full: bool = False) -> EnumerationReport:
+                        resume_token: int = 0) -> EnumerationReport:
     """K-check every cyclic subspace and classify the holonomic ones.
 
     Cyclic subspaces are the orbit unions of the end-of-cycle
@@ -226,22 +221,20 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
     """
     decomposition = decompose_orbits(system, basis)
     total, cyclic = count_subspaces(basis, decomposition)
-    n_unions = 2 ** decomposition.orbit_count - (1 if include_full else 2)
     report = EnumerationReport(basis, total, cyclic)
 
-    grid = np.linspace(0.0, system.length, k_grid_points)
     tol = hol.holonomic_tolerance(system)
     # A union's closed-form K is the basis-wide K restricted to its
     # members, so one (S, S) table of max_z |K| serves every union.
-    k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system, grid)
+    k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system)
                             .matrices), axis=0)
     candidates = sorted(
-        _orbit_unions(decomposition.orbits, skip_full=not include_full),
-        key=lambda mc: (len(mc[1]), [basis.states[i].label() for i in mc[1]]),
+        _orbit_unions(decomposition.orbits),
+        key=lambda idx: (len(idx), [basis.states[i].label() for i in idx]),
     )
 
     records = []
-    for pos, (mask, member_idx) in enumerate(candidates):
+    for pos, member_idx in enumerate(candidates):
         if pos < resume_token:
             continue
         if len(records) >= cap:
@@ -264,7 +257,7 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
             abelian_by_construction=len(member_idx) == 1,
         ))
     report.records = records
-    assert len(records) == n_unions - min(resume_token, n_unions)
+    assert len(records) == cyclic - min(resume_token, cyclic)
     return report
 
 
@@ -279,7 +272,7 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
     if basis.size > max_dim:
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
-    union_sets = {frozenset(m) for _, m in _orbit_unions(decomposition.orbits)}
+    union_sets = {frozenset(m) for m in _orbit_unions(decomposition.orbits)}
     for r in range(1, basis.size):
         for combo in itertools.combinations(range(basis.size), r):
             projector_cyclic = hol.projector_cyclicity(decomposition.cycle, combo).cyclic

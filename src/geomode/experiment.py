@@ -18,11 +18,12 @@ input i draws its channels in map order from the stream (seed, i, j).
 Statistics conventions
 ----------------------
 An input can be launched with the subspace's native statistics or, for
-number-state subspaces, with ``distinguishable`` statistics: the two
+number-state subspaces, with ``distinguishable`` statistics: its N
 photons are then independent (heralded, time-separated) and outcome
 probabilities aggregate over the photon-to-mode assignments of each
-member's mode multiset.  Assignment-level subspaces (built over a
-distinguishable-particle basis) keep each assignment as its own member.
+member's mode multiset, Per(|U|^2[out, in]) / prod n_out!.
+Assignment-level subspaces (built over a distinguishable-particle
+basis) keep each assignment as its own member.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -205,19 +207,6 @@ def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
     return m
 
 
-def _distagg_probs(u_stack, members, input_modes):
-    """Number-state outcome probabilities for independent photons."""
-    ia, ib = input_modes
-    out = np.empty((u_stack.shape[0], len(members)))
-    for mi, member in enumerate(members):
-        o1, o2 = member.mode_list()
-        p = np.abs(u_stack[:, o1, ia] * u_stack[:, o2, ib]) ** 2
-        if o1 != o2:
-            p = p + np.abs(u_stack[:, o2, ia] * u_stack[:, o1, ib]) ** 2
-        out[:, mi] = p
-    return out
-
-
 class CurveEngine:
     """Batched outcome probabilities of a structure family over lengths.
 
@@ -231,6 +220,13 @@ class CurveEngine:
         self.lengths = np.asarray(lengths, dtype=float)
         self.u_stack = family.stack(self.lengths)
         self._ideal = family.pattern.unitary(math.pi)
+
+    @cached_property
+    def _transition_stack(self) -> np.ndarray:
+        """|U|^2 of the stack: single-photon transition probabilities,
+        squared in place so that a long stack costs one real copy."""
+        p = np.abs(self.u_stack)
+        return np.square(p, out=p)
 
     def target_index(self, sub: Subspace, input_state) -> int:
         """Member hit by the input under the ideal (delta = pi) evolution."""
@@ -252,13 +248,16 @@ class CurveEngine:
             v = spec.visibility
             return v * p_ind + (1 - v) * p_dis
 
-        if stats == DISTINGUISHABLE_STATS and sub.particle.kind == BOSON:
-            if sub.basis.particles != 2:
-                raise ValueError("distinguishable statistics need two particles")
-            states = sub.members if over_members else sub.basis.states
-            return _distagg_probs(self.u_stack, states, spec.state.mode_list())
-        rows = sub.member_indices if over_members else None
+        rows = np.array(sub.member_indices) if over_members else np.arange(sub.basis.size)
         col = [sub.basis.index_of(spec.state)]
+        if stats == DISTINGUISHABLE_STATS and sub.particle.kind == BOSON:
+            # Independent photons reach the output multiset with probability
+            # Per(|U|^2[out, in]) / prod n_out!; the kernel divides by
+            # sqrt(prod n_out! prod n_in!).
+            norms = sub.basis.norms
+            lifted = lift_unitary_batch(self._transition_stack, sub.basis, rows, col)[:, :, 0]
+            lifted *= norms[col[0]] / norms[rows]
+            return lifted
         return np.abs(lift_unitary_batch(self.u_stack, sub.basis, rows, col)[:, :, 0]) ** 2
 
     def success_curve(self, sub: Subspace, spec: InputSpec) -> np.ndarray:

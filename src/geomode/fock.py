@@ -5,13 +5,14 @@ particles, the lifting of single-particle unitaries to multi-particle
 operators (permanents / determinants / per-label products), the
 one-body tensor T[s, t, a, b] = <s| a_a^dag a_b |t> that lifts every
 one-body operator, and a brute-force vacuum-expectation evaluator for
-ladder-operator strings.  Unitaries are lifted two ways:
-:func:`lift_unitary` validates one matrix and evaluates Ryser
-permanents entry by entry, and :func:`lift_unitary_batch` sums the N!
-permutation products of a whole stack at once, for just the block of
-entries a caller reads.  The unitary lifts, the one-body tensor and
-the vacuum-expectation evaluator are built independently of each other
-so that they can be used to validate each other.
+ladder-operator strings.  Every unitary lift runs through one kernel,
+:func:`lift_unitary_batch`, which sums the N! permutation products of a
+whole stack of matrices at once, for just the block of entries a
+caller reads; :func:`lift_unitary` validates one matrix and calls it.
+Ryser's :func:`permanent` and :func:`permanent_naive` are kept as
+oracles.  The kernel, the one-body tensor and the vacuum-expectation
+evaluator are built independently of each other so that they can be
+used to validate each other.
 
 Conventions
 -----------
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,6 +190,20 @@ class FockBasis:
         v[self.index_of(state)] = 1.0
         return v
 
+    @cached_property
+    def mode_table(self) -> np.ndarray:
+        """(S, N) array: the :meth:`OccupationState.mode_list` of each state."""
+        table = np.array([s.mode_list() for s in self.states], dtype=int)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """sqrt(prod n_k!) of each state, the normalization of its ket."""
+        norms = np.sqrt([s.norm_factorial() for s in self.states])
+        norms.setflags(write=False)
+        return norms
+
 
 def basis_size(modes: int, particles: int, particle: ParticleType) -> int:
     if particle.kind == BOSON:
@@ -298,58 +314,35 @@ def permanent_naive(m: np.ndarray) -> complex:
     return complex(total)
 
 
-def _as_label_matrices(u, particle: ParticleType) -> dict:
-    if isinstance(u, dict):
-        missing = set(particle.labels) - set(u)
-        if missing:
-            raise ValueError(f"no matrix for labels {sorted(missing)}")
-        return {lab: np.asarray(u[lab], dtype=complex) for lab in particle.labels}
-    u = np.asarray(u, dtype=complex)
-    return {lab: u for lab in particle.labels}
+def _checked_unitary(m, modes: int, name: str) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (modes, modes):
+        raise ValueError(f"{name} must be {modes} x {modes}, the basis mode count")
+    if not is_unitary(m):
+        raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
+    return m
 
 
 def lift_unitary(u, basis: FockBasis) -> np.ndarray:
     """Lift a single-particle M x M unitary to the N-particle basis.
 
-    Bosons: entries are permanents of the occupation-restricted
-    submatrix divided by sqrt(prod n_out! * prod n_in!).  Fermions:
-    determinants.  Distinguishable: products of per-label entries
-    (pass a dict ``{label: matrix}`` to use different matrices per
-    label).
+    Checks that ``u`` is an M x M unitary and returns
+    ``lift_unitary_batch(u[None], basis)[0]``: permanents for bosons,
+    determinants for fermions, per-label products for distinguishable
+    particles.  For distinguishable particles a dict ``{label: matrix}``
+    applies a different unitary to each label.
     """
-    if basis.particle.kind == DISTINGUISHABLE:
-        mats = _as_label_matrices(u, basis.particle)
-        for lab, m in mats.items():
-            if m.shape != (basis.modes, basis.modes):
-                raise ValueError(f"matrix for label {lab!r} has wrong shape")
-            if not is_unitary(m):
-                raise ValueError(f"matrix for label {lab!r} is not unitary within {UNITARY_TOL}")
+    if basis.particle.kind == DISTINGUISHABLE and isinstance(u, dict):
+        missing = set(basis.particle.labels) - set(u)
+        if missing:
+            raise ValueError(f"no matrix for labels {sorted(missing)}")
         out = np.ones((basis.size, basis.size), dtype=complex)
         for li, lab in enumerate(basis.particle.labels):
-            m = mats[lab]
-            rows = np.array([s.occupations[li] for s in basis.states])
-            out = out * m[np.ix_(rows, rows)]
+            m = _checked_unitary(u[lab], basis.modes, f"matrix for label {lab!r}")
+            out = out * m[np.ix_(basis.mode_table[:, li], basis.mode_table[:, li])]
         return out
-
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (basis.modes, basis.modes):
-        raise ValueError("matrix dimension must equal the basis mode count")
-    if not is_unitary(u):
-        raise ValueError(f"input matrix is not unitary within {UNITARY_TOL}")
-
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    mode_lists = [s.mode_list() for s in basis.states]
-    norms = np.array([math.sqrt(s.norm_factorial()) for s in basis.states])
-    for col, cols_modes in enumerate(mode_lists):
-        sub_cols = u[:, cols_modes]
-        for row, rows_modes in enumerate(mode_lists):
-            block = sub_cols[rows_modes, :]
-            if basis.particle.kind == BOSON:
-                amp = permanent(block) / (norms[row] * norms[col])
-            else:
-                amp = np.linalg.det(block)
-            out[row, col] = amp
-    return out
+    u = _checked_unitary(u, basis.modes, "input matrix")
+    return lift_unitary_batch(u[None], basis)[0]
 
 
 def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=None) -> np.ndarray:
@@ -361,27 +354,33 @@ def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=No
     sign(sigma) prod_i U[s_i, t_sigma(i)] over the permutations sigma of
     the occupied modes (every sigma for bosons, with sign +1, and for
     fermions, with its parity; the identity alone for distinguishable
-    particles) and divides by sqrt(prod n_s! prod n_t!).  Inputs are
-    assumed unitary (use :func:`lift_unitary` when validation is wanted).
+    particles) and divides by sqrt(prod n_s! prod n_t!).  Any stack of
+    matrices is accepted, and a real stack gives a real block: for
+    bosons, the stack |U|**2 gives permanents of the transition
+    probabilities of independent photons.  :func:`lift_unitary` is the
+    validated single-unitary form.
     """
-    u = np.asarray(u_batch, dtype=complex)
+    u = np.asarray(u_batch)
     if u.ndim != 3 or u.shape[1:] != (basis.modes, basis.modes):
         raise ValueError("expected a (Z, M, M) stack of matrices")
     n = basis.particles
     rows = np.arange(basis.size) if rows is None else np.asarray(rows, dtype=int)
     cols = np.arange(basis.size) if cols is None else np.asarray(cols, dtype=int)
-    modes = np.array([s.mode_list() for s in basis.states], dtype=int)
-    norms = np.sqrt([s.norm_factorial() for s in basis.states])
-    r, c = modes[rows], modes[cols]
+    r, c = basis.mode_table[rows], basis.mode_table[cols]
+    flat = u.reshape(len(u), -1)  # np.take on flat indices beats 2-D fancy indexing
     perms = ([tuple(range(n))] if basis.particle.kind == DISTINGUISHABLE
              else itertools.permutations(range(n)))
-    out = np.zeros((u.shape[0], len(rows), len(cols)), dtype=complex)
+    out = np.zeros((u.shape[0], len(rows), len(cols)), dtype=np.result_type(u.dtype, float))
     for perm in perms:
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         sign = -1 if basis.particle.kind == FERMION and inversions % 2 else 1
-        out += math.prod((u[:, r[:, i, None], c[None, :, j]] for i, j in enumerate(perm)),
-                         start=sign)
-    return out / np.outer(norms[rows], norms[cols])
+        # multiplied in place: a long stack holds three blocks at a time
+        term = np.full(out.shape, sign, dtype=out.dtype)
+        for i, j in enumerate(perm):
+            term *= np.take(flat, r[:, i, None] * basis.modes + c[None, :, j], axis=1)
+        out += term
+    out /= np.outer(basis.norms[rows], basis.norms[cols])
+    return out
 
 
 def _annihilate(occ: tuple, mode: int, kind: str):

@@ -19,7 +19,7 @@ tensor <s| a_a^dag a_b |t> (see :func:`fock.one_body_tensor`) with the
 single-particle mode coupling J(z), one contraction for every
 statistics and particle number; an independent "lifted" path
 sandwiches the second-quantized Hamiltonian between the evolved member
-kets, built from permanents and determinants.  The two must agree;
+kets, lifted by the permutation-sum kernel.  The two must agree;
 tests enforce it.  The per-element reference formulas
 :func:`k_two_particle`, :func:`k_n_boson` and
 :func:`gauge_relation_two_particle` are kept as oracles.
@@ -554,8 +554,7 @@ def holonomy_on_cycle(sub: Subspace, v: np.ndarray, cyc: CyclicityResult,
 
 def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
                               z_end: float | None = None, steps: int = 2000,
-                              family: str = PHASE_ADJUSTED,
-                              fd_step: float | None = None) -> np.ndarray:
+                              family: str = PHASE_ADJUSTED) -> np.ndarray:
     """Path-ordered reconstruction of the holonomy from the gauge field.
 
     Multiplies midpoint exponentials of i A(z) dz along the cycle and
@@ -568,7 +567,7 @@ def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
         z_end = system.length
     h = z_end / steps
     mids = (np.arange(steps) + 0.5) * h
-    a = gauge_field(sub, system, mids, family, step=fd_step).matrices
+    a = gauge_field(sub, system, mids, family).matrices
     lams, vecs = np.linalg.eigh(a)
     g = np.eye(sub.dimension, dtype=complex)
     for lam, v in zip(lams, vecs):

@@ -392,6 +392,18 @@ def test_synthetic_scan_beyond_the_splitters(tmp_path, capsys):
     assert "no splitter on output port 5" in capsys.readouterr().err
 
 
+def test_three_photon_distinguishable_synthetic_scan_is_rejected(tmp_path, capsys):
+    """Theory scans take independent photons for any N; detection only two."""
+    sub_file = write_subspace(tmp_path / "sub.json",
+                              {"particle": "boson", "states": [[2, 1, 0, 0], [0, 0, 1, 2]]})
+    opts = ["--subspace", sub_file, "--distinguishable", "--lengths", "80,90"]
+    assert main(["--out-dir", str(tmp_path), "scan", *opts]) == 0
+    code = main(["--out-dir", str(tmp_path), "scan", "--mode", "synthetic", *opts])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[invalid-arguments]:" in err and "Traceback" not in err
+
+
 def test_synthetic_scan_ideal_splitters_on_every_port(tmp_path):
     system = cm.CoupledModeSystem(cm.jx_pattern(5),
                                   cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)

@@ -74,6 +74,14 @@ def test_bessel_coefficients_match_scipy(lam):
     assert np.max(np.abs(cm._bessel_i(lam) - reference)) <= 1e-14 * reference[0]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exp_cos_series_stops_at_coefficient_noise(sign):
+    # the trapezoid coefficients carry ~1e-16 relative noise, so a sharp
+    # ramp must not run through all the noisy tail terms
+    _, terms = cm._exp_cos_series(20.0, sign)
+    assert len(terms) < 60
+
+
 @given(sharpness=st.floats(1e-3, 50.0), length=st.floats(1.0, 100.0),
        fraction=st.floats(0.0, 1.0), rising=st.booleans())
 def test_exp_cosine_ramp_phase_matches_quadrature(sharpness, length, fraction, rising):

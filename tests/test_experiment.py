@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -101,6 +102,42 @@ def test_distinguishable_statistics_differ_from_indistinguishable(three_state):
     pi = engine.success_curve(three_state, spec_i)[0]
     pd = engine.success_curve(three_state, spec_d)[0]
     assert pi != pytest.approx(pd, abs=1e-6)
+
+
+def test_two_photon_distinguishable_probabilities_match_pair_formula(three_state):
+    # |U[o1,a] U[o2,b]|^2, plus the exchanged term when o1 != o2
+    engine = xp.CurveEngine([70.0, 84.9, 100.0])
+    u = engine.u_stack
+    for member in three_state.members:
+        a, b = member.mode_list()
+        spec = xp.InputSpec(member, statistics="distinguishable")
+        for over_members, outcomes in ((True, three_state.members),
+                                       (False, three_state.basis.states)):
+            want = np.empty((len(u), len(outcomes)))
+            for k, out in enumerate(outcomes):
+                o1, o2 = out.mode_list()
+                want[:, k] = np.abs(u[:, o1, a] * u[:, o2, b]) ** 2
+                if o1 != o2:
+                    want[:, k] += np.abs(u[:, o2, a] * u[:, o1, b]) ** 2
+            got = engine.outcome_probabilities(three_state, spec, over_members)
+            assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_three_photon_distinguishable_probabilities_match_assignment_sum():
+    basis = enumerate_basis(4, 3, BOSON)
+    sub = hol.subspace_from_states(basis, [(2, 1, 0, 0), (1, 1, 1, 0)])
+    engine = xp.CurveEngine([70.0, 84.9, 100.0])
+    p = np.abs(engine.u_stack) ** 2
+    for member in sub.members:
+        modes_in = member.mode_list()
+        want = np.zeros((len(p), basis.size))
+        for modes_out in itertools.product(range(4), repeat=3):
+            k = basis.index_of(tuple(modes_out.count(m) for m in range(4)))
+            want[:, k] += math.prod(p[:, o, i] for o, i in zip(modes_out, modes_in))
+        spec = xp.InputSpec(member, statistics="distinguishable")
+        got = engine.outcome_probabilities(sub, spec, over_members=False)
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_hom_bunched_visibility_mixes_predictions(bunched_pair):

@@ -353,12 +353,13 @@ def test_one_body_tensor_number_operator_distinguishable():
 
 
 @st.composite
-def bases(draw):
+def bases(draw, max_particles=3):
     kind = draw(st.sampled_from(["boson", "fermion", "distinguishable"]))
     modes = draw(st.integers(1, 4))
-    particles = draw(st.integers(1, min(3, modes) if kind == "fermion" else 3))
+    particles = draw(st.integers(1, min(max_particles, modes) if kind == "fermion"
+                                 else max_particles))
     if kind == "distinguishable":
-        ptype = ParticleType.distinguishable(*"abc"[:particles])
+        ptype = ParticleType.distinguishable(*"abcd"[:particles])
     else:
         ptype = ParticleType(kind)
     return enumerate_basis(modes, particles, ptype)
@@ -388,14 +389,37 @@ def test_lift_hamiltonian_is_linear(basis, seed, alpha, beta):
     assert np.max(np.abs(left - right)) < 1e-10
 
 
+def reference_lift(u, basis):
+    """Entry-wise lift: Ryser permanents over sqrt(prod n_s! prod n_t!) for
+    bosons, determinants for fermions, per-label products otherwise."""
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, t in enumerate(basis.states):
+        for row, s in enumerate(basis.states):
+            block = u[np.ix_(s.mode_list(), t.mode_list())]
+            if basis.particle.kind == "boson":
+                norm = math.sqrt(s.norm_factorial() * t.norm_factorial())
+                out[row, col] = permanent(block) / norm
+            elif basis.particle.kind == "fermion":
+                out[row, col] = np.linalg.det(block)
+            else:
+                out[row, col] = np.prod(np.diag(block))
+    return out
+
+
+@given(basis=bases(max_particles=4), seed=st.integers(0, 2**32 - 1))
+def test_lift_unitary_matches_entrywise_reference(basis, seed):
+    u = random_unitary(basis.modes, np.random.default_rng(seed))
+    assert np.max(np.abs(lift_unitary(u, basis) - reference_lift(u, basis))) < 1e-12
+
+
 def index_subsets(size):
     return st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
 
 
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_lift_unitary_batch_block_matches_lift_unitary(basis, seed, data):
-    # the permutation-sum kernel against validated Ryser / determinant /
-    # per-label lifts, on any block of rows and columns
+    # the permutation-sum kernel against the entry-wise Ryser / determinant /
+    # per-label reference, on any block of rows and columns
     rng = np.random.default_rng(seed)
     us = np.stack([random_unitary(basis.modes, rng) for _ in range(2)])
     rows = data.draw(index_subsets(basis.size))
@@ -403,7 +427,7 @@ def test_lift_unitary_batch_block_matches_lift_unitary(basis, seed, data):
     block = lift_unitary_batch(us, basis, rows, cols)
     assert block.shape == (2, len(rows), len(cols))
     for z, u in enumerate(us):
-        assert np.max(np.abs(block[z] - lift_unitary(u, basis)[np.ix_(rows, cols)])) < 1e-12
+        assert np.max(np.abs(block[z] - reference_lift(u, basis)[np.ix_(rows, cols)])) < 1e-12
 
 
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1))
