@@ -13,7 +13,11 @@ Detection
 One :class:`ChannelMap` per (basis, input statistics, detection model)
 covers single-photon, assignment, heralded and splitter (photon-number
 resolving) detection for whole (lengths, channels) arrays; point j of
-input i draws its channels in map order from the stream (seed, i, j).
+input i draws its channels in map order from the stream
+``default_rng(SeedSequence((seed, i, j)))``.  The PCG64 seed words of
+all points of one input are derived in one batch that reproduces
+numpy's SeedSequence hash (:func:`_stream_seed_words`, pinned against
+``SeedSequence`` by the tests), so the streams are numpy's own.
 
 Statistics conventions
 ----------------------
@@ -30,13 +34,15 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import holonomy as hol
 from .coupledmode import (
@@ -220,6 +226,7 @@ class CurveEngine:
         self.lengths = np.asarray(lengths, dtype=float)
         self.u_stack = family.stack(self.lengths)
         self._ideal = family.pattern.unitary(math.pi)
+        self._targets = {}
 
     @cached_property
     def _transition_stack(self) -> np.ndarray:
@@ -229,8 +236,12 @@ class CurveEngine:
         return np.square(p, out=p)
 
     def target_index(self, sub: Subspace, input_state) -> int:
-        """Member hit by the input under the ideal (delta = pi) evolution."""
-        return _ideal_target_index(sub, self._ideal, input_state)
+        """Member hit by the input under the ideal (delta = pi) evolution,
+        lifted once per (statistics, members, input)."""
+        key = (sub.particle, tuple(m.occupations for m in sub.members), input_state.occupations)
+        if key not in self._targets:
+            self._targets[key] = _ideal_target_index(sub, self._ideal, input_state)
+        return self._targets[key]
 
     def outcome_probabilities(self, sub: Subspace, spec: InputSpec,
                               over_members=True) -> np.ndarray:
@@ -379,7 +390,8 @@ def channel_map(basis, statistics: str, model: DetectionModel) -> ChannelMap:
             channels = [("-".join(f"{lab}{m + 1}" for lab, m
                                   in zip(basis.particle.labels, state.occupations)), 1.0)]
         elif basis.particles != 2:
-            raise ValueError("detector model covers two indistinguishable particles")
+            raise ValueError("synthetic detection covers at most two photons "
+                             f"(this basis has {basis.particles})")
         elif statistics == DISTINGUISHABLE_STATS:
             channels = [(f"n{modes[0] + 1}{modes[1] + 1}", 1.0)]
         elif modes[1] >= len(ratios):
@@ -417,6 +429,86 @@ def invert_counts(pair_counts: dict, model: DetectionModel, basis) -> tuple[dict
     return tuple(dict(zip(keys, a.tolist())) for a in channels.estimate(counts))
 
 
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _entropy_words(n) -> list[int]:
+    """Little-endian uint32 words of a non-negative integer, as
+    SeedSequence splits it (one word for 0)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, carrying its running hash
+    constant from call to call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> np.uint32(16)
+
+
+def _stream_seed_words(seed, input_index: int, points: int) -> np.ndarray:
+    """(points, 4) uint64 PCG64 seed words: row j equals
+    ``SeedSequence((seed, input_index, j)).generate_state(4, np.uint64)``.
+
+    numpy's hash runs once over uint32 arrays with one lane per point:
+    the entropy words of each integer, hashmix into the 4-word pool,
+    every pool word mixed into every other, the words beyond the pool
+    (seeds of 2^64 and up) mixed into each pool word, and eight output
+    words paired little-endian into uint64.  j < 2^32 is one word.
+    """
+    entropy = [np.full(points, w, dtype=np.uint32)
+               for w in _entropy_words(seed) + _entropy_words(input_index)]
+    entropy.append(np.arange(points, dtype=np.uint32))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    zero = np.zeros(points, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[k % _POOL_SIZE]) for k in range(8)], axis=1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+class _SeedWords(ISeedSequence):
+    """The seed sequence of one point, its PCG64 words already generated."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("precomputed seed words serve PCG64's four uint64 words only")
+        return self.words
+
+
 def _sample_channels(engine: CurveEngine, sub: Subspace, spec: InputSpec,
                      model: DetectionModel, input_index: int):
     """The input's channel map and (L, C) Poisson counts; point j draws its
@@ -424,10 +516,10 @@ def _sample_channels(engine: CurveEngine, sub: Subspace, spec: InputSpec,
     channels = channel_map(sub.basis, _statistics(sub, spec), model)
     rates = channels.rates(engine.outcome_probabilities(sub, spec, over_members=False),
                            model.trials)
+    words = _stream_seed_words(model.seed, input_index, len(rates))
     counts = np.empty(rates.shape, dtype=np.int64)
     for j, lam in enumerate(rates):
-        seed = np.random.SeedSequence((model.seed, input_index, j))
-        counts[j] = np.random.default_rng(seed).poisson(lam)
+        counts[j] = np.random.Generator(np.random.PCG64(_SeedWords(words[j]))).poisson(lam)
     return channels, counts
 
 
@@ -643,11 +735,26 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
     return rows
 
 
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
 def write_counts_csv(path, rows):
+    """Write the header and ``rows`` (tuples of :data:`COUNT_COLUMNS`
+    fields) with the bytes of ``csv.writer``'s default dialect, formatted
+    as one string and written once.  A text field holding a comma, quote
+    or line break is quoted once per distinct value."""
+    rows = list(rows)
+    width = len(COUNT_COLUMNS)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"count rows need {width} fields")
+    columns = (set(map(operator.itemgetter(k), rows)) for k in range(width))
+    quoted = {value: '"' + value.replace('"', '""') + '"' for column in columns
+              for value in column if isinstance(value, str) and _CSV_SPECIAL.search(value)}
+    if quoted:
+        rows = [tuple(quoted.get(value, value) for value in row) for row in rows]
+    template = ",".join(COUNT_COLUMNS) + "\r\n" + (",".join(["%s"] * width) + "\r\n") * len(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNT_COLUMNS)
-        writer.writerows(rows)
+        fh.write(template % tuple(chain.from_iterable(rows)))
 
 
 _INPUT_LABEL = re.compile(r"^\|([0-9]+)>$")

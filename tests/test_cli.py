@@ -396,12 +396,29 @@ def test_three_photon_distinguishable_synthetic_scan_is_rejected(tmp_path, capsy
     """Theory scans take independent photons for any N; detection only two."""
     sub_file = write_subspace(tmp_path / "sub.json",
                               {"particle": "boson", "states": [[2, 1, 0, 0], [0, 0, 1, 2]]})
-    opts = ["--subspace", sub_file, "--distinguishable", "--lengths", "80,90"]
-    assert main(["--out-dir", str(tmp_path), "scan", *opts]) == 0
-    code = main(["--out-dir", str(tmp_path), "scan", "--mode", "synthetic", *opts])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error[invalid-arguments]:" in err and "Traceback" not in err
+    for stats in (["--distinguishable"], []):
+        opts = ["--subspace", sub_file, *stats, "--lengths", "80,90"]
+        assert main(["--out-dir", str(tmp_path), "scan", *opts]) == 0
+        code = main(["--out-dir", str(tmp_path), "scan", "--mode", "synthetic", *opts])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[invalid-arguments]: synthetic detection covers at most two photons" in err
+        assert "indistinguishable" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["simulate-counts"], ["scan", "--mode", "synthetic"]])
+def test_negative_seed_is_rejected_promptly(tmp_path, three_state_file, command):
+    src = str(Path(cm.__file__).resolve().parents[1])
+    argv = ["--seed", "-1", "--out-dir", str(tmp_path), *command,
+            "--subspace", three_state_file, "--lengths", "80,90"]
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from geomode.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error[invalid-arguments]:")
+    assert "non-negative" in out.stderr
 
 
 def test_synthetic_scan_ideal_splitters_on_every_port(tmp_path):

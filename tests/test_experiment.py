@@ -1,17 +1,20 @@
+import csv
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_fock import reference_lift
 
 from geomode import coupledmode as cm
 from geomode import experiment as xp
 from geomode import holonomy as hol
 from geomode import reference as ref
-from geomode.fock import ParticleType, enumerate_basis, lift_unitary
+from geomode.fock import ParticleType, enumerate_basis
 
 BOSON = ParticleType.boson()
 
@@ -269,6 +272,19 @@ def test_vector_poisson_draw_matches_scalar_draws():
     assert vector.tolist() == [int(rng.poisson(rate)) for rate in rates]
 
 
+@given(seed=st.integers(0, 2**96 - 1), input_index=st.integers(0, 63),
+       points=st.integers(1, 40))
+@example(seed=2**64, input_index=0, points=3)
+@example(seed=2**96 - 1, input_index=63, points=3)
+def test_batched_seed_words_match_seed_sequence(seed, input_index, points):
+    # seeds of 2^64 and up give more than 4 entropy words: the pool's extra rounds
+    words = xp._stream_seed_words(seed, input_index, points)
+    expected = [np.random.SeedSequence((seed, input_index, j)).generate_state(4, np.uint64)
+                for j in range(points)]
+    assert words.dtype == np.uint64
+    assert words.tolist() == np.array(expected).tolist()
+
+
 def _scalar_counts(basis, spec, probs, model, seed):
     """Loop reference of the count sampler at one point: the channels of
     each basis state in basis order, one Poisson draw each."""
@@ -441,13 +457,26 @@ def test_three_boson_success_curve_matches_per_length_lift():
     lengths = np.linspace(60.0, 115.0, 23)
     engine = xp.CurveEngine(lengths)
     idx = list(sub.member_indices)
-    ideal = lift_unitary(cm.jx_pattern(4).unitary(math.pi), basis)
+    # Ryser permanents, independent of the permutation-sum kernel
+    ideal = reference_lift(cm.jx_pattern(4).unitary(math.pi), basis)
+    lifted = [reference_lift(u, basis) for u in engine.u_stack]
     for spec in (xp.InputSpec(sub.members[0]), xp.InputSpec(sub.members[1])):
         col = basis.index_of(spec.state)
         target = int(np.argmax(np.abs(ideal[idx, col])))
-        probs = np.array([np.abs(lift_unitary(u, basis)[idx, col]) ** 2 for u in engine.u_stack])
+        probs = np.array([np.abs(amps[idx, col]) ** 2 for amps in lifted])
         expected = probs[:, target] / probs.sum(axis=1)
         assert np.max(np.abs(engine.success_curve(sub, spec) - expected)) < 1e-12
+
+
+def test_target_index_lifts_each_pair_once(three_state, bunched_pair, monkeypatch):
+    calls = []
+    monkeypatch.setattr(xp, "_ideal_target_index",
+                        lambda *args: calls.append(args) or 0)
+    engine = xp.CurveEngine([80.0, 90.0])
+    for sub in (three_state, bunched_pair, three_state, bunched_pair):
+        for state in sub.members:
+            engine.target_index(sub, state)
+    assert len(calls) == len(three_state.members) + len(bunched_pair.members)
 
 
 def test_plateau_report_means(three_state):
@@ -525,6 +554,39 @@ def test_count_round_trip(tmp_path, three_state):
         sa = [p.sigma for p in direct.curves[label]]
         sb = [p.sigma for p in ingested.curves[label]]
         assert sa == pytest.approx(sb, abs=1e-12)
+
+
+def _csv_writer_bytes(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(xp.COUNT_COLUMNS)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_count_file_bytes_match_csv_writer(tmp_path, three_state):
+    rows = xp.simulate_counts(three_state, [xp.InputSpec(m) for m in three_state.members],
+                              detection=xp.DetectionModel(trials=500, seed=3))
+    xp.write_counts_csv(tmp_path / "counts.csv", rows)
+    expected = _csv_writer_bytes(tmp_path / "reference.csv", rows)
+    assert (tmp_path / "counts.csv").read_bytes() == expected
+    with pytest.raises(ValueError, match="5 fields"):
+        xp.write_counts_csv(tmp_path / "short.csv", [rows[0][:4], rows[1] + (0,)])
+
+
+def test_count_file_quotes_labels_like_csv_writer(tmp_path):
+    # distinguishable labels come from the subspace file's keys
+    doc = {"particle": "distinguishable", "modes": 4,
+           "states": [{'x,"1': 1, "y": 4}, {'x,"1': 4, "y": 1}]}
+    sub = hol.subspace_from_json(json.loads(json.dumps(doc)))
+    rows = xp.simulate_counts(sub, sub.members, [80.0, 90.0],
+                              xp.DetectionModel(trials=500, seed=3))
+    assert any('"' in field and "," in field for row in rows for field in row[2:4])
+    xp.write_counts_csv(tmp_path / "counts.csv", rows)
+    expected = _csv_writer_bytes(tmp_path / "reference.csv", rows)
+    assert (tmp_path / "counts.csv").read_bytes() == expected
+    with open(tmp_path / "counts.csv", newline="") as fh:
+        assert [tuple(r) for r in csv.reader(fh)][1:] == [tuple(map(str, r)) for r in rows]
 
 
 def test_ingest_simple_counts(tmp_path, outer_single):
