@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,10 +40,11 @@ PRESET_NAME = "paper-jx4"
 
 
 class CommandError(Exception):
-    def __init__(self, kind: str, message: str, code: int = EXIT_CONFIG):
+    """A usage or configuration error: ``error[kind]:`` and exit EXIT_CONFIG."""
+
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.code = code
 
 
 # ------------------------------------------------------- deterministic JSON
@@ -91,10 +93,6 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 def write_json(path: Path, obj) -> None:
     path.write_text(dumps_json(obj) + "\n")
-
-
-def _matrix_json(m: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
 # ---------------------------------------------------------------- plumbing
@@ -169,6 +167,9 @@ def _parse_lengths(args) -> np.ndarray:
             lo, hi, step = (float(v) for v in args.grid.split(":"))
         except ValueError:
             raise CommandError("invalid-arguments", "--grid expects LO:HI:STEP")
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step) and step > 0):
+            raise CommandError("invalid-arguments",
+                               "--grid needs finite LO and HI and a positive finite STEP")
         return np.arange(lo, hi + step / 2, step)
     if getattr(args, "lengths", None):
         try:
@@ -232,7 +233,7 @@ def cmd_evolve(args) -> int:
         else:
             op = cm.evolve(system)
         u, delta = op.matrix, op.delta
-    doc = {"modes": u.shape[0], "delta": float(delta), "matrix": _matrix_json(u)}
+    doc = {"modes": u.shape[0], "delta": float(delta), "matrix": cm.matrix_to_json(u)}
     write_json(out_dir(args) / "evolution.json", doc)
     print(dumps_json(doc))
     return EXIT_OK
@@ -295,7 +296,7 @@ def cmd_check(args) -> int:
         h = hol.holonomy_on_cycle(sub, v, cyc, k)
         doc["verdict"] = "holonomic"
         doc["classification"] = h.classification
-        doc["holonomy"] = _matrix_json(h.matrix)
+        doc["holonomy"] = cm.matrix_to_json(h.matrix)
     write_json(out_dir(args) / "check_report.json", doc)
     print(f"cyclic: {doc['cyclic']}  max|K|: {k.max_abs:.3e}  verdict: {doc['verdict']}")
     if code == EXIT_OK:
@@ -382,6 +383,9 @@ def _table_comparison_doc(grid_step: float):
 
 
 def cmd_plateau(args) -> int:
+    if args.table_s2 and args.config:
+        raise CommandError("invalid-arguments",
+                           "--table-s2 recomputes the paper-jx4 catalogue and takes no --config")
     directory = out_dir(args)
     if args.table_s2:
         doc = _table_comparison_doc(args.table_grid_step)
@@ -577,7 +581,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CommandError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -462,17 +462,17 @@ def evolve(system: CoupledModeSystem, z0: float = 0.0, z1: float | None = None,
 # ------------------------------------------------- the Jx(4) structure
 
 
-def outer_pair_width_mm(omega: float, slope_limit: float = SLOPE_LIMIT_PER_MM) -> float:
+def outer_pair_width_mm(omega: float) -> float:
     """Stability-plateau width (mm) of the single-photon outer-mode pair.
 
     Closed form: post-selected transfer probability
     p = sin^6(d/2) / (sin^6 + cos^6) with d = delta, so
     |dp/dd| = 3 (sc)^5 / (s^6 + c^6)^2; the plateau around d = pi ends
-    where |dp/dL| = slope_limit with dd/dL = omega.
+    where |dp/dL| = SLOPE_LIMIT_PER_MM with dd/dL = omega.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    threshold = slope_limit / omega
+    threshold = SLOPE_LIMIT_PER_MM / omega
 
     def slope(delta):
         s, c = math.sin(delta / 2), math.cos(delta / 2)
@@ -486,66 +486,58 @@ def outer_pair_width_mm(omega: float, slope_limit: float = SLOPE_LIMIT_PER_MM) -
     return 2 * u_star / omega
 
 
-def calibrate_flat_coupling(target_width_mm: float = CALIBRATION_WIDTH_MM,
-                            slope_limit: float = SLOPE_LIMIT_PER_MM) -> float:
-    """Flat coupling (rad/mm) whose outer-pair width equals the target."""
-    return _bisect(lambda om: outer_pair_width_mm(om, slope_limit) - target_width_mm,
+def calibrate_flat_coupling() -> float:
+    """Flat coupling (rad/mm) whose outer-pair width is CALIBRATION_WIDTH_MM."""
+    return _bisect(lambda om: outer_pair_width_mm(om) - CALIBRATION_WIDTH_MM,
                    1e-3, 2.0, xtol=1e-15)
 
 
-def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM,
-                             ideal_length_mm: float = IDEAL_LENGTH_MM,
-                             ramp_mm: float = RAMP_LENGTH_MM) -> float:
-    """Ramp sharpness so that delta(ideal_length) = pi.
+def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM) -> float:
+    """Ramp sharpness so that delta(IDEAL_LENGTH_MM) = pi.
 
-    Total phase of a structure of length L is
-    omega * (2 r exp(-s) I0(s) + L - 2 r); the sharpness s solves
-    exp(-s) I0(s) = (pi / omega - (L_id - 2 r)) / (2 r).
+    Total phase of a structure of length L with ramps of length
+    r = RAMP_LENGTH_MM is omega * (2 r exp(-s) I0(s) + L - 2 r); the
+    sharpness s solves exp(-s) I0(s) = (pi / omega - (L_id - 2 r)) / (2 r).
     """
-    target = (math.pi / omega_flat - (ideal_length_mm - 2 * ramp_mm)) / (2 * ramp_mm)
+    target = ((math.pi / omega_flat - (IDEAL_LENGTH_MM - 2 * RAMP_LENGTH_MM))
+              / (2 * RAMP_LENGTH_MM))
     if not 0 < target < 1:
         raise ValueError("no ramp sharpness reaches delta = pi for these parameters")
     return _bisect(lambda s: math.exp(-s) * _bessel_i(s)[0] - target, 1e-9, 200.0, xtol=1e-14)
 
 
-def _ramp_sharpness(omega_flat: float, ramp_mm: float, ideal_length_mm: float) -> float:
-    if (omega_flat, ramp_mm, ideal_length_mm) == (
-            FLAT_COUPLING_PER_MM, RAMP_LENGTH_MM, IDEAL_LENGTH_MM):
+def _ramp_sharpness(omega_flat: float) -> float:
+    if omega_flat == FLAT_COUPLING_PER_MM:
         return RAMP_SHARPNESS
-    return calibrate_ramp_sharpness(omega_flat, ideal_length_mm, ramp_mm)
+    return calibrate_ramp_sharpness(omega_flat)
 
 
 def jx4_structure(length_mm: float,
-                  omega_flat: float = FLAT_COUPLING_PER_MM,
-                  ramp_mm: float = RAMP_LENGTH_MM,
-                  sharpness: float | None = None,
-                  ideal_length_mm: float = IDEAL_LENGTH_MM) -> CoupledModeSystem:
+                  omega_flat: float = FLAT_COUPLING_PER_MM) -> CoupledModeSystem:
     """The calibrated four-waveguide structure at a given total length.
 
-    Envelope: exp-cosine fan-in over ``ramp_mm``, flat coupling
+    Envelope: exp-cosine fan-in over RAMP_LENGTH_MM, flat coupling
     ``omega_flat`` over the varied middle section, mirrored fan-out.
-    The sharpness defaults to the value that completes one cycle
-    (delta = pi) at ``ideal_length_mm``.
+    The ramp sharpness completes one cycle (delta = pi) at
+    IDEAL_LENGTH_MM.
     """
-    if length_mm < 2 * ramp_mm:
-        raise ValueError(f"total length must be at least {2 * ramp_mm} mm")
-    if sharpness is None:
-        sharpness = _ramp_sharpness(omega_flat, ramp_mm, ideal_length_mm)
-    segments = [ExpCosineRampSegment(omega_flat, sharpness, ramp_mm, rising=True)]
-    flat = length_mm - 2 * ramp_mm
+    if length_mm < 2 * RAMP_LENGTH_MM:
+        raise ValueError(f"total length must be at least {2 * RAMP_LENGTH_MM} mm")
+    sharpness = _ramp_sharpness(omega_flat)
+    segments = [ExpCosineRampSegment(omega_flat, sharpness, RAMP_LENGTH_MM, rising=True)]
+    flat = length_mm - 2 * RAMP_LENGTH_MM
     if flat > 0:
         segments.append(ConstantSegment(omega_flat, flat))
-    segments.append(ExpCosineRampSegment(omega_flat, sharpness, ramp_mm, rising=False))
+    segments.append(ExpCosineRampSegment(omega_flat, sharpness, RAMP_LENGTH_MM, rising=False))
     return CoupledModeSystem(jx_pattern(4), Envelope(tuple(segments)))
 
 
 def jx4_delta(length_mm, omega_flat: float = FLAT_COUPLING_PER_MM,
-              ramp_mm: float = RAMP_LENGTH_MM,
               sharpness: float = RAMP_SHARPNESS):
     """Total accumulated phase of the structure family at given lengths."""
     lengths = np.asarray(length_mm, dtype=float)
-    eff = 2 * ramp_mm * math.exp(-sharpness) * _bessel_i(sharpness)[0]
-    return omega_flat * (eff + lengths - 2 * ramp_mm)
+    eff = 2 * RAMP_LENGTH_MM * math.exp(-sharpness) * _bessel_i(sharpness)[0]
+    return omega_flat * (eff + lengths - 2 * RAMP_LENGTH_MM)
 
 
 # ------------------------------------------------------ structure families
@@ -566,7 +558,7 @@ class StructureFamily:
 
 def jx4_family(omega_flat: float) -> StructureFamily:
     """:func:`jx4_structure` at each length, from its total phase :func:`jx4_delta`."""
-    sharpness = _ramp_sharpness(omega_flat, RAMP_LENGTH_MM, IDEAL_LENGTH_MM)
+    sharpness = _ramp_sharpness(omega_flat)
     pattern = jx_pattern(4)
 
     def stack(lengths):
@@ -629,7 +621,8 @@ def segment_from_json(doc: dict):
     return cls(*args)
 
 
-def _matrix_to_json(m: np.ndarray):
+def matrix_to_json(m: np.ndarray):
+    """[[re, im], ...] rows of a complex matrix."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
@@ -640,14 +633,14 @@ def _matrix_from_json(rows):
 def system_to_json(system: CoupledModeSystem, omega_flat: float | None = None) -> dict:
     doc = {
         "modes": system.modes,
-        "pattern": _matrix_to_json(system.pattern.matrix),
+        "pattern": matrix_to_json(system.pattern.matrix),
         "envelope": [segment_to_json(s) for s in system.envelope.segments],
         "length_mm": system.length,
     }
     if omega_flat is not None:
         doc["omega_flat_per_mm"] = omega_flat
     if system.static_pattern is not None:
-        doc["static_pattern"] = _matrix_to_json(system.static_pattern.matrix)
+        doc["static_pattern"] = matrix_to_json(system.static_pattern.matrix)
     return doc
 
 

@@ -21,6 +21,8 @@ from .fock import FockBasis
 
 ENUMERATION_CAP = 4096
 PERMUTATION_TOL = 1e-8
+#: Largest basis the exhaustive 2^dim projector check will walk.
+EXHAUSTIVE_MAX_DIM = 10
 
 
 class UnsupportedEvolutionError(ValueError):
@@ -56,24 +58,15 @@ class OrbitDecomposition:
     def orbit_count(self) -> int:
         return len(self.orbits)
 
-    def orbit_phase(self, orbit) -> complex:
-        """Product of phases around the orbit (the cycle's eigenphase power)."""
-        p = 1.0 + 0.0j
-        for i in orbit:
-            p *= self.phases[i]
-        return complex(p)
 
-
-def decompose_orbits(system: CoupledModeSystem, basis: FockBasis,
-                     z_end: float | None = None,
-                     tol: float = PERMUTATION_TOL) -> OrbitDecomposition:
+def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomposition:
     """Orbit partition of the basis under the end-of-cycle evolution.
 
     Raises :class:`UnsupportedEvolutionError` when the lifted cycle is
     not a permutation with phases (fall back to per-subspace projector
     tests in that case).
     """
-    v = hol.lifted_cycle_unitary(basis, system, z_end)
+    v = hol.lifted_cycle_unitary(basis, system)
     n = basis.size
     perm = []
     phases = []
@@ -83,7 +76,7 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis,
         phase = column[row]
         off = np.abs(column).copy()
         off[row] = 0.0
-        if abs(abs(phase) - 1.0) > tol or np.max(off) > tol:
+        if abs(abs(phase) - 1.0) > PERMUTATION_TOL or np.max(off) > PERMUTATION_TOL:
             raise UnsupportedEvolutionError(
                 "cycle evolution does not permute the basis states (column "
                 f"{col} has residual {np.max(off):.3e})"
@@ -228,9 +221,10 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
     # members, so one (S, S) table of max_z |K| serves every union.
     k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system)
                             .matrices), axis=0)
+    labels = [state.label() for state in basis.states]
     candidates = sorted(
         _orbit_unions(decomposition.orbits),
-        key=lambda idx: (len(idx), [basis.states[i].label() for i in idx]),
+        key=lambda idx: (len(idx), [labels[i] for i in idx]),
     )
 
     records = []
@@ -247,7 +241,7 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
             r = decomposition.cycle[np.ix_(member_idx, member_idx)]
             classification = hol.classify_unitary(r)
         records.append(SubspaceRecord(
-            members=tuple(basis.states[i].label() for i in member_idx),
+            members=tuple(labels[i] for i in member_idx),
             member_indices=member_idx,
             dimension=len(member_idx),
             cyclic=True,
@@ -262,14 +256,14 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
 
 
 def verify_union_of_orbits_characterization(system: CoupledModeSystem,
-                                            basis: FockBasis,
-                                            max_dim: int = 10) -> bool:
+                                            basis: FockBasis) -> bool:
     """Exhaustively check: projector-cyclic iff union of orbits.
 
-    Only feasible for small bases (2^dim subsets); used as a
-    correctness oracle for the enumeration shortcut.
+    Only feasible for small bases (2^dim subsets, dim at most
+    EXHAUSTIVE_MAX_DIM); used as a correctness oracle for the
+    enumeration shortcut.
     """
-    if basis.size > max_dim:
+    if basis.size > EXHAUSTIVE_MAX_DIM:
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
     union_sets = {frozenset(m) for m in _orbit_unions(decomposition.orbits)}

@@ -65,6 +65,13 @@ THEORY_RULE = "theory_1p5pct_per_mm"
 EXPERIMENTAL_RULE = "experimental_5pct_step"
 EXPERIMENTAL_STEP_LIMIT = 0.05
 
+#: Length axis (mm) of the theory plateau widths, and the realized scan
+#: window that the restricted widths are clipped to.
+THEORY_LO_MM, THEORY_HI_MM = 60.0, 115.0
+RESTRICTED_WINDOW_MM = (80.0, 100.0)
+#: Phase samples of the delta-axis plateau width over (0.02 pi, 1.98 pi).
+DELTA_AXIS_SAMPLES = 60_001
+
 #: Measured first-arm splitting ratios of the four output-port fiber
 #: splitters used by the photon-number-resolving detection stage.
 CALIBRATED_SPLITTERS = (0.5130, 0.5736, 0.4419, 0.4751)
@@ -154,9 +161,6 @@ class ScanResult:
     mode: str  # "theory" | "synthetic-experiment" | "ingested"
     curves: dict = field(default_factory=dict)  # input label -> list[ScanPoint]
 
-    def lengths(self, label):
-        return np.array([p.length_mm for p in self.curves[label]])
-
     def probabilities(self, label):
         return np.array([np.nan if p.probability is None else p.probability
                          for p in self.curves[label]])
@@ -175,14 +179,13 @@ class ScanResult:
             },
         }
 
-    def write_csv(self, path, label=None):
+    def write_csv(self, path):
         """Two-column-per-point curve export: length, probability, sigma."""
-        labels = [label] if label else list(self.curves)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["input_state", "length_mm", "probability", "sigma"])
-            for lab in labels:
-                for p in self.curves[lab]:
+            for lab, points in self.curves.items():
+                for p in points:
                     writer.writerow([
                         lab, f"{p.length_mm:.17g}",
                         "" if p.probability is None else f"{p.probability:.17g}",
@@ -217,13 +220,18 @@ class CurveEngine:
     """Batched outcome probabilities of a structure family over lengths.
 
     The family (default: the calibrated Jx structure) gives one
-    single-particle evolution stack.  Each query lifts only the
-    amplitudes it reads: the input's column over the outcome states.
+    single-particle evolution stack over non-empty, strictly ascending,
+    finite lengths.  Each query lifts only the amplitudes it reads: the
+    input's column over the outcome states.
     """
 
     def __init__(self, lengths, family: StructureFamily | None = None):
+        lengths = np.asarray(lengths, dtype=float)
+        if (lengths.ndim != 1 or lengths.size == 0 or not np.all(np.isfinite(lengths))
+                or np.any(np.diff(lengths) <= 0)):
+            raise ValueError("lengths must be a non-empty ascending list of finite numbers")
         family = family or jx4_family(FLAT_COUPLING_PER_MM)
-        self.lengths = np.asarray(lengths, dtype=float)
+        self.lengths = lengths
         self.u_stack = family.stack(self.lengths)
         self._ideal = family.pattern.unitary(math.pi)
         self._targets = {}
@@ -298,9 +306,6 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
     the detection model, and re-estimates, attaching one-sigma Poisson
     uncertainties.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.size == 0 or np.any(np.diff(lengths) <= 0):
-        raise ValueError("lengths must be a non-empty ascending list")
     inputs = [spec if isinstance(spec, InputSpec) else InputSpec(spec) for spec in inputs]
     member_keys = {m.occupations for m in sub.members}
     for spec in inputs:
@@ -308,6 +313,7 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
             raise ValueError(f"input {spec.label()} is outside the subspace")
 
     engine = CurveEngine(lengths, family)
+    lengths = engine.lengths
     if mode == "theory":
         result = ScanResult(sub, "theory")
         for spec in inputs:
@@ -585,13 +591,12 @@ def _slope_edge(lengths, excess, peak: int, step: int) -> float:
 
 
 def plateau_interval(lengths, probs, rule: str = THEORY_RULE,
-                     slope_limit: float = SLOPE_LIMIT_PER_MM,
-                     step_limit: float = EXPERIMENTAL_STEP_LIMIT) -> PlateauInterval:
+                     slope_limit: float = SLOPE_LIMIT_PER_MM) -> PlateauInterval:
     """Contiguous stability region around the curve's peak.
 
     Theory rule: |dp/dL| < slope_limit (central differences; the edge
     positions are interpolated between grid samples).  Experimental
-    rule: consecutive-point differences below ``step_limit``, edges at
+    rule: consecutive-point differences below EXPERIMENTAL_STEP_LIMIT, edges at
     the first/last conforming sample.  Undefined (NaN) points are never
     the peak and end the region; a curve without defined points raises
     ValueError.
@@ -611,10 +616,10 @@ def plateau_interval(lengths, probs, rule: str = THEORY_RULE,
         if len(lengths) < 3:
             raise ValueError("experimental rule needs at least 3 points")
         i = peak
-        while i + 1 < len(lengths) and abs(probs[i + 1] - probs[i]) < step_limit:
+        while i + 1 < len(lengths) and abs(probs[i + 1] - probs[i]) < EXPERIMENTAL_STEP_LIMIT:
             i += 1
         j = peak
-        while j - 1 >= 0 and abs(probs[j - 1] - probs[j]) < step_limit:
+        while j - 1 >= 0 and abs(probs[j - 1] - probs[j]) < EXPERIMENTAL_STEP_LIMIT:
             j -= 1
         return PlateauInterval(float(lengths[j]), float(lengths[i]))
     raise ValueError(f"unknown plateau rule {rule!r}")
@@ -635,55 +640,58 @@ def plateau_report(result: ScanResult, rule: str = THEORY_RULE,
     return PlateauReport(rule, per_input, mean)
 
 
-def theory_plateau_widths(sub: Subspace, inputs, lo: float = 60.0, hi: float = 115.0,
-                          grid_step: float = 0.005,
-                          restricted_window: tuple = (80.0, 100.0),
+def theory_lengths(grid_step: float) -> np.ndarray:
+    """The dense length axis [THEORY_LO_MM, THEORY_HI_MM] of the theory widths."""
+    return np.arange(THEORY_LO_MM, THEORY_HI_MM + grid_step / 2, grid_step)
+
+
+def theory_plateau_widths(sub: Subspace, inputs, grid_step: float = 0.005,
                           engine: "CurveEngine" = None) -> tuple[float, float]:
-    """(restricted, unrestricted) mean plateau widths on a dense grid."""
-    lengths = np.arange(lo, hi + grid_step / 2, grid_step)
+    """(restricted, unrestricted) mean plateau widths over the engine's
+    lengths, by default :func:`theory_lengths` of ``grid_step``; the
+    restricted widths are clipped to RESTRICTED_WINDOW_MM."""
     if engine is None:
-        engine = CurveEngine(lengths)
+        engine = CurveEngine(theory_lengths(grid_step))
+    lengths = engine.lengths
     widths_r, widths_u = [], []
     for spec in inputs:
         spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
         curve = engine.success_curve(sub, spec)
         interval = plateau_interval(lengths, curve, THEORY_RULE)
         widths_u.append(interval.width)
-        widths_r.append(interval.clipped(*restricted_window).width)
+        widths_r.append(interval.clipped(*RESTRICTED_WINDOW_MM).width)
     return float(np.mean(widths_r)), float(np.mean(widths_u))
 
 
-def plateau_width_delta(sub: Subspace, spec: InputSpec,
-                        omega: float = FLAT_COUPLING_PER_MM,
-                        slope_limit: float = SLOPE_LIMIT_PER_MM,
-                        samples: int = 60_001) -> float:
+def plateau_width_delta(sub: Subspace, spec: InputSpec) -> float:
     """Independent plateau width in accumulated-phase units.
 
     Recomputes the success curve directly as a function of delta on its
     own dense grid (no envelope or length axis involved) and finds the
-    |dp/d delta| < slope_limit / omega region around the peak.  Used to
-    cross-check the length-axis computation: width_mm * omega must
-    match this value.
+    |dp/d delta| < SLOPE_LIMIT_PER_MM / FLAT_COUPLING_PER_MM region
+    around the peak.  Used to cross-check the length-axis computation:
+    width_mm * FLAT_COUPLING_PER_MM must match this value.
     """
     spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
-    deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, samples)
+    deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, DELTA_AXIS_SAMPLES)
     pattern = jx_pattern(4)
     engine = CurveEngine(deltas, StructureFamily(pattern, pattern.unitary_batch))
     curve = engine.success_curve(sub, spec)
     interval = plateau_interval(deltas, curve, THEORY_RULE,
-                                slope_limit=slope_limit / omega)
+                                slope_limit=SLOPE_LIMIT_PER_MM / FLAT_COUPLING_PER_MM)
     return interval.width
 
 
 # ------------------------------------------------- preparation and fidelity
 
 
-def hom_dip(delays, visibility: float, width: float = 1.0) -> np.ndarray:
-    """Normalized coincidence rate 1 - v * exp(-(tau/width)^2)."""
+def hom_dip(delays, visibility: float) -> np.ndarray:
+    """Normalized coincidence rate 1 - v * exp(-tau^2), delays in units
+    of the photons' coherence time."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     delays = np.asarray(delays, dtype=float)
-    return 1.0 - visibility * np.exp(-((delays / width) ** 2))
+    return 1.0 - visibility * np.exp(-(delays ** 2))
 
 
 def fidelity(p_theory, p_exp) -> float:
@@ -757,33 +765,18 @@ def write_counts_csv(path, rows):
         fh.write(template % tuple(chain.from_iterable(rows)))
 
 
-_INPUT_LABEL = re.compile(r"^\|([0-9]+)>$")
-_INPUT_LABEL_DIST = re.compile(r"^\|([a-z][0-9]+(?: [a-z][0-9]+)*)>$")
-
-
-def _parse_input_label(label: str, sub: Subspace) -> InputSpec:
-    m = _INPUT_LABEL.match(label)
-    if m and sub.particle.kind in (BOSON, FERMION):
-        occ = tuple(int(c) for c in m.group(1))
-        return InputSpec(sub.basis.state(occ))
-    m = _INPUT_LABEL_DIST.match(label)
-    if m and sub.particle.kind == DISTINGUISHABLE:
-        parts = m.group(1).split()
-        occ = tuple(int(p[1:]) - 1 for p in parts)
-        return InputSpec(sub.basis.state(occ))
-    raise ValueError(f"input state {label!r} does not match the subspace")
-
-
 def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
                   family: StructureFamily | None = None) -> ScanResult:
     """Rebuild success probabilities from a count CSV.
 
     Expects the :data:`COUNT_COLUMNS` schema.  Malformed rows raise a
     ValueError naming the line number; groups with zero post-selected
-    counts yield an undefined-probability point (None, not 0).  Each
-    input's channel map follows its first row: heralded (``nXY``
-    labels) or the subspace's own detection; a channel that map does
-    not know raises a ValueError naming its line.  The family (default:
+    counts yield an undefined-probability point (None, not 0).  An
+    ``input_state`` is the label of a state of the subspace's basis
+    (``|2000>``, ``|a1 b3>``).  Each input's channel map follows its
+    first row: heralded (``nXY`` labels) or the subspace's own
+    detection.  An unknown input state or channel raises a ValueError
+    naming its line.  The family (default:
     the calibrated Jx structure) fixes each input's ideal outcome, as
     in :func:`scan`.
     """
@@ -799,7 +792,8 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
         if missing:
             raise ValueError(f"count file missing columns {sorted(missing)}")
         i_length, i_label, i_channel, i_counts = (header.index(name) for name in COUNT_COLUMNS[1:])
-        for lineno, row in enumerate(filter(None, reader), start=2):
+        for row in filter(None, reader):
+            lineno = reader.line_num
             try:
                 length, counts = float(row[i_length]), float(row[i_counts])
                 label, channel = row[i_label], row[i_channel]
@@ -814,10 +808,13 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
         return ScanResult(sub, "ingested")
 
     ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).pattern.unitary(math.pi)
+    states = {state.label(): state for state in sub.basis.states}
     result = ScanResult(sub, "ingested")
     for label in sorted(records):
-        spec = _parse_input_label(label, sub)
         lines, lengths, names, values = zip(*records[label])
+        if label not in states:
+            raise ValueError(f"unknown input_state {label!r} at line {lines[0]}")
+        spec = InputSpec(states[label])
         statistics = DISTINGUISHABLE_STATS if names[0].startswith("n") else _statistics(sub, spec)
         channels = channel_map(sub.basis, statistics, detection)
         index = {name: c for c, name in enumerate(channels.labels)}

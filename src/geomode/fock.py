@@ -254,17 +254,18 @@ def enumerate_basis(modes: int, particles: int, particle: ParticleType) -> FockB
     return basis
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) < tol
+    return (m.ndim == 2 and m.shape[0] == m.shape[1]
+            and np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL)
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     eye = np.eye(m.shape[0])
-    return np.max(np.abs(m.conj().T @ m - eye)) < tol
+    return np.max(np.abs(m.conj().T @ m - eye)) < UNITARY_TOL
 
 
 def permanent(m: np.ndarray) -> complex:

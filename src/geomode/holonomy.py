@@ -54,7 +54,10 @@ NON_SCALAR = "non_scalar"
 CYCLIC_TOL = 1e-8
 HOLONOMIC_TOL_SCALE = 1e-8
 CLASSIFY_TOL = 1e-8
+HEISENBERG_TOL = 1e-10
 K_GRID_POINTS = 201
+#: Finite-difference step of the gauge field, as a fraction of the system length.
+GAUGE_STEP_FRACTION = 1e-3
 
 
 class NotCyclicError(ValueError):
@@ -308,8 +311,9 @@ class DynamicalContribution:
 
 
 def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
-             family: str = HEISENBERG, method: str = "closed_form") -> DynamicalContribution:
-    """Dynamical contribution of a subspace along the cycle.
+             method: str = "closed_form") -> DynamicalContribution:
+    """Dynamical contribution of a subspace along the cycle, in the
+    Heisenberg mode family.
 
     ``closed_form`` contracts the basis's one-body tensor, restricted to
     the members, with the mode coupling J(z): K = sum_ab J_ab a_a^dag a_b
@@ -325,13 +329,13 @@ def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
 
     if method == "closed_form":
         t = fock.one_body_tensor(sub.basis)[np.ix_(idx, idx)]
-        j = mode_coupling_on_grid(system, grid, family)
+        j = mode_coupling_on_grid(system, grid)
         return DynamicalContribution(grid, np.tensordot(j, t, axes=([1, 2], [2, 3])), sub)
 
     if method != "lifted":
         raise ValueError(f"unknown K method {method!r}")
 
-    kets = _member_kets_batch(sub, system, grid, family)  # (Z, S, dim)
+    kets = _member_kets_batch(sub, system, grid, HEISENBERG)  # (Z, S, dim)
     h_pattern = fock.lift_hamiltonian(system.pattern.matrix, sub.basis)
     h_static = (
         fock.lift_hamiltonian(system.static_pattern.matrix, sub.basis)
@@ -344,13 +348,13 @@ def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
     return DynamicalContribution(grid, out, sub)
 
 
-def holonomic_tolerance(system: CoupledModeSystem, scale: float = HOLONOMIC_TOL_SCALE) -> float:
-    """Absolute |K| threshold: scale times the coupling magnitude."""
+def holonomic_tolerance(system: CoupledModeSystem) -> float:
+    """Absolute |K| threshold: HOLONOMIC_TOL_SCALE times the coupling magnitude."""
     omega_max = float(np.max(system.envelope.value(np.linspace(0.0, system.length, 101))))
     h_scale = float(np.max(np.abs(system.pattern.matrix))) * omega_max
     if system.static_pattern is not None:
         h_scale += float(np.max(np.abs(system.static_pattern.matrix)))
-    return scale * h_scale
+    return HOLONOMIC_TOL_SCALE * h_scale
 
 
 # ------------------------------------------------------------ gauge field
@@ -388,21 +392,20 @@ def _gauge_samples(sub, system, grid, family, step):
 
 
 def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
-                family: str = PHASE_ADJUSTED, step: float | None = None,
+                family: str = PHASE_ADJUSTED,
                 hermiticity_limit: float = 1e-6) -> GaugeField:
     """Gauge field of the family's member kets by central differences.
 
-    Difference points are clamped to [0, L], which makes the difference
-    one-sided within ``step`` of either end.  ``step`` defaults to 1e-3
-    of the system length.  If the Hermiticity residual exceeds
+    The step is GAUGE_STEP_FRACTION of the system length.  Difference
+    points are clamped to [0, L], which makes the difference one-sided
+    within one step of either end.  If the Hermiticity residual exceeds
     ``hermiticity_limit`` the estimate is refined by Richardson
     extrapolation (half step).
     """
     if grid is None:
         grid = np.linspace(0.0, system.length, K_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
-    if step is None:
-        step = 1e-3 * system.length
+    step = GAUGE_STEP_FRACTION * system.length
     a = _gauge_samples(sub, system, grid, family, step)
     residual = float(np.max(np.abs(a - np.conj(np.swapaxes(a, 1, 2)))))
     if residual > hermiticity_limit:
@@ -455,27 +458,25 @@ class CyclicityResult:
         return self.cyclic
 
 
-def lifted_cycle_unitary(sub_or_basis, system: CoupledModeSystem,
-                         z_end: float | None = None) -> np.ndarray:
+def lifted_cycle_unitary(sub_or_basis, system: CoupledModeSystem) -> np.ndarray:
+    """The evolution over the whole cycle [0, L], lifted to the basis."""
     basis = sub_or_basis.basis if isinstance(sub_or_basis, Subspace) else sub_or_basis
-    u = evolve(system, 0.0, z_end).matrix
-    return fock.lift_unitary(u, basis)
+    return fock.lift_unitary(evolve(system).matrix, basis)
 
 
-def is_cyclic(sub: Subspace, system: CoupledModeSystem, z_end: float | None = None,
-              tol: float = CYCLIC_TOL) -> CyclicityResult:
+def is_cyclic(sub: Subspace, system: CoupledModeSystem) -> CyclicityResult:
     """Projector test of the subspace under the system's lifted cycle."""
-    return projector_cyclicity(lifted_cycle_unitary(sub, system, z_end), sub.member_indices, tol)
+    return projector_cyclicity(lifted_cycle_unitary(sub, system), sub.member_indices)
 
 
-def projector_cyclicity(v: np.ndarray, member_indices, tol: float = CYCLIC_TOL) -> CyclicityResult:
+def projector_cyclicity(v: np.ndarray, member_indices) -> CyclicityResult:
     """Projector test: the span of the basis states ``member_indices``
     must be invariant under the lifted cycle ``v`` (an (S, S) matrix)."""
     idx = list(member_indices)
     p = np.zeros(v.shape)
     p[idx, idx] = 1.0
     residual = float(np.max(np.abs(p - v @ p @ v.conj().T)))
-    cyclic = residual < tol
+    cyclic = residual < CYCLIC_TOL
     permutation = None
     if cyclic:
         r = v[np.ix_(idx, idx)]
@@ -510,32 +511,28 @@ class Holonomy:
         return self.matrix.shape[0]
 
 
-def classify_unitary(matrix: np.ndarray, tol: float = CLASSIFY_TOL) -> str:
+def classify_unitary(matrix: np.ndarray) -> str:
     dim = matrix.shape[0]
     c = np.trace(matrix) / dim
-    if np.max(np.abs(matrix - c * np.eye(dim))) < tol:
+    if np.max(np.abs(matrix - c * np.eye(dim))) < CLASSIFY_TOL:
         return SCALAR
-    if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) < tol:
+    if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) < CLASSIFY_TOL:
         return DIAGONAL
     return NON_SCALAR
 
 
-def extract_holonomy(sub: Subspace, system: CoupledModeSystem,
-                     z_end: float | None = None, grid=None,
-                     tol_scale: float = HOLONOMIC_TOL_SCALE) -> Holonomy:
+def extract_holonomy(sub: Subspace, system: CoupledModeSystem) -> Holonomy:
     """Holonomy of a cyclic subspace with vanishing dynamical part.
 
     Raises :class:`NotCyclicError` / :class:`NotHolonomicError`
     otherwise; the latter carries max |K| and the offending element.
     """
-    v = lifted_cycle_unitary(sub, system, z_end)
+    v = lifted_cycle_unitary(sub, system)
     cyc = projector_cyclicity(v, sub.member_indices)
     if not cyc:
         raise NotCyclicError(cyc.residual)
-    if grid is None:
-        grid = np.linspace(0.0, z_end if z_end is not None else system.length, K_GRID_POINTS)
-    k = k_matrix(sub, system, grid)
-    tol = holonomic_tolerance(system, tol_scale)
+    k = k_matrix(sub, system)
+    tol = holonomic_tolerance(system)
     if k.max_abs >= tol:
         raise NotHolonomicError(k.max_abs, k.worst_element())
     return holonomy_on_cycle(sub, v, cyc, k)
@@ -553,27 +550,24 @@ def holonomy_on_cycle(sub: Subspace, v: np.ndarray, cyc: CyclicityResult,
 
 
 def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
-                              z_end: float | None = None, steps: int = 2000,
-                              family: str = PHASE_ADJUSTED) -> np.ndarray:
+                              steps: int = 2000) -> np.ndarray:
     """Path-ordered reconstruction of the holonomy from the gauge field.
 
-    Multiplies midpoint exponentials of i A(z) dz along the cycle and
-    maps the result back to the waveguide basis with the end-of-cycle
-    overlap of the family kets (the family is periodic only up to a
-    permutation).  For a holonomic subspace this reproduces
+    Multiplies midpoint exponentials of i A(z) dz of the phase-adjusted
+    family along the cycle and maps the result back to the waveguide
+    basis with the end-of-cycle overlap of the family kets (the family
+    is periodic only up to a permutation).  For a holonomic subspace this reproduces
     :func:`extract_holonomy` to finite-difference accuracy.
     """
-    if z_end is None:
-        z_end = system.length
-    h = z_end / steps
+    h = system.length / steps
     mids = (np.arange(steps) + 0.5) * h
-    a = gauge_field(sub, system, mids, family).matrices
+    a = gauge_field(sub, system, mids, PHASE_ADJUSTED).matrices
     lams, vecs = np.linalg.eigh(a)
     g = np.eye(sub.dimension, dtype=complex)
     for lam, v in zip(lams, vecs):
         g = ((v * np.exp(1j * h * lam)) @ v.conj().T) @ g
-    start = _member_kets_batch(sub, system, [0.0], family)[0]
-    end = _member_kets_batch(sub, system, [z_end], family)[0]
+    start = _member_kets_batch(sub, system, [0.0], PHASE_ADJUSTED)[0]
+    end = _member_kets_batch(sub, system, [system.length], PHASE_ADJUSTED)[0]
     closure = start.conj().T @ end
     return closure @ g
 
@@ -581,7 +575,7 @@ def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
 # -------------------------------------------- Heisenberg-picture condition
 
 
-def heisenberg_condition(mode_vectors, pattern, tol: float = 1e-10) -> bool:
+def heisenberg_condition(mode_vectors, pattern) -> bool:
     """Mode-level condition: the double commutator of the Hamiltonian
     with every pair of the given modes must vanish.
 
@@ -591,11 +585,11 @@ def heisenberg_condition(mode_vectors, pattern, tol: float = 1e-10) -> bool:
     vecs = [np.asarray(v, dtype=complex) for v in mode_vectors]
     gram = np.array([[abs(np.vdot(a, b) - (i == j)) for j, b in enumerate(vecs)]
                      for i, a in enumerate(vecs)])
-    if np.max(gram) > 1e-10:
+    if np.max(gram) > HEISENBERG_TOL:
         raise ValueError("mode vectors must be orthonormal")
     m = pattern.matrix if hasattr(pattern, "matrix") else np.asarray(pattern)
     for c in vecs:
         for b in vecs:
-            if abs(np.vdot(c, m @ b)) >= tol:
+            if abs(np.vdot(c, m @ b)) >= HEISENBERG_TOL:
                 return False
     return True

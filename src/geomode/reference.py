@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import experiment as xp
 from . import holonomy as hol
 from .fock import BOSON, ParticleType, enumerate_basis
@@ -182,29 +180,23 @@ class WidthComparison:
         return self.restricted_ok and self.unrestricted_ok
 
 
-def compare_reference_widths(grid_step: float = 0.01, lo: float = 60.0, hi: float = 115.0,
-                             rows=REFERENCE_WIDTHS) -> list[WidthComparison]:
+def compare_reference_widths(grid_step: float = 0.01) -> list[WidthComparison]:
     """Recompute every catalogued width and compare at +-15% / 1.5 mm."""
-    lengths = np.arange(lo, hi + grid_step / 2, grid_step)
-    engine = xp.CurveEngine(lengths)
+    engine = xp.CurveEngine(xp.theory_lengths(grid_step))
     out = []
-    for row in rows:
-        sub = row_subspace(row)
+    for row in REFERENCE_WIDTHS:
         restricted, unrestricted = xp.theory_plateau_widths(
-            sub, row_inputs(row), lo, hi, grid_step, engine=engine)
+            row_subspace(row), row_inputs(row), engine=engine)
         out.append(WidthComparison(row, restricted, unrestricted))
     return out
 
 
-def non_holonomic_widths(grid_step: float = 0.01, lo: float = 60.0,
-                         hi: float = 115.0) -> list[tuple[ReferenceRow, float]]:
+def non_holonomic_widths(grid_step: float = 0.01) -> list[tuple[ReferenceRow, float]]:
     """Unrestricted theory widths of the catalogued non-holonomic rows."""
-    lengths = np.arange(lo, hi + grid_step / 2, grid_step)
-    engine = xp.CurveEngine(lengths)
+    engine = xp.CurveEngine(xp.theory_lengths(grid_step))
     out = []
     for row in NON_HOLONOMIC_REFERENCES:
-        sub = row_subspace(row)
-        _, unrestricted = xp.theory_plateau_widths(
-            sub, row_inputs(row), lo, hi, grid_step, engine=engine)
+        _, unrestricted = xp.theory_plateau_widths(row_subspace(row), row_inputs(row),
+                                                   engine=engine)
         out.append((row, unrestricted))
     return out

@@ -1,0 +1,95 @@
+"""Every defaulted parameter of the package is set by at least one call.
+
+An AST census: for each ``def`` in ``src/geomode`` it lists the
+parameters that carry a default, then checks every call of that name in
+``src/``, ``tests/`` and ``bench/``.  A parameter counts as used when a
+call passes it by keyword or by position, or passes ``*args`` /
+``**kwargs`` that may carry it.  A class's ``__init__`` is called by the
+class name.  A default that no call overrides is a configuration nobody
+runs; it belongs in a module constant instead.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "geomode"
+CALLERS = ("src", "tests", "bench")
+
+
+def _defaulted_params():
+    """(module, function name, parameter, position or None) per default.
+
+    The position counts from the first argument a caller passes, so a
+    method's ``self`` is not counted; keyword-only parameters have None.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for parent in ast.walk(tree):
+            for fn in ast.iter_child_nodes(parent):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                is_method = isinstance(parent, ast.ClassDef)
+                name = parent.name if is_method and fn.name == "__init__" else fn.name
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if is_method and not _is_static(fn) else 0
+                first_default = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first_default:], start=first_default):
+                    found.append((path.stem, name, arg.arg, i - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((path.stem, name, arg.arg, None))
+    return found
+
+
+def _is_static(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+
+
+def _calls():
+    """Call name -> list of (positional count, keywords, has *args, has **kwargs)."""
+    calls = defaultdict(list)
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                double_star = any(k.arg is None for k in node.keywords)
+                calls[name].append((len(node.args), keywords, star, double_star))
+    return calls
+
+
+def unset_defaults():
+    calls = _calls()
+    unset = []
+    for module, name, param, pos in _defaulted_params():
+        used = any(
+            param in keywords or double_star or star
+            or (pos is not None and n_pos > pos)
+            for n_pos, keywords, star, double_star in calls.get(name, ())
+        )
+        if not used:
+            unset.append(f"{module}.{name}({param})")
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    assert unset_defaults() == []
+
+
+if __name__ == "__main__":
+    params = _defaulted_params()
+    unset = unset_defaults()
+    print(f"{len(params)} defaulted parameters, {len(unset)} never set")
+    print("\n".join(unset))

@@ -506,3 +506,36 @@ def test_dumps_json_float_precision():
     text = cli.dumps_json({"x": 0.1, "v": [1.0, 2.5]})
     assert "0.10000000000000001" in text
     assert cli.dumps_json(float("nan")) == "null"
+
+
+
+COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
+
+
+@pytest.mark.parametrize("argv, counts, detail", [
+    (["scan", "--subspace", "{sub}", "--grid", "80:90:0"], None, "STEP"),
+    (["simulate-counts", "--subspace", "{sub}", "--grid", "80:90:0"], None, "STEP"),
+    (["simulate-counts", "--subspace", "{sub}", "--grid", "90:80:1"], None, "ascending"),
+    (["scan", "--subspace", "{sub}", "--lengths", "80,nan"], None, "finite"),
+    (["scan", "--subspace", "{sub}", "--lengths", "80,inf"], None, "finite"),
+    (["plateau", "--subspace", "{sub}", "--rule", "experimental",
+      "--lengths", "80,nan,90,95,100"], None, "finite"),
+    (["ingest", "--subspace", "{sub}", "--counts", "{counts}"],
+     "s1,80,|1000>,m1,5\n", "'|1000>' at line 2"),
+    (["ingest", "--subspace", "{sub}", "--counts", "{counts}"],
+     "s1,80,|200>,1a-1b,5\n", "'|200>' at line 2"),
+    (["ingest", "--subspace", "{sub}", "--counts", "{counts}"],
+     "s1,80,|2000>,1a-1b,5\n\ns1,eighty,|2000>,1a-1b,3\n", "line 4"),
+    (["--config", "{tmp}/nope.json", "plateau", "--table-s2"], None, "--config"),
+])
+def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_file, argv,
+                                                 counts, detail):
+    if counts is not None:
+        (tmp_path / "counts.csv").write_text(COUNT_HEADER + counts)
+    paths = {"sub": three_state_file, "counts": tmp_path / "counts.csv", "tmp": tmp_path}
+    code = main(["--out-dir", str(tmp_path / "out"), *(a.format(**paths) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[invalid-arguments]:") and detail in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
