@@ -383,9 +383,14 @@ def _table_comparison_doc(grid_step: float):
 
 
 def cmd_plateau(args) -> int:
-    if args.table_s2 and args.config:
-        raise CommandError("invalid-arguments",
-                           "--table-s2 recomputes the paper-jx4 catalogue and takes no --config")
+    if args.table_s2:
+        # the catalogue is the preset's: --config and every scan option stay unset
+        extra = ["--config"] * bool(args.config) + [
+            f"--{k.replace('_', '-')}" for k, v in args.scan_defaults.items()
+            if getattr(args, k) != v]
+        if extra:
+            raise CommandError("invalid-arguments", "--table-s2 recomputes the paper-jx4 "
+                               f"catalogue and takes no {', '.join(extra)}")
     directory = out_dir(args)
     if args.table_s2:
         doc = _table_comparison_doc(args.table_grid_step)
@@ -549,12 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_scan_options(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("plateau", help="plateau extraction / reference table")
+    scan_options = argparse.ArgumentParser(add_help=False)
+    add_scan_options(scan_options, include_rule=True, subspace_required=False)
+    p = sub.add_parser("plateau", parents=[scan_options],
+                       help="plateau extraction / reference table")
     p.add_argument("--table-s2", action="store_true",
                    help="recompute the bundled reference width table")
     p.add_argument("--table-grid-step", type=float, default=0.01)
-    add_scan_options(p, include_rule=True, subspace_required=False)
-    p.set_defaults(func=cmd_plateau)
+    p.set_defaults(func=cmd_plateau, scan_defaults=vars(scan_options.parse_args([])))
 
     p = sub.add_parser("simulate-counts", help="write synthetic detector counts")
     add_scan_options(p)

@@ -14,14 +14,15 @@ propagating waveguide modes), and ``phase_adjusted`` multiplies them by
 exp(-i delta(z)/2), which makes the gauge field of the flat-coupling
 Jx structure a multiple of the identity.
 
-K is computed two ways: the closed form contracts the basis's one-body
-tensor <s| a_a^dag a_b |t> (see :func:`fock.one_body_tensor`) with the
-single-particle mode coupling J(z), one contraction for every
-statistics and particle number; an independent "lifted" path
-sandwiches the second-quantized Hamiltonian between the evolved member
-kets, lifted by the permutation-sum kernel.  The two must agree;
-tests enforce it.  The per-element reference formulas
-:func:`k_two_particle`, :func:`k_n_boson` and
+Every N-particle generator is one contraction of the basis's one-body
+tensor <s| a_a^dag a_b |t> (see :func:`fock.one_body_tensor`) with a
+single-particle matrix, for every statistics and particle number: K
+with the mode coupling J(z), the gauge field with the single-particle
+field i Phi^dag d_z Phi (J(z) in the Heisenberg family, J(z) +
+Omega(z)/2 in the phase-adjusted one), so both are exact.  An
+independent "lifted" K path sandwiches the second-quantized Hamiltonian
+between the evolved member kets; tests hold the two together.  The
+per-element formulas :func:`k_two_particle`, :func:`k_n_boson` and
 :func:`gauge_relation_two_particle` are kept as oracles.
 """
 
@@ -56,8 +57,6 @@ HOLONOMIC_TOL_SCALE = 1e-8
 CLASSIFY_TOL = 1e-8
 HEISENBERG_TOL = 1e-10
 K_GRID_POINTS = 201
-#: Finite-difference step of the gauge field, as a fraction of the system length.
-GAUGE_STEP_FRACTION = 1e-3
 
 
 class NotCyclicError(ValueError):
@@ -200,6 +199,14 @@ def mode_coupling_on_grid(system: CoupledModeSystem, grid, family: str = HEISENB
     return np.einsum("zji,zjk,zkl->zil", phi.conj(), h, phi)
 
 
+def _lift_on_members(ops: np.ndarray, sub: Subspace) -> np.ndarray:
+    """One-body lift sum_ab X_ab a_a^dag a_b of a stack (..., M, M) of
+    single-particle operators X, restricted to the members."""
+    idx = list(sub.member_indices)
+    t = fock.one_body_tensor(sub.basis)[np.ix_(idx, idx)]
+    return np.tensordot(ops, t, axes=([-2, -1], [2, 3]))
+
+
 # --------------------------------------------------- closed-form K terms
 
 
@@ -325,12 +332,10 @@ def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
     if grid is None:
         grid = np.linspace(0.0, system.length, K_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
-    idx = list(sub.member_indices)
 
     if method == "closed_form":
-        t = fock.one_body_tensor(sub.basis)[np.ix_(idx, idx)]
         j = mode_coupling_on_grid(system, grid)
-        return DynamicalContribution(grid, np.tensordot(j, t, axes=([1, 2], [2, 3])), sub)
+        return DynamicalContribution(grid, _lift_on_members(j, sub), sub)
 
     if method != "lifted":
         raise ValueError(f"unknown K method {method!r}")
@@ -380,38 +385,24 @@ def _member_kets_batch(sub: Subspace, system: CoupledModeSystem, grid, family: s
     return fock.lift_unitary_batch(phi, sub.basis, cols=sub.member_indices)
 
 
-def _gauge_samples(sub, system, grid, family, step):
-    zs = np.asarray(grid, dtype=float)
-    hi = np.minimum(zs + step, system.length)
-    lo = np.maximum(zs - step, 0.0)
-    plus = _member_kets_batch(sub, system, hi, family)
-    minus = _member_kets_batch(sub, system, lo, family)
-    center = _member_kets_batch(sub, system, zs, family)
-    deriv = (plus - minus) / (hi - lo)[:, None, None]
-    return 1j * np.einsum("zsm,zsn->zmn", center.conj(), deriv)
-
-
 def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
-                family: str = PHASE_ADJUSTED,
-                hermiticity_limit: float = 1e-6) -> GaugeField:
-    """Gauge field of the family's member kets by central differences.
+                family: str = PHASE_ADJUSTED) -> GaugeField:
+    """Gauge field of the family's member kets, exactly.
 
-    The step is GAUGE_STEP_FRACTION of the system length.  Difference
-    points are clamped to [0, L], which makes the difference one-sided
-    within one step of either end.  If the Hermiticity residual exceeds
-    ``hermiticity_limit`` the estimate is refined by Richardson
-    extrapolation (half step).
+    A(z) is the one-body lift of the single-particle field
+    i Phi^dag d_z Phi: the mode coupling J(z) in the Heisenberg family
+    (where A equals K) and J(z) + Omega(z)/2 * 1 in the phase-adjusted
+    one.  It is Hermitian by construction.
     """
     if grid is None:
         grid = np.linspace(0.0, system.length, K_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
-    step = GAUGE_STEP_FRACTION * system.length
-    a = _gauge_samples(sub, system, grid, family, step)
-    residual = float(np.max(np.abs(a - np.conj(np.swapaxes(a, 1, 2)))))
-    if residual > hermiticity_limit:
-        a_half = _gauge_samples(sub, system, grid, family, step / 2)
-        a = (4 * a_half - a) / 3
-    return GaugeField(grid, a, sub, family)
+    a = mode_coupling_on_grid(system, grid)
+    if family == PHASE_ADJUSTED:
+        a = a + 0.5 * system.envelope.value(grid)[:, None, None] * np.eye(system.modes)
+    elif family != HEISENBERG:
+        raise ValueError(f"unknown mode family {family!r}")
+    return GaugeField(grid, _lift_on_members(a, sub), sub, family)
 
 
 def gauge_relation_two_particle(a_single: np.ndarray, bra: OccupationState,
@@ -553,21 +544,27 @@ def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
                               steps: int = 2000) -> np.ndarray:
     """Path-ordered reconstruction of the holonomy from the gauge field.
 
-    Multiplies midpoint exponentials of i A(z) dz of the phase-adjusted
-    family along the cycle and maps the result back to the waveguide
-    basis with the end-of-cycle overlap of the family kets (the family
-    is periodic only up to a permutation).  For a holonomic subspace this reproduces
-    :func:`extract_holonomy` to finite-difference accuracy.
+    Multiplies exponentials of i A dz of the phase-adjusted family along
+    the cycle and maps the result back to the waveguide basis with the
+    end-of-cycle overlap of the family kets (the family is periodic only
+    up to a permutation).  Without a static part A(z) = Omega(z) C with
+    the constant C = lift(pattern + 1/2), so the ordered product is
+    exactly the one factor exp(i delta(L) C); otherwise it is the product
+    of ``steps`` midpoint factors.  For a holonomic subspace this
+    reproduces :func:`extract_holonomy`.
     """
-    h = system.length / steps
-    mids = (np.arange(steps) + 0.5) * h
-    a = gauge_field(sub, system, mids, PHASE_ADJUSTED).matrices
-    lams, vecs = np.linalg.eigh(a)
+    if system.static_pattern is None:
+        c = _lift_on_members(system.pattern.matrix + 0.5 * np.eye(system.modes), sub)
+        generators = system.envelope.total_phase * c[None]
+    else:
+        h = system.length / steps
+        mids = (np.arange(steps) + 0.5) * h
+        generators = h * gauge_field(sub, system, mids, PHASE_ADJUSTED).matrices
+    lams, vecs = np.linalg.eigh(generators)
     g = np.eye(sub.dimension, dtype=complex)
     for lam, v in zip(lams, vecs):
-        g = ((v * np.exp(1j * h * lam)) @ v.conj().T) @ g
-    start = _member_kets_batch(sub, system, [0.0], PHASE_ADJUSTED)[0]
-    end = _member_kets_batch(sub, system, [system.length], PHASE_ADJUSTED)[0]
+        g = ((v * np.exp(1j * lam)) @ v.conj().T) @ g
+    start, end = _member_kets_batch(sub, system, [0.0, system.length], PHASE_ADJUSTED)
     closure = start.conj().T @ end
     return closure @ g
 

@@ -102,8 +102,8 @@ def test_c04_gauge_fields(system, b1, b2):
         a = hol.gauge_field(sub, system, grid, hol.PHASE_ADJUSTED)
         expected = factor * omegas[:, None, None] * np.eye(sub.dimension)
         worst = max(worst, float(np.max(np.abs(a.matrices - expected))))
-    report(4, worst < 1e-5 * scale,
-           f"worst |A - expected| = {worst:.2e} vs {1e-5 * scale:.2e}")
+    report(4, worst < 1e-12 * scale,
+           f"worst |A - expected| = {worst:.2e} vs {1e-12 * scale:.2e}")
 
 
 def _random_hermitian(n, rng):
@@ -212,7 +212,7 @@ def test_c07_gauge_reconstruction(system):
         direct = hol.extract_holonomy(sub, system).matrix
         rebuilt = hol.holonomy_from_gauge_field(sub, system, steps=2000)
         worst = max(worst, float(np.max(np.abs(rebuilt - direct))))
-    report(7, worst < 1e-5,
+    report(7, worst < 1e-12,
            f"{len(subs)} holonomic subspaces reconstructed, worst dev {worst:.2e}")
 
 

@@ -259,6 +259,11 @@ def test_plateau_table_preset(tmp_path, capsys):
     assert len(doc["non_holonomic_rows"]) == 4
     out = capsys.readouterr().out
     assert "all_pass: True" in out
+    # global flags and scan options at their defaults leave the table as it is
+    assert main(["--seed", "9", "--jobs", "2", "--out-dir", str(tmp_path / "b"), "plateau",
+                 "--table-s2", "--table-grid-step", "0.02", "--trials", "100000"]) == 0
+    assert ((tmp_path / "b" / "plateau_table.json").read_bytes()
+            == (tmp_path / "plateau_table.json").read_bytes())
 
 
 # ------------------------------------------------------- counts / fidelity
@@ -527,6 +532,15 @@ COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
     (["ingest", "--subspace", "{sub}", "--counts", "{counts}"],
      "s1,80,|2000>,1a-1b,5\n\ns1,eighty,|2000>,1a-1b,3\n", "line 4"),
     (["--config", "{tmp}/nope.json", "plateau", "--table-s2"], None, "--config"),
+    (["plateau", "--table-s2", "--rule", "experimental", "--lengths", "80,nan",
+      "--subspace", "/nonexistent.json"], None, "--subspace, --lengths, --rule"),
+    (["plateau", "--table-s2", "--mode", "synthetic"], None, "--mode"),
+    (["plateau", "--table-s2", "--grid", "60:115:0.5"], None, "--grid"),
+    (["plateau", "--table-s2", "--inputs", "2000"], None, "--inputs"),
+    (["plateau", "--table-s2", "--distinguishable"], None, "--distinguishable"),
+    (["plateau", "--table-s2", "--visibility", "nan"], None, "--visibility"),
+    (["plateau", "--table-s2", "--clip-lo", "70", "--clip-hi", "90"], None,
+     "--clip-lo, --clip-hi"),
 ])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_file, argv,
                                                  counts, detail):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geomode import coupledmode as cm
 from geomode import fock
@@ -402,26 +404,36 @@ def test_gauge_field_heisenberg_hermitian(system, boson_basis):
     grid = np.linspace(5.0, system.length - 5.0, 21)
     a = hol.gauge_field(sub, system, grid, hol.HEISENBERG)
     assert a.max_hermiticity_residual < 1e-6
+    with pytest.raises(ValueError, match="unknown mode family"):
+        hol.gauge_field(sub, system, grid, "adiabatic")
+
+
+def ket_difference_gauge(sub, system, zs, family, step):
+    """i <Phi_m | d_z Phi_n> of the lifted member kets by Richardson-extrapolated
+    central differences, (4 CD(step/2) - CD(step)) / 3."""
+    offsets = np.array([0.0, step / 2, -step / 2, step, -step])
+    phi = hol.mode_family_matrices(system, (offsets[:, None] + zs).ravel(), family)
+    kets = fock.lift_unitary_batch(phi, sub.basis)[:, :, list(sub.member_indices)]
+    center, half_p, half_m, full_p, full_m = kets.reshape(5, len(zs), *kets.shape[1:])
+
+    def central(plus, minus, h):
+        return 1j * np.einsum("zsm,zsn->zmn", center.conj(), (plus - minus) / (2 * h))
+
+    return (4 * central(half_p, half_m, step / 2) - central(full_p, full_m, step)) / 3
 
 
 def test_gauge_field_interior_is_central_difference(system, boson_basis):
     sub = sub_boson(boson_basis, (2, 0, 0, 0), (1, 0, 0, 1), (0, 0, 0, 2))
     grid = np.linspace(0.0, system.length, 201)
-    step = 1e-3 * system.length
-    a = hol.gauge_field(sub, system, grid, hol.PHASE_ADJUSTED, hermiticity_limit=math.inf)
-
-    def kets(zs):
-        phi = hol.mode_family_matrices(system, zs, hol.PHASE_ADJUSTED)
-        return fock.lift_unitary_batch(phi, sub.basis)[:, :, list(sub.member_indices)]
-
-    inner = grid[1:-1]
-    central = (kets(inner + step) - kets(inner - step)) / (2 * step)
-    want = 1j * np.einsum("zsm,zsn->zmn", kets(inner).conj(), central)
-    assert np.max(np.abs(a.matrices[1:-1] - want)) < 1e-12
-    # one-sided at the ends: A = Omega * identity for this subspace
+    a = hol.gauge_field(sub, system, grid, hol.PHASE_ADJUSTED)
+    omega_max = float(np.max(system.envelope.value(grid)))
+    want = ket_difference_gauge(sub, system, grid[1:-1], hol.PHASE_ADJUSTED,
+                                1e-3 * system.length)
+    assert np.max(np.abs(a.matrices[1:-1] - want)) < 1e-8 * omega_max
+    # exact at the ends too: A = Omega * identity for this subspace
     for i in (0, -1):
         omega = system.envelope.value(grid[i])
-        assert np.max(np.abs(a.matrices[i] - omega * np.eye(3))) < 0.01 * omega
+        assert np.max(np.abs(a.matrices[i] - omega * np.eye(3))) < 1e-12 * omega_max
 
 
 def test_gauge_field_non_commuting_system(system, boson_basis):
@@ -434,6 +446,33 @@ def test_gauge_field_non_commuting_system(system, boson_basis):
     assert np.all(np.isfinite(a.matrices))
     rebuilt = hol.holonomy_from_gauge_field(sub, detuned, steps=200)
     assert np.all(np.isfinite(rebuilt))
+    # over a whole basis the transport undoes the family's own motion, so the
+    # reconstruction is the identity up to the midpoint rule's O(h^2) error
+    full = hol.Subspace(boson_basis, boson_basis.states)
+    whole = hol.holonomy_from_gauge_field(full, detuned, steps=200)
+    assert np.max(np.abs(whole - np.eye(boson_basis.size))) < 1e-4
+
+
+@pytest.mark.parametrize("detuning", [None, 0.01])
+@pytest.mark.parametrize("family", [hol.HEISENBERG, hol.PHASE_ADJUSTED])
+@pytest.mark.parametrize("particles,particle", [(2, BOSON), (3, BOSON), (2, FERMION),
+                                               (2, DIST_AB)],
+                         ids=["2-bosons", "3-bosons", "2-fermions", "2-distinguishable"])
+def test_gauge_field_matches_ket_difference(system, detuning, family, particles, particle):
+    if detuning is not None:
+        static = cm.CouplingPattern(np.diag([detuning, 0.0, 0.0, 0.0]))
+        system = cm.CoupledModeSystem(system.pattern, system.envelope, static)
+    basis = enumerate_basis(4, particles, particle)
+    sub = hol.Subspace(basis, basis.states)
+    grid = np.linspace(0.0, system.length, 23)[1:-1]
+    a = hol.gauge_field(sub, system, grid, family)
+    omega_max = float(np.max(system.envelope.value(grid)))
+    assert a.max_hermiticity_residual < 1e-12
+    # plain central differences miss by 7e-5 to 4e-4 * omega_max here
+    want = ket_difference_gauge(sub, system, grid, family, 1e-3 * system.length)
+    assert np.max(np.abs(a.matrices - want)) < 1e-6 * omega_max
+    heisenberg = hol.gauge_field(sub, system, grid, hol.HEISENBERG).matrices
+    assert np.array_equal(heisenberg, hol.k_matrix(sub, system, grid).matrices)
 
 
 # --------------------------------------------- two-particle gauge relation
@@ -474,6 +513,17 @@ def test_gauge_relation_matches_finite_difference(particle):
     assert checks == 50
 
 
+@given(particle=st.sampled_from([BOSON, FERMION, DIST_AB]), seed=st.integers(0, 2**32 - 1))
+def test_one_body_lift_matches_two_particle_gauge_relation(particle, seed):
+    a = random_hermitian(4, np.random.default_rng(seed))
+    basis = enumerate_basis(4, 2, particle)
+    lifted = hol._lift_on_members(a, hol.Subspace(basis, basis.states))
+    for bi, bra in enumerate(basis.states):
+        for ki, ket in enumerate(basis.states):
+            want = hol.gauge_relation_two_particle(a, bra, ket, particle)
+            assert abs(lifted[bi, ki] - want) < 1e-12
+
+
 def test_gauge_relation_all_modes_distinct_is_zero():
     basis = enumerate_basis(4, 2, BOSON)
     a = np.ones((4, 4))
@@ -504,7 +554,7 @@ def test_gauge_reconstruction_matches_holonomy(system, members):
     sub = hol.subspace_from_states(basis, members)
     direct = hol.extract_holonomy(sub, system).matrix
     rebuilt = hol.holonomy_from_gauge_field(sub, system, steps=2000)
-    assert np.max(np.abs(rebuilt - direct)) < 1e-5
+    assert np.max(np.abs(rebuilt - direct)) < 1e-12
 
 
 # --------------------------------------------- Heisenberg-picture condition
