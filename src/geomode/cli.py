@@ -429,6 +429,15 @@ def cmd_plateau(args) -> int:
     for label, interval in report.per_input.items():
         print(f"{label}: plateau [{interval.start:.2f}, {interval.end:.2f}] mm, "
               f"width {interval.width:.2f} mm")
+        # an edge on the grid's first or last sample is where the scan
+        # stopped, not where the rule found the plateau's end
+        points = result.curves[label]
+        open_edges = [f"{name} ({edge:.2f} mm)" for name, edge, grid_end in (
+            ("start", interval.start, points[0].length_mm),
+            ("end", interval.end, points[-1].length_mm)) if edge == grid_end]
+        if open_edges:
+            print(f"warning[open-plateau]: {label}: the plateau runs to the length grid's "
+                  f"{' and '.join(open_edges)}; the rule found no edge there", file=sys.stderr)
     print(f"mean width: {report.mean_width:.2f} mm")
     return EXIT_OK
 

@@ -38,8 +38,9 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -146,8 +147,13 @@ class DetectionModel:
         return 2.0 * r * (1.0 - r)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
+    """One point of a success curve: a length (mm), its success
+    probability and one-sigma uncertainty, both None where the point is
+    undefined (no post-selected counts).  An immutable named tuple of
+    Python floats, so that a curve of thousands of points is cheap to
+    build and to read."""
+
     length_mm: float
     probability: float | None
     sigma: float | None
@@ -316,11 +322,10 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
     lengths = engine.lengths
     if mode == "theory":
         result = ScanResult(sub, "theory")
+        lengths = lengths.tolist()
         for spec in inputs:
-            curve = engine.success_curve(sub, spec)
-            result.curves[spec.label()] = [
-                ScanPoint(float(length), float(p), 0.0) for length, p in zip(lengths, curve)
-            ]
+            curve = engine.success_curve(sub, spec).tolist()
+            result.curves[spec.label()] = list(map(ScanPoint, lengths, curve, repeat(0.0)))
         return result
     if mode != "synthetic-experiment":
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -576,13 +581,23 @@ class PlateauReport:
         }
 
 
+def _run_length(holds) -> int:
+    """Number of leading True values of a boolean array."""
+    fails = np.flatnonzero(~holds)
+    return int(fails[0]) if fails.size else len(holds)
+
+
 def _slope_edge(lengths, excess, peak: int, step: int) -> float:
     """Edge reached from ``peak`` in direction ``step`` (+1 or -1) while the
     slope excess stays negative; undefined (NaN) samples stop the walk and
-    the interpolation to the excess's zero crossing."""
-    i = peak
-    while 0 <= i + step < len(lengths) and excess[i + step] < 0:
-        i += step
+    the interpolation to the excess's zero crossing.
+
+    The walk is one search for the first sample ahead of the peak where
+    ``excess < 0`` fails (NaN fails it too); the edge is interpolated
+    between the last sample that holds and that one.
+    """
+    ahead = excess[peak + 1:] if step > 0 else excess[:peak][::-1]
+    i = peak + step * _run_length(ahead < 0)
     j = i + step
     if 0 <= j < len(lengths) and not np.isnan(excess[i] + excess[j]):
         t = -excess[i] / (excess[j] - excess[i])
@@ -615,13 +630,10 @@ def plateau_interval(lengths, probs, rule: str = THEORY_RULE,
     if rule == EXPERIMENTAL_RULE:
         if len(lengths) < 3:
             raise ValueError("experimental rule needs at least 3 points")
-        i = peak
-        while i + 1 < len(lengths) and abs(probs[i + 1] - probs[i]) < EXPERIMENTAL_STEP_LIMIT:
-            i += 1
-        j = peak
-        while j - 1 >= 0 and abs(probs[j - 1] - probs[j]) < EXPERIMENTAL_STEP_LIMIT:
-            j -= 1
-        return PlateauInterval(float(lengths[j]), float(lengths[i]))
+        steady = np.abs(np.diff(probs)) < EXPERIMENTAL_STEP_LIMIT
+        start = peak - _run_length(steady[:peak][::-1])
+        end = peak + _run_length(steady[peak:])
+        return PlateauInterval(float(lengths[start]), float(lengths[end]))
     raise ValueError(f"unknown plateau rule {rule!r}")
 
 
@@ -663,6 +675,19 @@ def theory_plateau_widths(sub: Subspace, inputs, grid_step: float = 0.005,
     return float(np.mean(widths_r)), float(np.mean(widths_u))
 
 
+@cache
+def _delta_axis_engine() -> CurveEngine:
+    """The Jx4 engine over DELTA_AXIS_SAMPLES phases in (0.02 pi, 1.98 pi),
+    built at the first call and shared by every later one.  Its phase axis
+    and evolution stack are read-only."""
+    deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, DELTA_AXIS_SAMPLES)
+    pattern = jx_pattern(4)
+    engine = CurveEngine(deltas, StructureFamily(pattern, pattern.unitary_batch))
+    engine.lengths.flags.writeable = False
+    engine.u_stack.flags.writeable = False
+    return engine
+
+
 def plateau_width_delta(sub: Subspace, spec: InputSpec) -> float:
     """Independent plateau width in accumulated-phase units.
 
@@ -670,14 +695,15 @@ def plateau_width_delta(sub: Subspace, spec: InputSpec) -> float:
     own dense grid (no envelope or length axis involved) and finds the
     |dp/d delta| < SLOPE_LIMIT_PER_MM / FLAT_COUPLING_PER_MM region
     around the peak.  Used to cross-check the length-axis computation:
-    width_mm * FLAT_COUPLING_PER_MM must match this value.
+    width_mm * FLAT_COUPLING_PER_MM must match this value.  The delta-axis
+    engine is built once per process (about 15 MB, plus |U|^2 once a
+    distinguishable input asks for it); each call lifts only its input's
+    column over the members.
     """
     spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
-    deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, DELTA_AXIS_SAMPLES)
-    pattern = jx_pattern(4)
-    engine = CurveEngine(deltas, StructureFamily(pattern, pattern.unitary_batch))
+    engine = _delta_axis_engine()
     curve = engine.success_curve(sub, spec)
-    interval = plateau_interval(deltas, curve, THEORY_RULE,
+    interval = plateau_interval(engine.lengths, curve, THEORY_RULE,
                                 slope_limit=SLOPE_LIMIT_PER_MM / FLAT_COUPLING_PER_MM)
     return interval.width
 

@@ -236,6 +236,25 @@ def test_plateau_dummy_constant_system(tmp_path):
     assert doc["mean_width_mm"] == pytest.approx(20.0)
 
 
+def test_plateau_warns_on_open_edges(tmp_path, capsys, three_state_file):
+    # the Jx4 system file: flat past the envelope's end, so the slope rule
+    # finds no plateau edge on the 60-115 mm grid; the preset finds both
+    cfg = tmp_path / "jx4.json"
+    cfg.write_text(json.dumps(cm.system_to_json(cm.jx4_structure(cm.IDEAL_LENGTH_MM))))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "file"), "plateau",
+                 "--subspace", three_state_file]) == 0
+    doc = json.loads((tmp_path / "file" / "plateau_report.json").read_text())
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning[open-plateau]: ")]
+    assert len(warnings) == len(doc["per_input"]) == 3
+    for label, line in zip(doc["per_input"], warnings):
+        assert line.startswith(f"warning[open-plateau]: {label}: ")
+        assert "end (115.00 mm)" in line
+    assert main(["--out-dir", str(tmp_path / "preset"), "plateau",
+                 "--subspace", three_state_file]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_plateau_all_undefined_points(tmp_path, capsys, outer_pair_file, monkeypatch):
     def undefined_scan(sub, specs, lengths, **kwargs):
         result = xp.ScanResult(sub, "synthetic-experiment")

@@ -8,6 +8,7 @@ from geomode import holonomy as hol
 from geomode.fock import ParticleType, enumerate_basis
 
 BOSON = ParticleType.boson()
+FERMION = ParticleType.fermion()
 DIST_AB = ParticleType.distinguishable("a", "b")
 
 
@@ -176,6 +177,46 @@ def test_boson_census_counts(modes, particles, cyclic, ge2):
     report = enum.enumerate_holonomic(_jx_system(modes), enumerate_basis(modes, particles, BOSON))
     assert report.cyclic_subspaces == cyclic
     assert len(report.holonomic_records(2)) == ge2
+
+
+# Particle-number census lines: Jx(M) under the preset envelope, (cyclic,
+# holonomic dim >= 2) per particle number and statistics.
+@pytest.mark.parametrize("modes,particles,kind,cyclic,ge2", [
+    (2, 1, "boson", 0, 0),
+    (3, 1, "boson", 2, 1),
+    (4, 1, "boson", 2, 1),
+    (5, 1, "boson", 6, 3),
+    (6, 1, "boson", 6, 2),
+    (2, 2, "boson", 2, 1),
+    (3, 2, "boson", 14, 6),
+    (3, 2, "fermion", 2, 1),
+    (4, 2, "fermion", 14, 6),
+    (5, 2, "fermion", 62, 17),
+    (6, 2, "fermion", 510, 87),
+])
+def test_census_lines(modes, particles, kind, cyclic, ge2):
+    report = enum.enumerate_holonomic(_jx_system(modes),
+                                      enumerate_basis(modes, particles, ParticleType(kind)))
+    assert report.cyclic_subspaces == cyclic
+    assert len(report.holonomic_records(2)) == ge2
+
+
+def test_two_bosons_are_holonomic_where_one_photon_is_not():
+    # Jx(2) has no proper cyclic subspace for one photon, but a holonomic
+    # {|20>, |02>} for two bosons
+    system = _jx_system(2)
+    assert enum.enumerate_holonomic(system, enumerate_basis(2, 1, BOSON)).records == []
+    report = enum.enumerate_holonomic(system, enumerate_basis(2, 2, BOSON))
+    assert [r.members for r in report.holonomic_records(2)] == [("|20>", "|02>")]
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4, 5])
+def test_fermions_on_one_more_mode_count_like_bosons(modes):
+    # an observed identity of the census (it fits Lambda^2(spin j) = Sym^2(spin j - 1/2))
+    def counts(m, particle):
+        report = enum.enumerate_holonomic(_jx_system(m), enumerate_basis(m, 2, particle))
+        return report.cyclic_subspaces, len(report.holonomic_records(2))
+    assert counts(modes + 1, FERMION) == counts(modes, BOSON)
 
 
 @pytest.mark.parametrize("modes,particles", [(4, 2), (3, 3)])

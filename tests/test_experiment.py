@@ -2,7 +2,10 @@ import csv
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +430,61 @@ def test_experimental_rule_needs_three_points():
         xp.plateau_interval([80.0, 90.0], [0.5, 0.6], xp.EXPERIMENTAL_RULE)
 
 
+def _walk_slope_edge(lengths, excess, peak, step):
+    """Reference: the per-sample walk that ``_slope_edge`` replaced."""
+    i = peak
+    while 0 <= i + step < len(lengths) and excess[i + step] < 0:
+        i += step
+    j = i + step
+    if 0 <= j < len(lengths) and not np.isnan(excess[i] + excess[j]):
+        t = -excess[i] / (excess[j] - excess[i])
+        return lengths[i] + t * (lengths[j] - lengths[i])
+    return lengths[i]
+
+
+def _walk_experimental_interval(lengths, probs):
+    """Reference: the per-sample walks of the experimental rule."""
+    peak = int(np.nanargmax(probs))
+    i = peak
+    while i + 1 < len(lengths) and abs(probs[i + 1] - probs[i]) < xp.EXPERIMENTAL_STEP_LIMIT:
+        i += 1
+    j = peak
+    while j - 1 >= 0 and abs(probs[j - 1] - probs[j]) < xp.EXPERIMENTAL_STEP_LIMIT:
+        j -= 1
+    return float(lengths[j]), float(lengths[i])
+
+
+@st.composite
+def slope_edge_cases(draw):
+    excess = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.just(math.nan)),
+                           min_size=1, max_size=60))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=len(excess), max_size=len(excess)))
+    peak = draw(st.integers(0, len(excess) - 1))
+    return 60.0 + np.cumsum(steps), np.array(excess), peak
+
+
+@given(case=slope_edge_cases(), step=st.sampled_from([-1, 1]))
+@example(case=(np.arange(6.0), np.full(6, -0.5), 0), step=-1)
+@example(case=(np.arange(6.0), np.full(6, -0.5), 5), step=+1)
+@example(case=(np.arange(6.0), np.full(6, -0.5), 2), step=+1)
+@example(case=(np.arange(6.0), np.array([-0.5, math.nan, -0.5, -0.5, 0.5, -0.5]), 2), step=-1)
+@example(case=(np.arange(6.0), np.array([-0.5, math.nan, -0.5, -0.5, 0.5, -0.5]), 2), step=+1)
+def test_slope_edge_matches_per_sample_walk(case, step):
+    lengths, excess, peak = case
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-negative peak sample
+        got = xp._slope_edge(lengths, excess, peak, step)
+        want = _walk_slope_edge(lengths, excess, peak, step)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@given(probs=st.lists(st.one_of(st.integers(0, 40).map(lambda k: k / 100), st.just(math.nan)),
+                      min_size=3, max_size=60).filter(lambda p: not all(map(math.isnan, p))))
+def test_experimental_rule_matches_per_sample_walk(probs):
+    lengths = 80.0 + 0.5 * np.arange(len(probs))
+    iv = xp.plateau_interval(lengths, np.array(probs), xp.EXPERIMENTAL_RULE)
+    assert (iv.start, iv.end) == _walk_experimental_interval(lengths, np.array(probs))
+
+
 def test_plateau_width_delta_cross_check(outer_single, bunched_pair):
     for sub in (outer_single, bunched_pair):
         spec = xp.InputSpec(sub.members[0])
@@ -449,6 +507,58 @@ def test_plateau_width_delta_lifts_only_read_amplitudes():
         tracemalloc.stop()
     assert width > 0
     assert peak < 64 * 2**20
+
+
+def test_delta_axis_engine_is_shared_and_read_only():
+    rows = [next(r for r in ref.REFERENCE_WIDTHS if r.statistics == stats)
+            for stats in (ref.INDIST, ref.DIST)]
+    cases = [(ref.row_subspace(r), ref.row_inputs(r)[0]) for r in rows]
+    first = [xp.plateau_width_delta(sub, spec) for sub, spec in cases]
+    engine = xp._delta_axis_engine()
+    # the distinguishable row has cached |U|^2 on the shared engine meanwhile
+    assert [xp.plateau_width_delta(sub, spec) for sub, spec in cases] == first
+    assert xp._delta_axis_engine() is engine
+    assert len(engine.lengths) == xp.DELTA_AXIS_SAMPLES
+    assert not engine.lengths.flags.writeable
+    assert not engine.u_stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        engine.u_stack[0, 0, 0] = 0.0
+
+
+def test_delta_axis_engine_is_not_built_at_import():
+    src = str(Path(xp.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from geomode import experiment as xp\n"
+            "print(xp._delta_axis_engine.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_width_table_matches_pinned_values():
+    # values of the commit before the shared delta-axis engine and the
+    # vectorized plateau edges; both changes keep every float
+    pinned = json.loads((Path(__file__).parent / "data" / "width_table.json").read_text())
+    comps = ref.compare_reference_widths(grid_step=0.01)
+    got = {
+        "reference_widths": {c.row.key(): {"restricted_mm": c.restricted_mm,
+                                           "unrestricted_mm": c.unrestricted_mm}
+                             for c in comps},
+        "non_holonomic_widths": {row.key(): w for row, w in ref.non_holonomic_widths(0.01)},
+        "delta_widths_rad": {c.row.key(): xp.plateau_width_delta(ref.row_subspace(c.row),
+                                                                 ref.row_inputs(c.row)[0])
+                             for c in comps},
+    }
+    assert len(got["reference_widths"]) == 34 and len(got["non_holonomic_widths"]) == 4
+    for table, values in got.items():
+        assert values.keys() == pinned[table].keys()
+        for key, value in values.items():
+            want = pinned[table][key]
+            if isinstance(value, dict):
+                for kind in value:
+                    assert abs(value[kind] - want[kind]) < 1e-9, (table, key, kind)
+            else:
+                assert abs(value - want) < 1e-9, (table, key)
 
 
 def test_three_boson_success_curve_matches_per_length_lift():
