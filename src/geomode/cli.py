@@ -219,20 +219,19 @@ def cmd_evolve(args) -> int:
     config = load_config(args)
     if (args.delta is None) == (args.length is None):
         raise CommandError("invalid-arguments", "evolve needs exactly one of --delta/--length")
+    flag, value = ("--delta", args.delta) if args.length is None else ("--length", args.length)
+    if not math.isfinite(value):
+        raise CommandError("invalid-arguments", f"{flag} must be finite")
+    system, _ = build_system(config, length_mm=args.length)
     if args.delta is not None:
-        system, _ = build_system(config)
-        u = system.pattern.unitary(args.delta)
-        delta = args.delta
+        u, delta = system.pattern.unitary(args.delta), args.delta
     else:
-        system, _ = build_system(config, length_mm=args.length)
-        if config.get("preset") is None:
-            if args.length > system.length + 1e-9:
-                raise CommandError("invalid-arguments",
-                                   f"--length exceeds the configured system ({system.length} mm)")
-            op = cm.evolve(system, 0.0, args.length)
-        else:
-            op = cm.evolve(system)
-        u, delta = op.matrix, op.delta
+        # the preset is built at the requested length; a file system is cut there
+        z = system.length if config.get("preset") is not None else args.length
+        if not 0.0 <= z <= system.length + 1e-9:
+            raise CommandError("invalid-arguments", "--length must lie in [0, "
+                               f"{system.length}] mm for the configured system")
+        u, delta = cm.evolve(system, z), system.envelope.phase(z)
     doc = {"modes": u.shape[0], "delta": float(delta), "matrix": cm.matrix_to_json(u)}
     write_json(out_dir(args) / "evolution.json", doc)
     print(dumps_json(doc))
@@ -313,8 +312,8 @@ def cmd_check(args) -> int:
 
 def _run_scan(args, mode: str):
     config = load_config(args)
-    _, family = build_system(config)
-    modes = family.pattern.modes
+    system, family = build_system(config)
+    modes = system.modes
     sub = load_subspace(args, modes)
     specs = _scan_inputs(sub, args)
     lengths = _parse_lengths(args)
@@ -444,8 +443,8 @@ def cmd_plateau(args) -> int:
 
 def cmd_simulate_counts(args) -> int:
     config = load_config(args)
-    _, family = build_system(config)
-    modes = family.pattern.modes
+    system, family = build_system(config)
+    modes = system.modes
     sub = load_subspace(args, modes)
     specs = _scan_inputs(sub, args)
     lengths = _parse_lengths(args)
@@ -461,8 +460,8 @@ def cmd_simulate_counts(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    _, family = build_system(load_config(args))
-    modes = family.pattern.modes
+    system, family = build_system(load_config(args))
+    modes = system.modes
     sub = load_subspace(args, modes)
     if not args.counts:
         raise CommandError("invalid-arguments", "ingest needs --counts FILE")

@@ -6,9 +6,13 @@ rad/mm, and an optional static part.  When the static part vanishes (or
 commutes with the pattern) the Hamiltonians at different z commute and
 the evolution depends only on the accumulated phase
 delta(z) = int_0^z Omega; the evolution operator is then computed
-exactly from the eigendecomposition of the pattern.  A midpoint-rule
-product integrator covers the non-commuting case.  Envelopes,
-Hamiltonians and :func:`evolution_on_grid` take arrays of positions.
+exactly from the eigendecomposition of the pattern.  Otherwise the
+midpoint rule steps through z.  :func:`ordered_products` is the one
+path-ordered product of exponentials of the package: the midpoint
+stepper and the gauge-field reconstruction of the holonomy
+(:func:`holonomy.holonomy_from_gauge_field`) both call it.  Envelopes,
+Hamiltonians and :func:`evolution_on_grid` take arrays of positions;
+:func:`evolve` is U(0 -> z) at one position.
 
 The module also builds the calibrated four-waveguide Jx structure used
 throughout the package: nearest-neighbour couplings
@@ -49,7 +53,8 @@ FLAT_COUPLING_PER_MM = 0.08424871417403404
 #: solves delta(IDEAL_LENGTH_MM) == pi given FLAT_COUPLING_PER_MM.
 RAMP_SHARPNESS = 4.018128255630664
 
-#: Largest step (mm) of the midpoint-rule integrator for non-commuting systems.
+#: Largest step (mm) of the midpoint rule for non-commuting systems, in the
+#: evolution and in the gauge-field reconstruction of the holonomy.
 STEP_MM = 0.01
 
 #: The seven realized structure lengths: 80 mm to 100 mm in steps of 10/3 mm.
@@ -334,20 +339,6 @@ class Envelope:
 # --------------------------------------------------------------- systems
 
 
-@dataclass(frozen=True)
-class EvolutionOperator:
-    """Unitary acting on creation operators, with its accumulated phase.
-
-    ``matrix[j, k]`` is the amplitude for mode k at z0 to end in mode j
-    at z1; equivalently a_k^dag(z1) = sum_j matrix[j, k] a_j^dag(z0).
-    """
-
-    matrix: np.ndarray
-    delta: float
-    z0: float
-    z1: float
-
-
 class CoupledModeSystem:
     """H(z) = Omega(z) * pattern + static_pattern over z in [0, length]."""
 
@@ -387,35 +378,40 @@ def accumulated_phase(system: CoupledModeSystem, z: float) -> float:
     return system.envelope.phase(z)
 
 
-def _commuting_stack(system: CoupledModeSystem, deltas, spans) -> np.ndarray:
-    """exp(-1j * delta * pattern) @ exp(-1j * span * static) per pair."""
-    u = system.pattern.unitary_batch(deltas)
-    if system.static_pattern is not None:
-        u = u @ system.static_pattern.unitary_batch(spans)
-    return u
+def ordered_products(generators, weights, ends) -> np.ndarray:
+    """Running ordered products exp(-1j * w_k * g_k) ... exp(-1j * w_0 * g_0).
+
+    ``generators`` is an (n, d, d) stack of Hermitian matrices and
+    ``weights`` their n real weights; every factor comes from one batched
+    eigendecomposition and is exactly unitary.  Returns the running
+    product through factor k for each index k in ``ends``, shape
+    (len(ends), d, d).
+    """
+    lam, v = np.linalg.eigh(generators)
+    weights = np.asarray(weights, dtype=float)
+    factors = (v * np.exp(-1j * weights[:, None] * lam)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    u = np.eye(factors.shape[-1], dtype=complex)
+    for i, factor in enumerate(factors):
+        u = factor @ u
+        factors[i] = u  # the running products replace the consumed factors
+    return factors[ends]
 
 
-def _stepper_stack(system: CoupledModeSystem, z0: float, zs: np.ndarray,
-                   max_step: float) -> np.ndarray:
-    """U(z0 -> z) for each z in ``zs`` by one chained midpoint-rule product.
+def _stepper_stack(system: CoupledModeSystem, zs: np.ndarray, max_step: float) -> np.ndarray:
+    """U(0 -> z) for each z in ``zs`` by one chained midpoint-rule product.
 
     The positions are visited in ascending order; each interval between
-    consecutive positions is cut into equal steps of at most ``max_step``.
+    consecutive positions is cut into equal steps of at most ``max_step``,
+    and each step contributes exp(-1j * h * H(midpoint)).
     """
     knots, where = np.unique(zs, return_inverse=True)
-    starts = np.concatenate(([z0], knots[:-1]))
+    starts = np.concatenate(([0.0], knots[:-1]))
     spans = knots - starts
     steps = np.maximum(1, np.ceil(spans / max_step).astype(int))
     h = np.repeat(spans / steps, steps)
     within = np.arange(h.size) - np.repeat(np.cumsum(steps) - steps, steps)
     mids = np.repeat(starts, steps) + (within + 0.5) * h
-    lam, v = np.linalg.eigh(system.hamiltonian(mids))
-    factors = (v * np.exp(-1j * h[:, None] * lam)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
-    u = np.eye(system.modes, dtype=complex)
-    for i, factor in enumerate(factors):
-        u = factor @ u
-        factors[i] = u  # the running products replace the consumed factors
-    return factors[np.cumsum(steps) - 1][where.reshape(-1)]
+    return ordered_products(system.hamiltonian(mids), h, np.cumsum(steps) - 1)[where.reshape(-1)]
 
 
 def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
@@ -427,36 +423,26 @@ def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
     part acts.
     """
     grid = np.asarray(grid, dtype=float)
-    if system.commuting_family:
-        return _commuting_stack(system, system.envelope.phase(grid), grid)
-    return _stepper_stack(system, 0.0, grid, STEP_MM)
+    if not system.commuting_family:
+        return _stepper_stack(system, grid, STEP_MM)
+    u = system.pattern.unitary_batch(system.envelope.phase(grid))
+    if system.static_pattern is not None:
+        u = u @ system.static_pattern.unitary_batch(grid)
+    return u
 
 
-def evolve(system: CoupledModeSystem, z0: float = 0.0, z1: float | None = None,
-           *, max_step: float = STEP_MM, method: str = "auto") -> EvolutionOperator:
-    """Evolution operator over [z0, z1].
+def evolve(system: CoupledModeSystem, z: float | None = None) -> np.ndarray:
+    """U(0 -> z) as :func:`evolution_on_grid` computes it, by default
+    over the whole structure [0, L].
 
-    Commuting systems use exp(-1j * (delta(z1) - delta(z0)) * pattern)
-    (plus the commuting static part) from the Hermitian
-    eigendecomposition; otherwise an ordered product of midpoint-rule
-    step exponentials with step <= ``max_step``.  ``method`` may be
-    "auto", "commuting", or "stepper".
+    ``U[j, k]`` is the amplitude for mode k at 0 to end in mode j at z;
+    equivalently a_k^dag(z) = sum_j U[j, k] a_j^dag(0).
     """
-    if z1 is None:
-        z1 = system.length
-    if not (-1e-12 <= z0 <= z1 <= system.length + 1e-9):
-        raise ValueError(f"need 0 <= z0 <= z1 <= {system.length}")
-    ddelta = system.envelope.phase(z1) - system.envelope.phase(z0)
-
-    use_commuting = system.commuting_family if method == "auto" else (method == "commuting")
-    if method == "commuting" and not system.commuting_family:
-        raise ValueError("system is not a commuting family")
-
-    if use_commuting:
-        u = _commuting_stack(system, [ddelta], [z1 - z0])[0]
-    else:
-        u = _stepper_stack(system, z0, np.array([z1], dtype=float), max_step)[0]
-    return EvolutionOperator(matrix=u, delta=ddelta, z0=z0, z1=z1)
+    if z is None:
+        z = system.length
+    if not -1e-12 <= z <= system.length + 1e-9:
+        raise ValueError(f"position {z} outside [0, {system.length}]")
+    return evolution_on_grid(system, [z])[0]
 
 
 # ------------------------------------------------- the Jx(4) structure
@@ -521,8 +507,8 @@ def jx4_structure(length_mm: float,
     The ramp sharpness completes one cycle (delta = pi) at
     IDEAL_LENGTH_MM.
     """
-    if length_mm < 2 * RAMP_LENGTH_MM:
-        raise ValueError(f"total length must be at least {2 * RAMP_LENGTH_MM} mm")
+    if not 2 * RAMP_LENGTH_MM <= length_mm < math.inf:
+        raise ValueError(f"total length must be finite and at least {2 * RAMP_LENGTH_MM} mm")
     sharpness = _ramp_sharpness(omega_flat)
     segments = [ExpCosineRampSegment(omega_flat, sharpness, RAMP_LENGTH_MM, rising=True)]
     flat = length_mm - 2 * RAMP_LENGTH_MM
@@ -548,11 +534,13 @@ class StructureFamily:
     """Structures indexed by their length.
 
     ``stack(lengths)`` gives the (L, M, M) single-particle evolution
-    operators, one per length.  ``pattern`` is the coupling pattern whose
-    half cycle exp(-1j * pi * pattern) defines each input's ideal outcome.
+    operators, one per length.  ``cycle()`` gives the (M, M)
+    single-particle operator of one whole cycle, which defines each
+    input's ideal outcome; it is a function so that a family whose cycle
+    costs a whole stepped evolution pays for it only where it is read.
     """
 
-    pattern: CouplingPattern
+    cycle: Callable[[], np.ndarray]
     stack: Callable[[np.ndarray], np.ndarray]
 
 
@@ -567,11 +555,12 @@ def jx4_family(omega_flat: float) -> StructureFamily:
             raise ValueError(f"total length must be at least {2 * RAMP_LENGTH_MM} mm")
         return pattern.unitary_batch(jx4_delta(lengths, omega_flat, sharpness=sharpness))
 
-    return StructureFamily(pattern, stack)
+    return StructureFamily(lambda: pattern.unitary(math.pi), stack)
 
 
 def system_family(system: CoupledModeSystem) -> StructureFamily:
-    """U(0 -> L) of one system for each propagation length L > 0.
+    """U(0 -> L) of one system for each propagation length L > 0, with
+    its whole-structure evolution as the cycle.
 
     Lengths past the end of the envelope see zero coupling.
     """
@@ -582,7 +571,7 @@ def system_family(system: CoupledModeSystem) -> StructureFamily:
             raise ValueError("propagation lengths must be positive")
         return evolution_on_grid(system, lengths)
 
-    return StructureFamily(system.pattern, stack)
+    return StructureFamily(lambda: evolve(system), stack)
 
 
 # ----------------------------------------------------------------- JSON

@@ -47,8 +47,6 @@ class OrbitDecomposition:
     basis: FockBasis
     #: target index per basis state
     permutation: tuple[int, ...]
-    #: phase accompanying each mapping
-    phases: tuple[complex, ...]
     #: orbits as tuples of basis-state indices
     orbits: tuple[tuple[int, ...], ...]
     #: the lifted end-of-cycle unitary (S, S) the orbits were read from
@@ -69,20 +67,17 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomp
     v = hol.lifted_cycle_unitary(basis, system)
     n = basis.size
     perm = []
-    phases = []
     for col in range(n):
         column = v[:, col]
         row = int(np.argmax(np.abs(column)))
-        phase = column[row]
         off = np.abs(column).copy()
         off[row] = 0.0
-        if abs(abs(phase) - 1.0) > PERMUTATION_TOL or np.max(off) > PERMUTATION_TOL:
+        if abs(abs(column[row]) - 1.0) > PERMUTATION_TOL or np.max(off) > PERMUTATION_TOL:
             raise UnsupportedEvolutionError(
                 "cycle evolution does not permute the basis states (column "
                 f"{col} has residual {np.max(off):.3e})"
             )
         perm.append(row)
-        phases.append(complex(phase))
 
     seen = [False] * n
     orbits = []
@@ -96,7 +91,7 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomp
             orbit.append(i)
             i = perm[i]
         orbits.append(tuple(orbit))
-    return OrbitDecomposition(basis, tuple(perm), tuple(phases), tuple(orbits), v)
+    return OrbitDecomposition(basis, tuple(perm), tuple(orbits), v)
 
 
 def count_subspaces(basis: FockBasis, decomposition: OrbitDecomposition | None = None,

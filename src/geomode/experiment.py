@@ -210,8 +210,8 @@ def _statistics(sub: Subspace, spec: InputSpec) -> str:
 
 
 def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
-    """Member hit by the input under ``ideal``, the single-particle
-    delta = pi cycle; only the input's column over the members is lifted."""
+    """Member hit by the input under ``ideal``, the family's single-particle
+    cycle; only the input's column over the members is lifted."""
     amps = np.abs(lift_unitary_batch(ideal[None], sub.basis, sub.member_indices,
                                      [sub.basis.index_of(input_state)])[0, :, 0])
     m = int(np.argmax(amps))
@@ -239,7 +239,7 @@ class CurveEngine:
         family = family or jx4_family(FLAT_COUPLING_PER_MM)
         self.lengths = lengths
         self.u_stack = family.stack(self.lengths)
-        self._ideal = family.pattern.unitary(math.pi)
+        self._ideal = family.cycle()
         self._targets = {}
 
     @cached_property
@@ -250,8 +250,8 @@ class CurveEngine:
         return np.square(p, out=p)
 
     def target_index(self, sub: Subspace, input_state) -> int:
-        """Member hit by the input under the ideal (delta = pi) evolution,
-        lifted once per (statistics, members, input)."""
+        """Member hit by the input under the family's cycle, lifted once
+        per (statistics, members, input)."""
         key = (sub.particle, tuple(m.occupations for m in sub.members), input_state.occupations)
         if key not in self._targets:
             self._targets[key] = _ideal_target_index(sub, self._ideal, input_state)
@@ -297,7 +297,8 @@ def success_probability(sub: Subspace, spec: InputSpec, system: CoupledModeSyste
     """P(ideal outcome | outcome in subspace) at the system's length."""
     if spec.state.occupations not in {m.occupations for m in sub.members}:
         raise ValueError("input state must be a member of the subspace")
-    family = StructureFamily(system.pattern, lambda _: evolve(system).matrix[None])
+    family = StructureFamily(lambda: system.pattern.unitary(math.pi),
+                             lambda _: evolve(system)[None])
     engine = CurveEngine([system.length], family)
     return float(engine.success_curve(sub, spec)[0])
 
@@ -682,7 +683,8 @@ def _delta_axis_engine() -> CurveEngine:
     and evolution stack are read-only."""
     deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, DELTA_AXIS_SAMPLES)
     pattern = jx_pattern(4)
-    engine = CurveEngine(deltas, StructureFamily(pattern, pattern.unitary_batch))
+    family = StructureFamily(lambda: pattern.unitary(math.pi), pattern.unitary_batch)
+    engine = CurveEngine(deltas, family)
     engine.lengths.flags.writeable = False
     engine.u_stack.flags.writeable = False
     return engine
@@ -833,7 +835,7 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
         warnings.warn(f"count file {path} has no data rows")
         return ScanResult(sub, "ingested")
 
-    ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).pattern.unitary(math.pi)
+    ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).cycle()
     states = {state.label(): state for state in sub.basis.states}
     result = ScanResult(sub, "ingested")
     for label in sorted(records):

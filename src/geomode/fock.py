@@ -121,12 +121,6 @@ class OccupationState:
             if self.particle.kind == FERMION and any(n > 1 for n in occ):
                 raise ValueError("fermion occupations must be 0 or 1")
 
-    @property
-    def particle_count(self) -> int:
-        if self.particle.kind == DISTINGUISHABLE:
-            return len(self.occupations)
-        return sum(self.occupations)
-
     def mode_list(self) -> tuple[int, ...]:
         """Occupied modes with multiplicity.
 

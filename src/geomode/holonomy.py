@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .coupledmode import CoupledModeSystem, evolution_on_grid, evolve
+from .coupledmode import STEP_MM, CoupledModeSystem, evolution_on_grid, evolve, ordered_products
 from .fock import (
     BOSON,
     DISTINGUISHABLE,
@@ -452,7 +452,7 @@ class CyclicityResult:
 def lifted_cycle_unitary(sub_or_basis, system: CoupledModeSystem) -> np.ndarray:
     """The evolution over the whole cycle [0, L], lifted to the basis."""
     basis = sub_or_basis.basis if isinstance(sub_or_basis, Subspace) else sub_or_basis
-    return fock.lift_unitary(evolve(system).matrix, basis)
+    return fock.lift_unitary(evolve(system), basis)
 
 
 def is_cyclic(sub: Subspace, system: CoupledModeSystem) -> CyclicityResult:
@@ -540,30 +540,27 @@ def holonomy_on_cycle(sub: Subspace, v: np.ndarray, cyc: CyclicityResult,
     return Holonomy(r, classify_unitary(r), k.max_abs, sub)
 
 
-def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem,
-                              steps: int = 2000) -> np.ndarray:
-    """Path-ordered reconstruction of the holonomy from the gauge field.
+def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem) -> np.ndarray:
+    """Path-ordered reconstruction P exp(i int A dz) of the holonomy.
 
-    Multiplies exponentials of i A dz of the phase-adjusted family along
-    the cycle and maps the result back to the waveguide basis with the
-    end-of-cycle overlap of the family kets (the family is periodic only
-    up to a permutation).  Without a static part A(z) = Omega(z) C with
-    the constant C = lift(pattern + 1/2), so the ordered product is
-    exactly the one factor exp(i delta(L) C); otherwise it is the product
-    of ``steps`` midpoint factors.  For a holonomic subspace this
-    reproduces :func:`extract_holonomy`.
+    Transports by the gauge field A of the phase-adjusted family along
+    the cycle with :func:`coupledmode.ordered_products` and maps the
+    result back to the waveguide basis with the end-of-cycle overlap of
+    the family kets (the family is periodic only up to a permutation).
+    Without a static part A(z) = Omega(z) C with the constant
+    C = lift(pattern + 1/2), so the ordered product is exactly the one
+    factor exp(i delta(L) C); otherwise it takes A at the midpoints of
+    ceil(L / STEP_MM) equal steps, the step bound of the evolution.  For
+    a holonomic subspace this reproduces :func:`extract_holonomy`.
     """
     if system.static_pattern is None:
         c = _lift_on_members(system.pattern.matrix + 0.5 * np.eye(system.modes), sub)
-        generators = system.envelope.total_phase * c[None]
+        g = ordered_products(c[None], [-system.envelope.total_phase], [0])[0]
     else:
+        steps = math.ceil(system.length / STEP_MM)
         h = system.length / steps
-        mids = (np.arange(steps) + 0.5) * h
-        generators = h * gauge_field(sub, system, mids, PHASE_ADJUSTED).matrices
-    lams, vecs = np.linalg.eigh(generators)
-    g = np.eye(sub.dimension, dtype=complex)
-    for lam, v in zip(lams, vecs):
-        g = ((v * np.exp(1j * lam)) @ v.conj().T) @ g
+        a = gauge_field(sub, system, (np.arange(steps) + 0.5) * h, PHASE_ADJUSTED).matrices
+        g = ordered_products(a, np.full(steps, -h), [steps - 1])[0]
     start, end = _member_kets_batch(sub, system, [0.0, system.length], PHASE_ADJUSTED)
     closure = start.conj().T @ end
     return closure @ g

@@ -70,6 +70,32 @@ def test_evolve_needs_exactly_one_flag(tmp_path, capsys):
     assert "error[invalid-arguments]" in capsys.readouterr().err
 
 
+def write_system(path, system):
+    path.write_text(json.dumps(cm.system_to_json(system)))
+    return str(path)
+
+
+@pytest.mark.parametrize("from_file, flags, detail", [
+    (True, ["--length", "-5"], "[0, 84.9"),
+    (True, ["--length", "nan"], "--length must be finite"),
+    (False, ["--length", "nan"], "--length must be finite"),
+    (False, ["--length", "inf"], "--length must be finite"),
+    (False, ["--delta", "nan"], "--delta must be finite"),
+    (False, ["--delta", "inf"], "--delta must be finite"),
+], ids=["file-negative-length", "file-nan-length", "preset-nan-length",
+        "preset-inf-length", "nan-delta", "inf-delta"])
+def test_evolve_rejects_bad_values(tmp_path, capsys, from_file, flags, detail):
+    config = []
+    if from_file:
+        jx4 = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
+        config = ["--config", write_system(tmp_path / "jx4.json", jx4)]
+    code = main([*config, "--out-dir", str(tmp_path / "out"), "evolve", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[invalid-arguments]:") and detail in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path), "evolve", "--delta", "0"])
@@ -458,6 +484,42 @@ def test_synthetic_scan_ideal_splitters_on_every_port(tmp_path):
                  "--lengths", "80,90"]) == 0
     doc = json.loads((tmp_path / "scan_result.json").read_text())
     assert doc["mode"] == "synthetic-experiment"
+
+
+def test_full_turn_family_peaks_at_its_own_cycle(tmp_path, capsys, outer_pair_file):
+    """A constant pi/40 per mm envelope over 80 mm closes at delta = 2 pi:
+    the cycle is -1, so each outer-pair input returns to itself at 80 mm,
+    not at the delta = pi flip (40 mm)."""
+    full_turn = cm.CoupledModeSystem(
+        cm.jx_pattern(4), cm.Envelope((cm.ConstantSegment(math.pi / 40, 80.0),)))
+    config = ["--config", write_system(tmp_path / "turn.json", full_turn)]
+    assert main([*config, "--out-dir", str(tmp_path), "check",
+                 "--subspace", outer_pair_file]) == 0
+    doc = json.loads((tmp_path / "check_report.json").read_text())
+    assert doc["verdict"] == "holonomic" and doc["classification"] == "scalar"
+    h = np.array([[complex(re, im) for re, im in row] for row in doc["holonomy"]])
+    assert np.max(np.abs(h + np.eye(2))) < 1e-12
+    capsys.readouterr()
+    assert main([*config, "--out-dir", str(tmp_path), "scan", "--subspace", outer_pair_file,
+                 "--lengths", "20,40,60,80,100"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{label}: 5 points, peak 1.0000 at 80 mm" for label in ("|1000>", "|0001>")]
+    curves = json.loads((tmp_path / "scan_result.json").read_text())["curves"]
+    for points in curves.values():
+        assert points[1]["probability"] < 1e-12  # the delta = pi flip
+
+
+def test_scan_without_a_sharp_cycle_image_exits_2(tmp_path, capsys, outer_pair_file):
+    """A detuned Jx4 no longer closes on a permutation: its scan exits 2."""
+    jx4 = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
+    detuned = cm.CoupledModeSystem(jx4.pattern, jx4.envelope,
+                                   cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0])))
+    code = main(["--config", write_system(tmp_path / "detuned.json", detuned),
+                 "--out-dir", str(tmp_path), "scan", "--subspace", outer_pair_file,
+                 "--lengths", "80,90"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[invalid-arguments]:") and "no sharp image" in err
 
 
 def test_check_subspace_takes_modes_from_config(tmp_path):

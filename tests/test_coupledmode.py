@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -214,16 +214,22 @@ def test_structure_rejects_short_lengths():
         cm.jx4_structure(59.0)
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+def test_structure_rejects_non_finite_lengths(length):
+    with pytest.raises(ValueError, match="finite"):
+        cm.jx4_structure(length)
+
+
 # ---------------------------------------------------------------- evolve
 
 
 def test_evolve_zero_interval_is_identity(ideal_system):
-    u = cm.evolve(ideal_system, 0.0, 0.0).matrix
+    u = cm.evolve(ideal_system, 0.0)
     assert np.allclose(u, np.eye(4), atol=1e-14)
 
 
 def test_double_flip_at_cycle_end(ideal_system):
-    u = cm.evolve(ideal_system).matrix
+    u = cm.evolve(ideal_system)
     expected = 1j * np.fliplr(np.eye(4))
     assert np.max(np.abs(u - expected)) < 1e-8
 
@@ -237,17 +243,18 @@ def test_evolve_matches_expm_oracle(ideal_system):
 
 
 def test_evolution_composes(ideal_system):
-    z0, z1, z2 = 10.0, 42.0, 80.0
-    u02 = cm.evolve(ideal_system, z0, z2).matrix
-    u12 = cm.evolve(ideal_system, z1, z2).matrix
-    u01 = cm.evolve(ideal_system, z0, z1).matrix
-    assert np.max(np.abs(u02 - u12 @ u01)) < 1e-9
+    z1, z2 = 42.0, 80.0
+    u1 = cm.evolve(ideal_system, z1)
+    u2 = cm.evolve(ideal_system, z2)
+    phase = ideal_system.envelope.phase
+    u12 = ideal_system.pattern.unitary(phase(z2) - phase(z1))
+    assert np.max(np.abs(u2 @ u1.conj().T - u12)) < 1e-9
 
 
 def test_commuting_evolution_commutes_with_pattern(ideal_system):
     kappa = ideal_system.pattern.matrix
     for z in np.linspace(0, ideal_system.length, 7):
-        u = cm.evolve(ideal_system, 0.0, float(z)).matrix
+        u = cm.evolve(ideal_system, float(z))
         assert np.max(np.abs(u @ kappa - kappa @ u)) < 1e-9
 
 
@@ -261,9 +268,9 @@ def test_spin_transfer_closed_form(ideal_system):
 
 
 def test_stepper_reproduces_commuting_fast_path(ideal_system):
-    z0, z1 = 25.0, 35.0  # spans ramp end and flat section
-    fast = cm.evolve(ideal_system, z0, z1).matrix
-    stepped = cm.evolve(ideal_system, z0, z1, method="stepper", max_step=1e-3).matrix
+    zs = np.array([25.0, 35.0])  # spans ramp end and flat section
+    fast = cm.evolution_on_grid(ideal_system, zs)
+    stepped = cm._stepper_stack(ideal_system, zs, 1e-3)
     assert np.max(np.abs(fast - stepped)) < 1e-7
 
 
@@ -273,15 +280,14 @@ def test_non_commuting_system_uses_stepper():
         cm.jx_pattern(4), cm.Envelope((cm.ConstantSegment(0.08, 10.0),)), static
     )
     assert not sys_.commuting_family
-    u = cm.evolve(sys_, 0.0, 10.0, max_step=1e-3).matrix
+    u = cm._stepper_stack(sys_, np.array([10.0]), 1e-3)[0]
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
     # oracle: fine Magnus-free product with very small steps
     u_ref = np.eye(4, dtype=complex)
     n = 40000
     h = 10.0 / n
-    for i in range(n):
-        hm = sys_.hamiltonian((i + 0.5) * h)
-        u_ref = expm(-1j * h * hm) @ u_ref
+    for factor in expm(-1j * h * sys_.hamiltonian((np.arange(n) + 0.5) * h)):
+        u_ref = factor @ u_ref
     assert np.max(np.abs(u - u_ref)) < 1e-6
 
 
@@ -291,8 +297,8 @@ def test_commuting_static_part_folds_in():
         cm.jx_pattern(4), cm.Envelope((cm.ConstantSegment(0.08, 10.0),)), static
     )
     assert sys_.commuting_family
-    fast = cm.evolve(sys_, 0.0, 10.0).matrix
-    stepped = cm.evolve(sys_, 0.0, 10.0, method="stepper", max_step=1e-3).matrix
+    fast = cm.evolve(sys_, 10.0)
+    stepped = cm._stepper_stack(sys_, np.array([10.0]), 1e-3)[0]
     assert np.max(np.abs(fast - stepped)) < 1e-7
 
 
@@ -351,19 +357,23 @@ def _extended(system, length):
     return cm.CoupledModeSystem(system.pattern, env, system.static_pattern)
 
 
-def _per_length(system, lengths, **kwargs):
-    return np.stack([cm.evolve(_extended(system, L), 0.0, float(L), **kwargs).matrix
+def _per_length(system, lengths):
+    return np.stack([cm.evolve(_extended(system, L), float(L)) for L in lengths])
+
+
+def _stepped_per_length(system, lengths, max_step):
+    return np.stack([cm._stepper_stack(_extended(system, L), np.array([float(L)]), max_step)[0]
                      for L in lengths])
 
 
 def test_preset_family_matches_per_length_structures():
     lengths = np.array([60.0, 71.3, 80.0, 84.9, 93.3333, 115.0])
     stack = cm.jx4_family(cm.FLAT_COUPLING_PER_MM).stack(lengths)
-    want = np.stack([cm.evolve(cm.jx4_structure(L)).matrix for L in lengths])
+    want = np.stack([cm.evolve(cm.jx4_structure(L)) for L in lengths])
     assert np.max(np.abs(stack - want)) <= 1e-13
     omega = 0.09
     stack = cm.jx4_family(omega).stack(lengths)
-    want = np.stack([cm.evolve(cm.jx4_structure(L, omega_flat=omega)).matrix for L in lengths])
+    want = np.stack([cm.evolve(cm.jx4_structure(L, omega_flat=omega)) for L in lengths])
     assert np.max(np.abs(stack - want)) <= 1e-13
     with pytest.raises(ValueError, match="at least 60.0 mm"):
         cm.jx4_family(cm.FLAT_COUPLING_PER_MM).stack([59.9, 80.0])
@@ -387,8 +397,24 @@ def test_file_family_non_commuting_within_stepper_accuracy(ideal_system):
     stack = cm.system_family(system).stack(lengths)
     # each length on its own step partition: both are O(h^2) midpoint products
     assert np.max(np.abs(stack - _per_length(system, lengths))) < 1e-7
-    fine = _per_length(system, lengths, max_step=2.5e-3)
+    fine = _stepped_per_length(system, lengths, 2.5e-3)
     assert np.max(np.abs(stack - fine)) < 1e-7
+
+
+@given(n=st.integers(1, 20), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(n=1, d=4, seed=0)
+def test_ordered_products_match_expm_chain(n, d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    generators = (a + np.swapaxes(a.conj(), 1, 2)) / 2
+    weights = rng.uniform(-2.0, 2.0, n)
+    ends = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+    chain = [np.eye(d, dtype=complex)]
+    for g, w in zip(generators, weights):
+        chain.append(expm(-1j * w * g) @ chain[-1])
+    got = cm.ordered_products(generators, weights, ends)
+    assert got.shape == (len(ends), d, d)
+    assert np.max(np.abs(got - np.stack(chain[1:])[ends])) < 1e-12
 
 
 def test_evolution_on_grid_accepts_any_order(ideal_system):
