@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: evolve, enumerate, check, scan, plateau, simulate-counts,
-ingest, fidelity.  Global flags: --config, --seed, --out-dir, --jobs
-(accepted; every command runs serially).  All emitted JSON is
-deterministic: floats are serialized with 17 significant digits and
-re-running a command reproduces byte-identical files.
+ingest, fidelity.  Global flags: --config, --seed, --out-dir.  All
+emitted JSON is deterministic: floats are serialized with 17
+significant digits and re-running a command reproduces byte-identical
+files.
 
 The system definition comes from ``--config`` (a JSON file, see
 ``coupledmode.system_from_json``) or the built-in ``paper-jx4`` preset:
@@ -128,7 +128,9 @@ def build_system(config: dict, length_mm: float | None = None):
         try:
             return cm.jx4_structure(length, omega_flat=omega), cm.jx4_family(omega)
         except ValueError as exc:
-            raise CommandError("invalid-config", str(exc))
+            # the length is the only checked value: the caller's, or the config's
+            raise CommandError("invalid-config" if length_mm is None
+                               else "invalid-arguments", str(exc))
     try:
         system = cm.system_from_json(config)
     except (ValueError, KeyError) as exc:
@@ -239,6 +241,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.cap < 0:
+        raise CommandError("invalid-arguments", "--cap must be non-negative")
     config = load_config(args)
     system, _ = build_system(config)
     ptype = _particle_type(args.type, args.particles)
@@ -246,6 +250,10 @@ def cmd_enumerate(args) -> int:
         basis = enumerate_basis(system.modes, args.particles, ptype)
     except ValueError as exc:
         raise CommandError("invalid-arguments", str(exc))
+    if basis.size < 2:
+        raise CommandError("invalid-arguments", "enumeration needs a basis of at least 2 "
+                           f"states; {args.particles} {args.type} particles on "
+                           f"{system.modes} modes give {basis.size}")
     try:
         report = en.enumerate_holonomic(system, basis, cap=args.cap)
     except en.EnumerationCapError as exc:
@@ -270,32 +278,29 @@ def cmd_check(args) -> int:
     config = load_config(args)
     system, _ = build_system(config)
     sub = load_subspace(args, system.modes)
-    v = hol.lifted_cycle_unitary(sub, system)
-    cyc = hol.projector_cyclicity(v, sub.member_indices)
-    k = hol.k_matrix(sub, system)
-    tol = hol.holonomic_tolerance(system)
+    check = hol.check_subspace(sub, system)
+    k = check.k
     doc = {
         "subspace": hol.subspace_to_json(sub),
-        "cyclic": bool(cyc.cyclic),
-        "projector_residual": cyc.residual,
+        "cyclic": check.cyclic,
+        "projector_residual": check.residual,
         "max_k": k.max_abs,
-        "holonomic_tolerance": tol,
-        "holonomic": bool(cyc.cyclic and k.max_abs < tol),
+        "holonomic_tolerance": check.tolerance,
+        "holonomic": check.holonomic,
     }
     code = EXIT_OK
-    if not cyc.cyclic:
+    if not check.cyclic:
         doc["verdict"] = "not-cyclic"
         code = EXIT_NOT_CYCLIC
-    elif k.max_abs >= tol:
+    elif not check.holonomic:
         mi, ni = k.worst_element()
         doc["verdict"] = "cyclic-not-holonomic"
         doc["worst_element"] = [sub.members[mi].label(), sub.members[ni].label()]
         code = EXIT_NOT_HOLONOMIC
     else:
-        h = hol.holonomy_on_cycle(sub, v, cyc, k)
         doc["verdict"] = "holonomic"
-        doc["classification"] = h.classification
-        doc["holonomy"] = cm.matrix_to_json(h.matrix)
+        doc["classification"] = check.classification
+        doc["holonomy"] = cm.matrix_to_json(check.matrix)
     write_json(out_dir(args) / "check_report.json", doc)
     print(f"cyclic: {doc['cyclic']}  max|K|: {k.max_abs:.3e}  verdict: {doc['verdict']}")
     if code == EXIT_OK:
@@ -306,7 +311,7 @@ def cmd_check(args) -> int:
         print(f"error[not-holonomic]: max|K| {k.max_abs:.6e} at element "
               f"{doc['worst_element']}", file=sys.stderr)
     else:
-        print(f"error[not-cyclic]: projector residual {cyc.residual:.6e}", file=sys.stderr)
+        print(f"error[not-cyclic]: projector residual {check.residual:.6e}", file=sys.stderr)
     return code
 
 
@@ -390,6 +395,15 @@ def cmd_plateau(args) -> int:
         if extra:
             raise CommandError("invalid-arguments", "--table-s2 recomputes the paper-jx4 "
                                f"catalogue and takes no {', '.join(extra)}")
+        if not (math.isfinite(args.table_grid_step) and args.table_grid_step > 0):
+            raise CommandError("invalid-arguments",
+                               "--table-grid-step must be positive and finite")
+    clip = None
+    if args.clip_lo is not None or args.clip_hi is not None:
+        clip = (args.clip_lo, args.clip_hi)
+        if None in clip or not -math.inf < clip[0] < clip[1] < math.inf:
+            raise CommandError("invalid-arguments", "--clip-lo and --clip-hi go together "
+                               "and need finite LO < HI")
     directory = out_dir(args)
     if args.table_s2:
         doc = _table_comparison_doc(args.table_grid_step)
@@ -419,9 +433,7 @@ def cmd_plateau(args) -> int:
         args.grid = "60:115:0.01"
     try:
         sub, result = _run_scan(args, mode)
-        report = xp.plateau_report(result, rule,
-                                   clip=(args.clip_lo, args.clip_hi)
-                                   if args.clip_lo is not None else None)
+        report = xp.plateau_report(result, rule, clip=clip)
     except ValueError as exc:
         raise CommandError("invalid-arguments", str(exc))
     write_json(directory / "plateau_report.json", report.to_json())
@@ -519,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=xp.DEFAULT_SEED,
                         help="master random seed (default %(default)s)")
     parser.add_argument("--out-dir", default=".", help="directory for report files")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; commands run serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="print the single-particle evolution operator")

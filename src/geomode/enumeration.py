@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fock
 from . import holonomy as hol
-from .coupledmode import CoupledModeSystem
+from .coupledmode import CoupledModeSystem, evolve
 from .fock import FockBasis
 
 ENUMERATION_CAP = 4096
@@ -64,7 +65,7 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomp
     not a permutation with phases (fall back to per-subspace projector
     tests in that case).
     """
-    v = hol.lifted_cycle_unitary(basis, system)
+    v = fock.lift_unitary(evolve(system), basis)
     n = basis.size
     perm = []
     for col in range(n):
@@ -94,21 +95,15 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomp
     return OrbitDecomposition(basis, tuple(perm), tuple(orbits), v)
 
 
-def count_subspaces(basis: FockBasis, decomposition: OrbitDecomposition | None = None,
-                    system: CoupledModeSystem | None = None) -> tuple[int, int]:
+def count_subspaces(decomposition: OrbitDecomposition) -> tuple[int, int]:
     """(total, cyclic) counts of nonempty proper basis-state subsets.
 
     total = 2^dim - 2; cyclic = 2^(#orbits) - 2 (unions of orbits).
     """
-    if basis.size < 2:
+    size = decomposition.basis.size
+    if size < 2:
         raise ValueError("subspace counting needs a basis of dimension >= 2")
-    if decomposition is None:
-        if system is None:
-            raise ValueError("need either an orbit decomposition or a system")
-        decomposition = decompose_orbits(system, basis)
-    total = 2 ** basis.size - 2
-    cyclic = 2 ** decomposition.orbit_count - 2
-    return total, cyclic
+    return 2 ** size - 2, 2 ** decomposition.orbit_count - 2
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
     ``cap``.  Records are sorted by (dimension, member labels).
     """
     decomposition = decompose_orbits(system, basis)
-    total, cyclic = count_subspaces(basis, decomposition)
+    total, cyclic = count_subspaces(decomposition)
     report = EnumerationReport(basis, total, cyclic)
 
     tol = hol.holonomic_tolerance(system)
@@ -264,7 +259,7 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
     union_sets = {frozenset(m) for m in _orbit_unions(decomposition.orbits)}
     for r in range(1, basis.size):
         for combo in itertools.combinations(range(basis.size), r):
-            projector_cyclic = hol.projector_cyclicity(decomposition.cycle, combo).cyclic
+            projector_cyclic = hol.projector_residual(decomposition.cycle, combo) < hol.CYCLIC_TOL
             if projector_cyclic != (frozenset(combo) in union_sets):
                 return False
     return True

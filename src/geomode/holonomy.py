@@ -6,7 +6,10 @@ one cycle splits into a geometric part (the gauge field A of a chosen
 mode-basis family) and a dynamical part (the matrix K of the
 Hamiltonian between the evolved member states).  The subspace is
 holonomic when K vanishes along the cycle; the holonomy is then the
-end-of-cycle unitary restricted to the member span.
+end-of-cycle unitary restricted to the member span.  One verdict,
+:func:`check_subspace`, runs the projector test and computes K and that
+restricted unitary; the CLI's ``check`` and :func:`extract_holonomy`
+read it.
 
 Two mode-basis families are supported: ``heisenberg`` uses the columns
 of the single-particle evolution operator U(z) as mode vectors (the
@@ -188,13 +191,13 @@ def mode_family_matrices(system: CoupledModeSystem, grid, family: str = HEISENBE
     raise ValueError(f"unknown mode family {family!r}")
 
 
-def mode_coupling(system: CoupledModeSystem, z: float, family: str = HEISENBERG) -> np.ndarray:
-    """J(z): the Hamiltonian sandwiched between the family's mode vectors."""
-    return mode_coupling_on_grid(system, [z], family)[0]
+def mode_coupling_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
+    """J(z): the Hamiltonian sandwiched between the Heisenberg mode vectors.
 
-
-def mode_coupling_on_grid(system: CoupledModeSystem, grid, family: str = HEISENBERG) -> np.ndarray:
-    phi = mode_family_matrices(system, grid, family)
+    The phase-adjusted family gives the same J: its phase cancels in the
+    sandwich.
+    """
+    phi = mode_family_matrices(system, grid)
     h = system.hamiltonian(np.asarray(grid, dtype=float))
     return np.einsum("zji,zjk,zkl->zil", phi.conj(), h, phi)
 
@@ -205,6 +208,13 @@ def _lift_on_members(ops: np.ndarray, sub: Subspace) -> np.ndarray:
     idx = list(sub.member_indices)
     t = fock.one_body_tensor(sub.basis)[np.ix_(idx, idx)]
     return np.tensordot(ops, t, axes=([-2, -1], [2, 3]))
+
+
+def _cycle_grid(system: CoupledModeSystem, grid) -> np.ndarray:
+    """``grid`` as floats, or K_GRID_POINTS equal points over [0, L]."""
+    if grid is None:
+        return np.linspace(0.0, system.length, K_GRID_POINTS)
+    return np.asarray(grid, dtype=float)
 
 
 # --------------------------------------------------- closed-form K terms
@@ -298,7 +308,8 @@ def k_n_boson(k_modes, l_modes, j_matrix: np.ndarray, h_vac: complex = 0.0) -> c
 
 @dataclass(frozen=True)
 class DynamicalContribution:
-    """K sampled on a z grid: matrices[i] is K(grid[i]) over the members."""
+    """K (or a gauge field A) sampled on a z grid: matrices[i] is K(grid[i])
+    over the members."""
 
     grid: np.ndarray
     matrices: np.ndarray
@@ -329,17 +340,12 @@ def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
     (permanents / determinants / per-label products).  Both paths agree
     to tight tolerance (enforced in tests).
     """
-    if grid is None:
-        grid = np.linspace(0.0, system.length, K_GRID_POINTS)
-    grid = np.asarray(grid, dtype=float)
-
     if method == "closed_form":
-        j = mode_coupling_on_grid(system, grid)
-        return DynamicalContribution(grid, _lift_on_members(j, sub), sub)
-
+        return gauge_field(sub, system, grid, HEISENBERG)
     if method != "lifted":
         raise ValueError(f"unknown K method {method!r}")
 
+    grid = _cycle_grid(system, grid)
     kets = _member_kets_batch(sub, system, grid, HEISENBERG)  # (Z, S, dim)
     h_pattern = fock.lift_hamiltonian(system.pattern.matrix, sub.basis)
     h_static = (
@@ -365,20 +371,6 @@ def holonomic_tolerance(system: CoupledModeSystem) -> float:
 # ------------------------------------------------------------ gauge field
 
 
-@dataclass(frozen=True)
-class GaugeField:
-    """A(z) = i <Phi_m | d_z Phi_n> sampled on a grid, over the members."""
-
-    grid: np.ndarray
-    matrices: np.ndarray
-    subspace: Subspace
-    family: str
-
-    @property
-    def max_hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.matrices - np.conj(np.swapaxes(self.matrices, 1, 2)))))
-
-
 def _member_kets_batch(sub: Subspace, system: CoupledModeSystem, grid, family: str) -> np.ndarray:
     """(Z, S, dim) lifted family kets of the members: their lifted columns."""
     phi = mode_family_matrices(system, grid, family)
@@ -386,23 +378,22 @@ def _member_kets_batch(sub: Subspace, system: CoupledModeSystem, grid, family: s
 
 
 def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
-                family: str = PHASE_ADJUSTED) -> GaugeField:
-    """Gauge field of the family's member kets, exactly.
+                family: str = PHASE_ADJUSTED) -> DynamicalContribution:
+    """Gauge field A(z) = i <Phi_m | d_z Phi_n> of the family's member
+    kets, exactly.
 
     A(z) is the one-body lift of the single-particle field
     i Phi^dag d_z Phi: the mode coupling J(z) in the Heisenberg family
-    (where A equals K) and J(z) + Omega(z)/2 * 1 in the phase-adjusted
+    (where A is K) and J(z) + Omega(z)/2 * 1 in the phase-adjusted
     one.  It is Hermitian by construction.
     """
-    if grid is None:
-        grid = np.linspace(0.0, system.length, K_GRID_POINTS)
-    grid = np.asarray(grid, dtype=float)
+    grid = _cycle_grid(system, grid)
     a = mode_coupling_on_grid(system, grid)
     if family == PHASE_ADJUSTED:
         a = a + 0.5 * system.envelope.value(grid)[:, None, None] * np.eye(system.modes)
     elif family != HEISENBERG:
         raise ValueError(f"unknown mode family {family!r}")
-    return GaugeField(grid, _lift_on_members(a, sub), sub, family)
+    return DynamicalContribution(grid, _lift_on_members(a, sub), sub)
 
 
 def gauge_relation_two_particle(a_single: np.ndarray, bra: OccupationState,
@@ -434,72 +425,17 @@ def gauge_relation_two_particle(a_single: np.ndarray, bra: OccupationState,
     return complex(raw / norm)
 
 
-# ------------------------------------------------------------- cyclicity
+# ------------------------------------------------------------- the verdict
 
 
-@dataclass(frozen=True)
-class CyclicityResult:
-    cyclic: bool
-    residual: float
-    #: (target member index, phase) per member when the cycle maps
-    #: members to members up to phase; None otherwise.
-    permutation: tuple | None
-
-    def __bool__(self):
-        return self.cyclic
-
-
-def lifted_cycle_unitary(sub_or_basis, system: CoupledModeSystem) -> np.ndarray:
-    """The evolution over the whole cycle [0, L], lifted to the basis."""
-    basis = sub_or_basis.basis if isinstance(sub_or_basis, Subspace) else sub_or_basis
-    return fock.lift_unitary(evolve(system), basis)
-
-
-def is_cyclic(sub: Subspace, system: CoupledModeSystem) -> CyclicityResult:
-    """Projector test of the subspace under the system's lifted cycle."""
-    return projector_cyclicity(lifted_cycle_unitary(sub, system), sub.member_indices)
-
-
-def projector_cyclicity(v: np.ndarray, member_indices) -> CyclicityResult:
-    """Projector test: the span of the basis states ``member_indices``
-    must be invariant under the lifted cycle ``v`` (an (S, S) matrix)."""
+def projector_residual(v: np.ndarray, member_indices) -> float:
+    """Projector test: max |P - v P v^dag| for the projector P on the
+    basis states ``member_indices`` and the lifted cycle ``v`` (S, S).
+    The span is invariant under the cycle when it is below CYCLIC_TOL."""
     idx = list(member_indices)
     p = np.zeros(v.shape)
     p[idx, idx] = 1.0
-    residual = float(np.max(np.abs(p - v @ p @ v.conj().T)))
-    cyclic = residual < CYCLIC_TOL
-    permutation = None
-    if cyclic:
-        r = v[np.ix_(idx, idx)]
-        perm = []
-        for n in range(len(idx)):
-            col = r[:, n]
-            m = int(np.argmax(np.abs(col)))
-            if abs(abs(col[m]) - 1.0) < 1e-6:
-                perm.append((m, complex(col[m])))
-            else:
-                perm = None
-                break
-        if perm is not None:
-            permutation = tuple(perm)
-    return CyclicityResult(cyclic, residual, permutation)
-
-
-# -------------------------------------------------------------- holonomy
-
-
-@dataclass(frozen=True)
-class Holonomy:
-    """End-of-cycle unitary over the member states, waveguide basis."""
-
-    matrix: np.ndarray
-    classification: str
-    max_k: float
-    subspace: Subspace
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
+    return float(np.max(np.abs(p - v @ p @ v.conj().T)))
 
 
 def classify_unitary(matrix: np.ndarray) -> str:
@@ -512,32 +448,59 @@ def classify_unitary(matrix: np.ndarray) -> str:
     return NON_SCALAR
 
 
-def extract_holonomy(sub: Subspace, system: CoupledModeSystem) -> Holonomy:
-    """Holonomy of a cyclic subspace with vanishing dynamical part.
+@dataclass(frozen=True)
+class SubspaceCheck:
+    """The cycle's verdict on a subspace.
+
+    ``matrix`` is the lifted end-of-cycle unitary restricted to the
+    members (waveguide basis): the holonomy when the subspace is
+    holonomic, i.e. cyclic with max |K| below ``tolerance``.
+    """
+
+    subspace: Subspace
+    residual: float
+    k: DynamicalContribution
+    tolerance: float
+    matrix: np.ndarray
+
+    @property
+    def cyclic(self) -> bool:
+        return self.residual < CYCLIC_TOL
+
+    @property
+    def holonomic(self) -> bool:
+        return self.cyclic and self.k.max_abs < self.tolerance
+
+    @property
+    def classification(self) -> str | None:
+        """Scalar / diagonal / non-scalar for a holonomic subspace, else None."""
+        return classify_unitary(self.matrix) if self.holonomic else None
+
+
+def check_subspace(sub: Subspace, system: CoupledModeSystem) -> SubspaceCheck:
+    """Lift the cycle once, run the projector test and compute K."""
+    v = fock.lift_unitary(evolve(system), sub.basis)
+    idx = list(sub.member_indices)
+    return SubspaceCheck(sub, projector_residual(v, idx), k_matrix(sub, system),
+                         holonomic_tolerance(system), v[np.ix_(idx, idx)])
+
+
+def extract_holonomy(sub: Subspace, system: CoupledModeSystem) -> SubspaceCheck:
+    """The check of a cyclic subspace with vanishing dynamical part; its
+    ``matrix`` is the holonomy.
 
     Raises :class:`NotCyclicError` / :class:`NotHolonomicError`
     otherwise; the latter carries max |K| and the offending element.
     """
-    v = lifted_cycle_unitary(sub, system)
-    cyc = projector_cyclicity(v, sub.member_indices)
-    if not cyc:
-        raise NotCyclicError(cyc.residual)
-    k = k_matrix(sub, system)
-    tol = holonomic_tolerance(system)
-    if k.max_abs >= tol:
-        raise NotHolonomicError(k.max_abs, k.worst_element())
-    return holonomy_on_cycle(sub, v, cyc, k)
-
-
-def holonomy_on_cycle(sub: Subspace, v: np.ndarray, cyc: CyclicityResult,
-                      k: DynamicalContribution) -> Holonomy:
-    """Holonomy read off the lifted cycle ``v`` of a subspace that passed
-    the projector test ``cyc`` and whose K vanishes."""
-    idx = list(sub.member_indices)
-    r = v[np.ix_(idx, idx)]
-    if np.max(np.abs(r.conj().T @ r - np.eye(len(idx)))) > 1e-9:
-        raise NotCyclicError(cyc.residual)
-    return Holonomy(r, classify_unitary(r), k.max_abs, sub)
+    check = check_subspace(sub, system)
+    if not check.cyclic:
+        raise NotCyclicError(check.residual)
+    if not check.holonomic:
+        raise NotHolonomicError(check.k.max_abs, check.k.worst_element())
+    r = check.matrix
+    if np.max(np.abs(r.conj().T @ r - np.eye(len(r)))) > 1e-9:
+        raise NotCyclicError(check.residual)
+    return check
 
 
 def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem) -> np.ndarray:

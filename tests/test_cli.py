@@ -201,15 +201,6 @@ def test_scan_reruns_byte_identical(tmp_path, outer_pair_file):
     assert (d1 / "scan_result.json").read_bytes() == (d2 / "scan_result.json").read_bytes()
 
 
-def test_scan_jobs_flag_matches_serial(tmp_path, three_state_file):
-    d1, d2 = tmp_path / "serial", tmp_path / "jobs"
-    for d, jobs in ((d1, "1"), (d2, "3")):
-        assert main(["--out-dir", str(d), "--jobs", jobs, "scan",
-                     "--subspace", three_state_file,
-                     "--lengths", "80,84.9,90,95,100"]) == 0
-    assert (d1 / "scan_result.json").read_bytes() == (d2 / "scan_result.json").read_bytes()
-
-
 def test_scan_input_selection(tmp_path, three_state_file, capsys):
     assert main(["--out-dir", str(tmp_path), "scan", "--subspace", three_state_file,
                  "--inputs", "2000"]) == 0
@@ -305,7 +296,7 @@ def test_plateau_table_preset(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all_pass: True" in out
     # global flags and scan options at their defaults leave the table as it is
-    assert main(["--seed", "9", "--jobs", "2", "--out-dir", str(tmp_path / "b"), "plateau",
+    assert main(["--seed", "9", "--out-dir", str(tmp_path / "b"), "plateau",
                  "--table-s2", "--table-grid-step", "0.02", "--trials", "100000"]) == 0
     assert ((tmp_path / "b" / "plateau_table.json").read_bytes()
             == (tmp_path / "plateau_table.json").read_bytes())
@@ -533,14 +524,10 @@ def test_check_subspace_takes_modes_from_config(tmp_path):
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "check",
                  "--subspace", sub_file]) == 0
     report = json.loads((tmp_path / "check_report.json").read_text())
-    sub = hol.subspace_from_json(doc, modes=3)
-    v = hol.lifted_cycle_unitary(sub, system)
-    cyc = hol.projector_cyclicity(v, sub.member_indices)
-    k = hol.k_matrix(sub, system)
-    h = hol.holonomy_on_cycle(sub, v, cyc, k)
+    check = hol.check_subspace(hol.subspace_from_json(doc, modes=3), system)
     assert report["verdict"] == "holonomic"
-    assert report["classification"] == h.classification
-    assert np.allclose(read_matrix({"matrix": report["holonomy"]}), h.matrix, atol=1e-12)
+    assert report["classification"] == check.classification
+    assert np.allclose(read_matrix({"matrix": report["holonomy"]}), check.matrix, atol=1e-12)
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -622,6 +609,19 @@ COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
     (["plateau", "--table-s2", "--visibility", "nan"], None, "--visibility"),
     (["plateau", "--table-s2", "--clip-lo", "70", "--clip-hi", "90"], None,
      "--clip-lo, --clip-hi"),
+    (["enumerate", "--particles", "0"], None, "give 1"),
+    (["enumerate", "--particles", "4", "--type", "fermion"], None, "give 1"),
+    (["enumerate", "--particles", "2", "--cap", "-1"], None, "--cap"),
+    (["plateau", "--subspace", "{sub}", "--clip-lo", "85"], None, "go together"),
+    (["plateau", "--subspace", "{sub}", "--clip-hi", "95"], None, "go together"),
+    (["plateau", "--subspace", "{sub}", "--clip-lo", "95", "--clip-hi", "85"], None,
+     "finite LO < HI"),
+    (["plateau", "--subspace", "{sub}", "--clip-lo", "nan", "--clip-hi", "95"], None,
+     "finite LO < HI"),
+    (["plateau", "--table-s2", "--table-grid-step", "0"], None, "--table-grid-step"),
+    (["plateau", "--table-s2", "--table-grid-step", "-1"], None, "--table-grid-step"),
+    (["plateau", "--table-s2", "--table-grid-step", "nan"], None, "--table-grid-step"),
+    (["evolve", "--length", "59"], None, "at least 60.0 mm"),
 ])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_file, argv,
                                                  counts, detail):
@@ -634,3 +634,15 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_fi
     assert err.startswith("error[invalid-arguments]:") and detail in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_short_config_length_is_a_config_error(tmp_path, capsys, outer_pair_file):
+    """A preset length_mm below 60 mm is the config's mistake (a short --length
+    is the caller's: see test_bad_arguments_exit_2_without_traceback)."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "paper-jx4", "length_mm": 59}))
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "check",
+                 "--subspace", outer_pair_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[invalid-config]:") and "at least 60.0 mm" in err

@@ -81,25 +81,25 @@ def test_non_permutation_evolution_raises():
 
 def test_single_photon_counts(system):
     basis = enumerate_basis(4, 1, BOSON)
-    assert enum.count_subspaces(basis, system=system) == (14, 2)
+    assert enum.count_subspaces(enum.decompose_orbits(system, basis)) == (14, 2)
 
 
 def test_two_boson_counts(system):
     basis = enumerate_basis(4, 2, BOSON)
-    assert enum.count_subspaces(basis, system=system) == (1022, 62)
+    assert enum.count_subspaces(enum.decompose_orbits(system, basis)) == (1022, 62)
 
 
 def test_distinguishable_counts(system):
     basis = enumerate_basis(4, 2, DIST_AB)
     dec = enum.decompose_orbits(system, basis)
     assert dec.orbit_count == 8  # eight two-cycles, no fixed points
-    assert enum.count_subspaces(basis, dec) == (2 ** 16 - 2, 2 ** 8 - 2)
+    assert enum.count_subspaces(dec) == (2 ** 16 - 2, 2 ** 8 - 2)
 
 
 def test_counts_reject_tiny_basis(system):
     basis = enumerate_basis(1, 1, BOSON)
     with pytest.raises(ValueError):
-        enum.count_subspaces(basis, system=system)
+        enum.count_subspaces(enum.decompose_orbits(system, basis))
 
 
 # ------------------------------------------------------------- enumeration
@@ -229,6 +229,22 @@ def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
     for r in report.records:
         sub = hol.Subspace(basis, tuple(basis.states[i] for i in r.member_indices))
         assert abs(r.max_k - hol.k_matrix(sub, system, method="lifted").max_abs) < 1e-10
+
+
+@pytest.mark.parametrize("particle", [BOSON, FERMION, DIST_AB],
+                         ids=["bosons", "fermions", "distinguishable"])
+def test_check_subspace_agrees_with_census(system, particle):
+    # the census reads one basis-wide K table and lifted cycle; the check
+    # rebuilds both per subspace and must reach the same verdict bit for bit
+    basis = enumerate_basis(4, 2, particle)
+    report = enum.enumerate_holonomic(system, basis)
+    assert report.holonomic_count > 0
+    for r in report.records:
+        sub = hol.Subspace(basis, tuple(basis.states[i] for i in r.member_indices))
+        check = hol.check_subspace(sub, system)
+        assert check.cyclic
+        assert (check.holonomic, check.classification) == (r.holonomic, r.classification)
+        assert check.k.max_abs == r.max_k
 
 
 def test_enumeration_lifts_the_cycle_once(system, monkeypatch):

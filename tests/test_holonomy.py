@@ -73,10 +73,10 @@ def oracle_k_element(bra, ket, h, particle):
 
 
 def test_mode_coupling_commuting_system_is_envelope_times_pattern(system):
-    for z in (0.0, 20.0, 45.0, 84.0):
-        j = hol.mode_coupling(system, z, hol.HEISENBERG)
-        expected = system.envelope.value(z) * system.pattern.matrix
-        assert np.max(np.abs(j - expected)) < 1e-10
+    zs = np.array([0.0, 20.0, 45.0, 84.0])
+    j = hol.mode_coupling_on_grid(system, zs)
+    expected = system.envelope.value(zs)[:, None, None] * system.pattern.matrix
+    assert np.max(np.abs(j - expected)) < 1e-10
 
 
 def test_mode_coupling_zero_where_envelope_vanishes():
@@ -84,19 +84,24 @@ def test_mode_coupling_zero_where_envelope_vanishes():
         cm.jx_pattern(4),
         cm.Envelope((cm.CosineRampSegment(0.0, 0.1, 10.0),)),
     )
-    j = hol.mode_coupling(sys_, 0.0, hol.HEISENBERG)
+    j = hol.mode_coupling_on_grid(sys_, [0.0])
     assert np.max(np.abs(j)) < 1e-12
 
 
 def test_mode_coupling_zero_detuning_diagonal(system):
-    j = hol.mode_coupling(system, 40.0, hol.HEISENBERG)
+    j = hol.mode_coupling_on_grid(system, [40.0])[0]
     assert np.max(np.abs(np.diag(j))) < 1e-10
 
 
 def test_mode_coupling_family_independent(system):
-    j1 = hol.mode_coupling(system, 37.0, hol.HEISENBERG)
-    j2 = hol.mode_coupling(system, 37.0, hol.PHASE_ADJUSTED)
+    """The phase-adjusted family's phase cancels in Phi^dag H Phi."""
+    grid = [37.0]
+    h = system.hamiltonian(np.asarray(grid))
+    j1, j2 = (np.einsum("zji,zjk,zkl->zil", phi.conj(), h, phi)
+              for phi in (hol.mode_family_matrices(system, grid, hol.HEISENBERG),
+                          hol.mode_family_matrices(system, grid, hol.PHASE_ADJUSTED)))
     assert np.max(np.abs(j1 - j2)) < 1e-12
+    assert np.array_equal(j1, hol.mode_coupling_on_grid(system, grid))
 
 
 # -------------------------------------------------- K closed forms/oracle
@@ -283,17 +288,18 @@ def test_k_matrix_many_particles_matches_lifted(particle, modes, members, detune
 def test_single_photon_cyclic_subspaces(system):
     b1 = enumerate_basis(4, 1, BOSON)
     outer = hol.subspace_from_states(b1, [(1, 0, 0, 0), (0, 0, 0, 1)])
-    res = hol.is_cyclic(outer, system)
-    assert res.cyclic
-    assert res.permutation == ((1, pytest.approx(1j, abs=1e-8)),
-                               (0, pytest.approx(1j, abs=1e-8)))
+    check = hol.check_subspace(outer, system)
+    assert check.cyclic
+    # the cycle swaps the two members with phase i
+    assert np.max(np.abs(check.matrix - np.array([[0, 1j], [1j, 0]]))) < 1e-8
     mixed = hol.subspace_from_states(b1, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    assert not hol.is_cyclic(mixed, system)
+    check = hol.check_subspace(mixed, system)
+    assert not check.cyclic and not check.holonomic and check.classification is None
 
 
 def test_full_basis_is_cyclic(system, boson_basis):
     sub = hol.subspace_from_states(boson_basis, [s.occupations for s in boson_basis.states])
-    assert hol.is_cyclic(sub, system).cyclic
+    assert hol.check_subspace(sub, system).cyclic
 
 
 # -------------------------------------------------------------- holonomies
