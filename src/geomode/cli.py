@@ -259,8 +259,6 @@ def cmd_enumerate(args) -> int:
     except en.EnumerationCapError as exc:
         print(f"error[cap-exceeded]: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except en.UnsupportedEvolutionError as exc:
-        raise CommandError("unsupported-structure", str(exc))
     doc = report.to_json()
     directory = out_dir(args)
     write_json(directory / "enumeration_report.json", doc)
@@ -522,8 +520,15 @@ def cmd_fidelity(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ``error[invalid-arguments]:``, like every other."""
+
+    def error(self, message):
+        raise CommandError("invalid-arguments", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="geomode",
         description="Multi-particle holonomies in coupled-mode lattices",
     )
@@ -572,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scan_options(p)
     p.set_defaults(func=cmd_scan)
 
-    scan_options = argparse.ArgumentParser(add_help=False)
+    scan_options = ArgumentParser(add_help=False)
     add_scan_options(scan_options, include_rule=True, subspace_required=False)
     p = sub.add_parser("plateau", parents=[scan_options],
                        help="plateau extraction / reference table")
@@ -600,9 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CommandError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)

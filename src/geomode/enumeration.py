@@ -1,10 +1,13 @@
-"""Exhaustive subspace enumeration via orbit decomposition.
+"""Exhaustive subspace enumeration via the cycle's connected components.
 
-For systems whose cycle maps basis states to basis states up to a
-phase, cyclicity of a subset of basis states is equivalent to being a
-union of orbits of the induced permutation.  Enumeration therefore
-walks the 2^(#orbits) - 2 orbit unions, K-checks each one against one
-basis-wide table of max_z |K|, and classifies the holonomic survivors.
+A span of basis states is invariant under the lifted end-of-cycle
+unitary V iff V has no entry between it and its complement, so the
+cyclic subsets are exactly the unions of the connected components of
+the support graph {(i, j) : |V_ij| > CYCLIC_TOL}.  For a cycle that
+permutes basis states up to phases the components are its orbits.
+Enumeration walks the 2^(#components) - 2 unions, K-checks each one
+against one basis-wide table of max_z |K|, and classifies the
+holonomic survivors.
 """
 
 from __future__ import annotations
@@ -21,13 +24,8 @@ from .coupledmode import CoupledModeSystem, evolve
 from .fock import FockBasis
 
 ENUMERATION_CAP = 4096
-PERMUTATION_TOL = 1e-8
 #: Largest basis the exhaustive 2^dim projector check will walk.
 EXHAUSTIVE_MAX_DIM = 10
-
-
-class UnsupportedEvolutionError(ValueError):
-    """The cycle is not a permutation-with-phases on the basis."""
 
 
 class EnumerationCapError(RuntimeError):
@@ -43,14 +41,13 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Orbits of the end-of-cycle signed permutation on basis states."""
+    """Connected components of the end-of-cycle unitary's support graph."""
 
     basis: FockBasis
-    #: target index per basis state
-    permutation: tuple[int, ...]
-    #: orbits as tuples of basis-state indices
+    #: components as ascending tuples of basis-state indices, ordered by
+    #: their smallest index
     orbits: tuple[tuple[int, ...], ...]
-    #: the lifted end-of-cycle unitary (S, S) the orbits were read from
+    #: the lifted end-of-cycle unitary (S, S) the components were read from
     cycle: np.ndarray = field(compare=False, repr=False)
 
     @property
@@ -59,46 +56,28 @@ class OrbitDecomposition:
 
 
 def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomposition:
-    """Orbit partition of the basis under the end-of-cycle evolution.
-
-    Raises :class:`UnsupportedEvolutionError` when the lifted cycle is
-    not a permutation with phases (fall back to per-subspace projector
-    tests in that case).
-    """
+    """Partition the basis into the connected components of the lifted
+    cycle's support {(i, j) : |V_ij| > CYCLIC_TOL}, by breadth-first search."""
     v = fock.lift_unitary(evolve(system), basis)
-    n = basis.size
-    perm = []
-    for col in range(n):
-        column = v[:, col]
-        row = int(np.argmax(np.abs(column)))
-        off = np.abs(column).copy()
-        off[row] = 0.0
-        if abs(abs(column[row]) - 1.0) > PERMUTATION_TOL or np.max(off) > PERMUTATION_TOL:
-            raise UnsupportedEvolutionError(
-                "cycle evolution does not permute the basis states (column "
-                f"{col} has residual {np.max(off):.3e})"
-            )
-        perm.append(row)
-
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            orbit.append(i)
-            i = perm[i]
-        orbits.append(tuple(orbit))
-    return OrbitDecomposition(basis, tuple(perm), tuple(orbits), v)
+    linked = np.abs(v) > hol.CYCLIC_TOL
+    linked |= linked.T
+    unlabeled = np.ones(basis.size, dtype=bool)
+    components = []
+    while unlabeled.any():
+        frontier = np.flatnonzero(unlabeled)[:1]
+        members = []
+        while frontier.size:
+            unlabeled[frontier] = False
+            members.append(frontier)
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unlabeled)
+        components.append(tuple(np.sort(np.concatenate(members)).tolist()))
+    return OrbitDecomposition(basis, tuple(components), v)
 
 
 def count_subspaces(decomposition: OrbitDecomposition) -> tuple[int, int]:
     """(total, cyclic) counts of nonempty proper basis-state subsets.
 
-    total = 2^dim - 2; cyclic = 2^(#orbits) - 2 (unions of orbits).
+    total = 2^dim - 2; cyclic = 2^(#components) - 2 (their unions).
     """
     size = decomposition.basis.size
     if size < 2:
@@ -182,7 +161,7 @@ class EnumerationReport:
 
 
 def _orbit_unions(orbits):
-    """All nonempty proper unions of orbits."""
+    """All nonempty proper unions of components, members ascending."""
     n = len(orbits)
     for mask in range(1, (1 << n) - 1):
         members = []
@@ -197,8 +176,8 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
                         resume_token: int = 0) -> EnumerationReport:
     """K-check every cyclic subspace and classify the holonomic ones.
 
-    Cyclic subspaces are the orbit unions of the end-of-cycle
-    permutation.  Raises :class:`EnumerationCapError` (carrying the
+    Cyclic subspaces are the unions of the cycle's connected
+    components.  Raises :class:`EnumerationCapError` (carrying the
     partial report and a resume token) when their number exceeds
     ``cap``.  Records are sorted by (dimension, member labels).
     """
@@ -247,7 +226,7 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
 
 def verify_union_of_orbits_characterization(system: CoupledModeSystem,
                                             basis: FockBasis) -> bool:
-    """Exhaustively check: projector-cyclic iff union of orbits.
+    """Exhaustively check: projector-cyclic iff union of components.
 
     Only feasible for small bases (2^dim subsets, dim at most
     EXHAUSTIVE_MAX_DIM); used as a correctness oracle for the

@@ -130,6 +130,22 @@ def test_enumerate_distinguishable(tmp_path, capsys):
     assert "65534 total, 254 cyclic" in out
 
 
+def test_enumerate_accepts_a_cycle_that_mixes_modes(tmp_path, capsys):
+    """Coupling 1 on modes 0-1 and 0.7 on modes 2-3: the cycle mixes modes 2
+    and 3, so the census runs on the components of its support."""
+    kappa = np.zeros((4, 4))
+    kappa[0, 1] = kappa[1, 0] = 1.0
+    kappa[2, 3] = kappa[3, 2] = 0.7
+    two_pair = cm.CoupledModeSystem(cm.CouplingPattern(kappa),
+                                    cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    code = main(["--config", write_system(tmp_path / "two_pair.json", two_pair),
+                 "--out-dir", str(tmp_path), "enumerate", "--particles", "2"])
+    assert code == 0
+    assert "1022 total, 62 cyclic" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "enumeration_report.json").read_text())
+    assert len(doc["subspaces"]) == 62
+
+
 def test_enumerate_cap_exceeded(tmp_path, capsys):
     code = main(["--out-dir", str(tmp_path), "enumerate", "--particles", "2",
                  "--cap", "5"])
@@ -622,6 +638,12 @@ COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
     (["plateau", "--table-s2", "--table-grid-step", "-1"], None, "--table-grid-step"),
     (["plateau", "--table-s2", "--table-grid-step", "nan"], None, "--table-grid-step"),
     (["evolve", "--length", "59"], None, "at least 60.0 mm"),
+    (["--jobs", "2", "evolve", "--length", "84.9"], None, "invalid choice: '2'"),
+    (["enumerate", "--particles", "two"], None, "invalid int value: 'two'"),
+    (["enumerate"], None, "required: --particles"),
+    (["enumerate", "--particles", "2", "--type", "quark"], None, "invalid choice: 'quark'"),
+    (["bogus"], None, "invalid choice: 'bogus'"),
+    ([], None, "required: command"),
 ])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_file, argv,
                                                  counts, detail):
@@ -632,8 +654,16 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_fi
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error[invalid-arguments]:") and detail in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-h"])
+    assert exc.value.code == 0
+    assert "--particles" in capsys.readouterr().out
 
 
 def test_short_config_length_is_a_config_error(tmp_path, capsys, outer_pair_file):

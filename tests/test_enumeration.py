@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomode import coupledmode as cm
 from geomode import fock
@@ -15,6 +17,33 @@ DIST_AB = ParticleType.distinguishable("a", "b")
 @pytest.fixture(scope="module")
 def system():
     return cm.jx4_structure(cm.IDEAL_LENGTH_MM)
+
+
+PRESET_ENVELOPE = cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope
+DETUNING = cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0]))
+
+
+def _two_pair_system(static=None):
+    """Coupling 1 on modes 0-1 and 0.7 on modes 2-3 under the preset envelope;
+    at delta = pi the first pair closes on -1 and the second one mixes."""
+    kappa = np.zeros((4, 4))
+    kappa[0, 1] = kappa[1, 0] = 1.0
+    kappa[2, 3] = kappa[3, 2] = 0.7
+    return cm.CoupledModeSystem(cm.CouplingPattern(kappa), PRESET_ENVELOPE, static)
+
+
+def _constant_system(pattern, delta):
+    omega = cm.FLAT_COUPLING_PER_MM
+    return cm.CoupledModeSystem(pattern, cm.Envelope((cm.ConstantSegment(omega, delta / omega),)))
+
+
+# systems whose cycle does not permute basis states up to phases
+NON_PERMUTATION_SYSTEMS = {
+    "two-pair": _two_pair_system(),
+    "two-pair-non-commuting": _two_pair_system(DETUNING),
+    "detuned-jx4": cm.CoupledModeSystem(cm.jx_pattern(4), PRESET_ENVELOPE, DETUNING),
+    "quarter-cycle-jx4": _constant_system(cm.jx_pattern(4), 0.5 * np.pi),
+}
 
 
 @pytest.fixture(scope="module")
@@ -54,26 +83,57 @@ def test_two_boson_orbits(system):
 def test_identity_cycle_gives_singleton_orbits():
     # delta = 2 pi: the cycle unitary is -1 (half-integer spectrum), a
     # pure phase, so every state is a fixed point
-    omega = cm.FLAT_COUPLING_PER_MM
-    sys_ = cm.CoupledModeSystem(
-        cm.jx_pattern(4),
-        cm.Envelope((cm.ConstantSegment(omega, 2 * np.pi / omega),)),
-    )
     basis = enumerate_basis(4, 2, BOSON)
-    dec = enum.decompose_orbits(sys_, basis)
+    dec = enum.decompose_orbits(_constant_system(cm.jx_pattern(4), 2 * np.pi), basis)
     assert all(len(o) == 1 for o in dec.orbits)
     assert dec.orbit_count == basis.size
 
 
-def test_non_permutation_evolution_raises():
-    omega = cm.FLAT_COUPLING_PER_MM
-    sys_ = cm.CoupledModeSystem(
-        cm.jx_pattern(4),
-        cm.Envelope((cm.ConstantSegment(omega, 0.5 * np.pi / omega),)),
-    )
+def test_mode_shift_orbits_take_two_search_steps():
+    # a circulant whose delta = pi cycle moves every photon one mode on; a
+    # four-state orbit is two links away from its first state
+    dft = np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2
+    shift = cm.CouplingPattern(dft @ np.diag(np.arange(4) / 2) @ dft.conj().T)
+    basis = enumerate_basis(4, 2, BOSON)
+    dec = enum.decompose_orbits(_constant_system(shift, np.pi), basis)
+    i = basis.index_of
+    assert {frozenset(o) for o in dec.orbits} == {
+        frozenset({i((2, 0, 0, 0)), i((0, 2, 0, 0)), i((0, 0, 2, 0)), i((0, 0, 0, 2))}),
+        frozenset({i((1, 1, 0, 0)), i((0, 1, 1, 0)), i((0, 0, 1, 1)), i((1, 0, 0, 1))}),
+        frozenset({i((1, 0, 1, 0)), i((0, 1, 0, 1))}),
+    }
+
+
+def test_quarter_cycle_has_one_component():
+    # delta = pi / 2 spreads every single photon over all four modes
     basis = enumerate_basis(4, 1, BOSON)
-    with pytest.raises(enum.UnsupportedEvolutionError):
-        enum.decompose_orbits(sys_, basis)
+    dec = enum.decompose_orbits(NON_PERMUTATION_SYSTEMS["quarter-cycle-jx4"], basis)
+    assert dec.orbits == ((0, 1, 2, 3),)
+    assert enum.count_subspaces(dec) == (14, 0)
+
+
+# Components of non-permutation cycles: (component sizes in order of their
+# smallest index, cyclic count) per particle number, bosons.
+@pytest.mark.parametrize("name,particles,sizes,cyclic", [
+    ("two-pair", 1, [1, 1, 2], 6),
+    ("two-pair", 2, [1, 1, 2, 1, 2, 3], 62),
+    ("two-pair", 3, [1, 1, 2, 1, 2, 3, 1, 2, 3, 4], 1022),
+    ("two-pair-non-commuting", 1, [2, 2], 2),
+    ("two-pair-non-commuting", 2, [3, 4, 3], 6),
+    ("two-pair-non-commuting", 3, [4, 6, 6, 4], 14),
+    ("detuned-jx4", 1, [4], 0),
+    ("detuned-jx4", 2, [10], 0),
+    ("detuned-jx4", 3, [20], 0),
+])
+def test_component_census(name, particles, sizes, cyclic):
+    system = NON_PERMUTATION_SYSTEMS[name]
+    basis = enumerate_basis(4, particles, BOSON)
+    report = enum.enumerate_holonomic(system, basis)
+    dec = enum.decompose_orbits(system, basis)
+    assert [len(c) for c in dec.orbits] == sizes
+    assert all(list(c) == sorted(c) for c in dec.orbits)
+    assert sorted(i for c in dec.orbits for i in c) == list(range(basis.size))
+    assert report.cyclic_subspaces == len(report.records) == cyclic
 
 
 # ------------------------------------------------------------------ counts
@@ -231,14 +291,21 @@ def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
         assert abs(r.max_k - hol.k_matrix(sub, system, method="lifted").max_abs) < 1e-10
 
 
-@pytest.mark.parametrize("particle", [BOSON, FERMION, DIST_AB],
-                         ids=["bosons", "fermions", "distinguishable"])
-def test_check_subspace_agrees_with_census(system, particle):
+@pytest.mark.parametrize("name,particle", [
+    pytest.param(name, particle, id=kind if name == "jx4" else f"{name}-{kind}")
+    for name in ("jx4", "two-pair", "two-pair-non-commuting")
+    for particle, kind in [(BOSON, "bosons"), (FERMION, "fermions"),
+                           (DIST_AB, "distinguishable")]
+])
+def test_check_subspace_agrees_with_census(system, name, particle):
     # the census reads one basis-wide K table and lifted cycle; the check
     # rebuilds both per subspace and must reach the same verdict bit for bit
+    system = system if name == "jx4" else NON_PERMUTATION_SYSTEMS[name]
     basis = enumerate_basis(4, 2, particle)
     report = enum.enumerate_holonomic(system, basis)
-    assert report.holonomic_count > 0
+    assert report.records
+    if name == "jx4":
+        assert report.holonomic_count > 0
     for r in report.records:
         sub = hol.Subspace(basis, tuple(basis.states[i] for i in r.member_indices))
         check = hol.check_subspace(sub, system)
@@ -264,6 +331,30 @@ def test_union_of_orbits_characterization_single_photon(system):
 def test_union_of_orbits_characterization_two_boson(system):
     basis = enumerate_basis(4, 2, BOSON)
     assert enum.verify_union_of_orbits_characterization(system, basis)
+
+
+@pytest.mark.parametrize("particles,particle", [(1, BOSON), (2, BOSON), (2, FERMION)],
+                         ids=["1-boson", "2-bosons", "2-fermions"])
+@pytest.mark.parametrize("name", sorted(NON_PERMUTATION_SYSTEMS))
+def test_union_of_components_characterization(name, particles, particle):
+    basis = enumerate_basis(4, particles, particle)
+    assert enum.verify_union_of_orbits_characterization(NON_PERMUTATION_SYSTEMS[name], basis)
+
+
+COUPLINGS = st.sampled_from([0.0, 0.0, 0.3, 0.7, 1.0, -0.5])
+
+
+@settings(max_examples=60)
+@given(upper=st.lists(COUPLINGS, min_size=10, max_size=10),
+       particle=st.sampled_from([BOSON, FERMION]))
+def test_union_of_components_characterization_random_patterns(upper, particle):
+    # any symmetric pattern under the preset envelope: its cyclic sets are
+    # the unions of the cycle's components, by the projector test on every subset
+    kappa = np.zeros((4, 4))
+    kappa[np.triu_indices(4)] = upper
+    kappa = kappa + np.triu(kappa, 1).T
+    system = cm.CoupledModeSystem(cm.CouplingPattern(kappa), PRESET_ENVELOPE)
+    assert enum.verify_union_of_orbits_characterization(system, enumerate_basis(4, 2, particle))
 
 
 def test_distinguishable_enumeration_examples(system):
