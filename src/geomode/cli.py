@@ -11,6 +11,12 @@ The system definition comes from ``--config`` (a JSON file, see
 the calibrated four-waveguide Jx structure at its ideal length.  Scans
 and ingest use its structure family: the preset with its flat section
 varied, or U(0 -> L) of a file-defined system.
+
+Arguments are validated in two places only.  The parser checks all
+that the argument text decides (typed flags and exclusive groups), and
+``main`` is the one boundary that reports a ``ValueError`` raised by
+the library on a caller's value as ``error[invalid-arguments]:``.  The
+commands keep only the checks that need the built system or a file.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ EXIT_NOT_CYCLIC = 4
 EXIT_NOT_HOLONOMIC = 5
 
 PRESET_NAME = "paper-jx4"
+SCAN_MODES = {"theory": "theory", "synthetic": "synthetic-experiment"}
 
 
 class CommandError(Exception):
@@ -163,25 +170,6 @@ def _particle_type(kind: str, particles: int) -> ParticleType:
     return ParticleType(kind)
 
 
-def _parse_lengths(args) -> np.ndarray:
-    if getattr(args, "grid", None):
-        try:
-            lo, hi, step = (float(v) for v in args.grid.split(":"))
-        except ValueError:
-            raise CommandError("invalid-arguments", "--grid expects LO:HI:STEP")
-        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step) and step > 0):
-            raise CommandError("invalid-arguments",
-                               "--grid needs finite LO and HI and a positive finite STEP")
-        return np.arange(lo, hi + step / 2, step)
-    if getattr(args, "lengths", None):
-        try:
-            vals = [float(v) for v in args.lengths.split(",")]
-        except ValueError:
-            raise CommandError("invalid-arguments", "--lengths expects comma-separated numbers")
-        return np.asarray(vals)
-    return np.asarray(cm.STRUCTURE_LENGTHS_MM)
-
-
 def _detection(args, modes: int) -> xp.DetectionModel:
     """Calibrated ratios on the four measured ports, or 0.5 on each of ``modes`` ports."""
     ratios = xp.CALIBRATED_SPLITTERS if args.splitters == "calibrated" else (0.5,) * modes
@@ -189,29 +177,35 @@ def _detection(args, modes: int) -> xp.DetectionModel:
 
 
 def _scan_inputs(sub: hol.Subspace, args) -> list[xp.InputSpec]:
-    stats = "distinguishable" if getattr(args, "distinguishable", False) else None
-    prep = "hom_bunched" if getattr(args, "hom_bunched", False) else "direct"
-    specs = []
+    stats = "distinguishable" if args.distinguishable else None
+    prep = "hom_bunched" if args.hom_bunched else "direct"
     members = sub.members
-    if getattr(args, "inputs", None):
-        wanted = args.inputs.split(",")
-        if sub.particle.kind == "distinguishable":
-            by_occ = {
-                "".join(f"{lab}{m + 1}" for lab, m in zip(sub.particle.labels, s.occupations)): s
-                for s in members
-            }
-        else:
-            by_occ = {"".join(str(n) for n in m.occupations): m for m in members}
+    if args.inputs is not None:
+        # a member's key is its label without bars and spaces: 2000, a1b4
+        by_key = {m.label()[1:-1].replace(" ", ""): m for m in members}
         try:
-            members = [by_occ[w] for w in wanted]
+            members = [by_key[key] for key in args.inputs]
         except KeyError as exc:
             raise CommandError("invalid-arguments", f"input {exc} is not a subspace member")
-    for m in members:
-        use_prep = prep if (prep == "direct" or (m.particle.kind == "boson"
-                                                 and 2 in m.occupations)) else "direct"
-        specs.append(xp.InputSpec(m, preparation=use_prep,
-                                  visibility=args.visibility, statistics=stats))
-    return specs
+    # --hom-bunched prepares the doubly occupied boson inputs; the others launch directly
+    return [xp.InputSpec(m, visibility=args.visibility, statistics=stats,
+                         preparation=prep if m.particle.kind == "boson"
+                         and 2 in m.occupations else "direct")
+            for m in members]
+
+
+def _scan_setup(args):
+    """(subspace, inputs, lengths, detection, family) of a scan, plateau
+    or count simulation; without --grid or --lengths, the seven realized
+    lengths."""
+    system, family = build_system(load_config(args))
+    sub = load_subspace(args, system.modes)
+    lengths = cm.STRUCTURE_LENGTHS_MM if args.lengths is None else args.lengths
+    if args.grid is not None:
+        lo, hi, step = args.grid
+        lengths = np.arange(lo, hi + step / 2, step)
+    return (sub, _scan_inputs(sub, args), np.asarray(lengths),
+            _detection(args, system.modes), family)
 
 
 # ---------------------------------------------------------------- commands
@@ -219,13 +213,8 @@ def _scan_inputs(sub: hol.Subspace, args) -> list[xp.InputSpec]:
 
 def cmd_evolve(args) -> int:
     config = load_config(args)
-    if (args.delta is None) == (args.length is None):
-        raise CommandError("invalid-arguments", "evolve needs exactly one of --delta/--length")
-    flag, value = ("--delta", args.delta) if args.length is None else ("--length", args.length)
-    if not math.isfinite(value):
-        raise CommandError("invalid-arguments", f"{flag} must be finite")
     system, _ = build_system(config, length_mm=args.length)
-    if args.delta is not None:
+    if args.length is None:
         u, delta = system.pattern.unitary(args.delta), args.delta
     else:
         # the preset is built at the requested length; a file system is cut there
@@ -241,15 +230,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.cap < 0:
-        raise CommandError("invalid-arguments", "--cap must be non-negative")
-    config = load_config(args)
-    system, _ = build_system(config)
-    ptype = _particle_type(args.type, args.particles)
-    try:
-        basis = enumerate_basis(system.modes, args.particles, ptype)
-    except ValueError as exc:
-        raise CommandError("invalid-arguments", str(exc))
+    system, _ = build_system(load_config(args))
+    basis = enumerate_basis(system.modes, args.particles,
+                            _particle_type(args.type, args.particles))
     if basis.size < 2:
         raise CommandError("invalid-arguments", "enumeration needs a basis of at least 2 "
                            f"states; {args.particles} {args.type} particles on "
@@ -313,24 +296,10 @@ def cmd_check(args) -> int:
     return code
 
 
-def _run_scan(args, mode: str):
-    config = load_config(args)
-    system, family = build_system(config)
-    modes = system.modes
-    sub = load_subspace(args, modes)
-    specs = _scan_inputs(sub, args)
-    lengths = _parse_lengths(args)
-    result = xp.scan(sub, specs, lengths, mode=mode, detection=_detection(args, modes),
-                     family=family)
-    return sub, result
-
-
 def cmd_scan(args) -> int:
-    mode = "synthetic-experiment" if args.mode == "synthetic" else "theory"
-    try:
-        sub, result = _run_scan(args, mode)
-    except ValueError as exc:
-        raise CommandError("invalid-arguments", str(exc))
+    sub, specs, lengths, detection, family = _scan_setup(args)
+    result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode], detection=detection,
+                     family=family)
     directory = out_dir(args)
     write_json(directory / "scan_result.json", result.to_json())
     result.write_csv(directory / "scan_curves.csv")
@@ -393,9 +362,6 @@ def cmd_plateau(args) -> int:
         if extra:
             raise CommandError("invalid-arguments", "--table-s2 recomputes the paper-jx4 "
                                f"catalogue and takes no {', '.join(extra)}")
-        if not (math.isfinite(args.table_grid_step) and args.table_grid_step > 0):
-            raise CommandError("invalid-arguments",
-                               "--table-grid-step must be positive and finite")
     clip = None
     if args.clip_lo is not None or args.clip_hi is not None:
         clip = (args.clip_lo, args.clip_hi)
@@ -426,14 +392,12 @@ def cmd_plateau(args) -> int:
         print(f"all_pass: {doc['all_pass']}")
         return EXIT_OK
     rule = xp.THEORY_RULE if args.rule == "theory" else xp.EXPERIMENTAL_RULE
-    mode = "synthetic-experiment" if args.mode == "synthetic" else "theory"
-    if rule == xp.THEORY_RULE and not args.grid and not args.lengths:
-        args.grid = "60:115:0.01"
-    try:
-        sub, result = _run_scan(args, mode)
-        report = xp.plateau_report(result, rule, clip=clip)
-    except ValueError as exc:
-        raise CommandError("invalid-arguments", str(exc))
+    if rule == xp.THEORY_RULE and args.grid is None and args.lengths is None:
+        args.lengths = xp.theory_lengths(0.01)
+    sub, specs, lengths, detection, family = _scan_setup(args)
+    result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode], detection=detection,
+                     family=family)
+    report = xp.plateau_report(result, rule, clip=clip)
     write_json(directory / "plateau_report.json", report.to_json())
     for label, interval in report.per_input.items():
         print(f"{label}: plateau [{interval.start:.2f}, {interval.end:.2f}] mm, "
@@ -452,17 +416,8 @@ def cmd_plateau(args) -> int:
 
 
 def cmd_simulate_counts(args) -> int:
-    config = load_config(args)
-    system, family = build_system(config)
-    modes = system.modes
-    sub = load_subspace(args, modes)
-    specs = _scan_inputs(sub, args)
-    lengths = _parse_lengths(args)
-    try:
-        rows = xp.simulate_counts(sub, specs, lengths, detection=_detection(args, modes),
-                                  family=family)
-    except ValueError as exc:
-        raise CommandError("invalid-arguments", str(exc))
+    sub, specs, lengths, detection, family = _scan_setup(args)
+    rows = xp.simulate_counts(sub, specs, lengths, detection=detection, family=family)
     path = out_dir(args) / "counts.csv"
     xp.write_counts_csv(path, rows)
     print(f"wrote {len(rows)} count records to {path}")
@@ -471,16 +426,11 @@ def cmd_simulate_counts(args) -> int:
 
 def cmd_ingest(args) -> int:
     system, family = build_system(load_config(args))
-    modes = system.modes
-    sub = load_subspace(args, modes)
-    if not args.counts:
-        raise CommandError("invalid-arguments", "ingest needs --counts FILE")
+    sub = load_subspace(args, system.modes)
     try:
-        result = xp.ingest_counts(args.counts, sub, _detection(args, modes), family)
+        result = xp.ingest_counts(args.counts, sub, _detection(args, system.modes), family)
     except FileNotFoundError:
         raise CommandError("invalid-arguments", f"count file {args.counts} not found")
-    except ValueError as exc:
-        raise CommandError("invalid-arguments", str(exc))
     directory = out_dir(args)
     write_json(directory / "ingested_scan.json", result.to_json())
     result.write_csv(directory / "ingested_curves.csv")
@@ -504,20 +454,38 @@ def cmd_fidelity(args) -> int:
     q = _load_distribution(args.experiment)
     if isinstance(p, dict) and isinstance(q, dict):
         keys = sorted(set(p) | set(q))
-        p = [float(p.get(k, 0.0)) for k in keys]
-        q = [float(q.get(k, 0.0)) for k in keys]
+        p = [p.get(k, 0.0) for k in keys]
+        q = [q.get(k, 0.0) for k in keys]
     elif not (isinstance(p, list) and isinstance(q, list)):
         raise CommandError("invalid-arguments",
                            "distributions must both be JSON arrays or objects")
-    try:
-        f = xp.fidelity(p, q)
-    except ValueError as exc:
-        raise CommandError("invalid-arguments", str(exc))
-    print(format(f, ".17g"))
+    print(format(xp.fidelity(p, q), ".17g"))
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
+
+
+def _flag(parse, ok, condition: str):
+    """An argparse type: ``parse(text)`` if it succeeds and passes ``ok``,
+    else the error "argument --flag: <condition>, got '<text>'"."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{condition}, got {text!r}")
+        return value
+    return convert
+
+
+def _numbers(separator: str):
+    return lambda text: tuple(float(v) for v in text.split(separator))
+
+
+def _all_finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -537,17 +505,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master random seed (default %(default)s)")
     parser.add_argument("--out-dir", default=".", help="directory for report files")
     sub = parser.add_subparsers(dest="command", required=True)
+    finite = _flag(float, math.isfinite, "must be a finite number")
 
     p = sub.add_parser("evolve", help="print the single-particle evolution operator")
-    p.add_argument("--delta", type=float, help="accumulated phase in radians")
-    p.add_argument("--length", type=float, help="structure length in mm")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--delta", type=finite, help="accumulated phase in radians")
+    group.add_argument("--length", type=finite, help="structure length in mm")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("enumerate", help="enumerate cyclic subspaces and classify them")
     p.add_argument("--particles", type=int, required=True)
     p.add_argument("--type", choices=["boson", "fermion", "distinguishable"],
                    default="boson")
-    p.add_argument("--cap", type=int, default=en.ENUMERATION_CAP)
+    p.add_argument("--cap", type=_flag(int, lambda n: n >= 0, "must be a non-negative integer"),
+                   default=en.ENUMERATION_CAP)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("check", help="cyclicity/holonomy verdict for a subspace")
@@ -556,9 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scan_options(p, include_rule=False, subspace_required=True):
         p.add_argument("--subspace", required=subspace_required)
-        p.add_argument("--inputs", help="comma-separated occupation strings (default: all)")
-        p.add_argument("--lengths", help="comma-separated lengths in mm")
-        p.add_argument("--grid", help="LO:HI:STEP dense length grid in mm")
+        p.add_argument("--inputs", help="comma-separated occupation strings (default: all)",
+                       type=_flag(lambda text: tuple(text.split(",")),
+                                  lambda keys: len(set(keys)) == len(keys),
+                                  "must name each input once"))
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--lengths", help="comma-separated lengths in mm",
+                           type=_flag(_numbers(","), _all_finite,
+                                      "must be comma-separated finite numbers"))
+        group.add_argument("--grid", help="LO:HI:STEP dense length grid in mm",
+                           type=_flag(_numbers(":"), lambda v: len(v) == 3 and _all_finite(v)
+                                      and v[2] > 0, "must be LO:HI:STEP with finite LO and "
+                                      "HI and a positive finite STEP"))
         p.add_argument("--mode", choices=["theory", "synthetic"], default="theory")
         p.add_argument("--trials", type=int, default=100_000)
         p.add_argument("--splitters", choices=["ideal", "calibrated"], default="calibrated")
@@ -583,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plateau extraction / reference table")
     p.add_argument("--table-s2", action="store_true",
                    help="recompute the bundled reference width table")
-    p.add_argument("--table-grid-step", type=float, default=0.01)
+    p.add_argument("--table-grid-step", default=0.01, type=_flag(
+        float, lambda v: 0 < v < math.inf, "must be a positive finite number"))
     p.set_defaults(func=cmd_plateau, scan_defaults=vars(scan_options.parse_args([])))
 
     p = sub.add_parser("simulate-counts", help="write synthetic detector counts")
@@ -608,8 +589,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CommandError as exc:
-        print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
+    except (CommandError, ValueError) as exc:
+        # the one boundary for the library's verdict on a value the caller passed
+        print(f"error[{getattr(exc, 'kind', 'invalid-arguments')}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -725,12 +725,15 @@ def hom_dip(delays, visibility: float) -> np.ndarray:
 def fidelity(p_theory, p_exp) -> float:
     """Bhattacharyya overlap F = (sum_j sqrt(p_j q_j))^2.
 
-    Both distributions must be over the same outcomes and normalized
-    within 1e-6.  When the theory assigns probability 1 to a single
-    outcome this reduces to that outcome's experimental probability.
+    Both distributions must be 1-D sequences of finite numbers over the
+    same outcomes, normalized within 1e-6.  When the theory assigns
+    probability 1 to a single outcome this reduces to that outcome's
+    experimental probability.
     """
-    p = np.asarray(p_theory, dtype=float)
-    q = np.asarray(p_exp, dtype=float)
+    p, q = np.asarray(p_theory), np.asarray(p_exp)
+    for name, dist in (("theory", p), ("experiment", q)):
+        if dist.ndim != 1 or dist.dtype.kind not in "iuf" or not np.all(np.isfinite(dist)):
+            raise ValueError(f"{name} distribution must be a list of finite numbers")
     if p.shape != q.shape:
         raise ValueError("distributions must cover the same outcome set")
     if np.any(p < 0) or np.any(q < 0):

@@ -77,11 +77,11 @@ def write_system(path, system):
 
 @pytest.mark.parametrize("from_file, flags, detail", [
     (True, ["--length", "-5"], "[0, 84.9"),
-    (True, ["--length", "nan"], "--length must be finite"),
-    (False, ["--length", "nan"], "--length must be finite"),
-    (False, ["--length", "inf"], "--length must be finite"),
-    (False, ["--delta", "nan"], "--delta must be finite"),
-    (False, ["--delta", "inf"], "--delta must be finite"),
+    (True, ["--length", "nan"], "argument --length: must be a finite number"),
+    (False, ["--length", "nan"], "argument --length: must be a finite number"),
+    (False, ["--length", "inf"], "argument --length: must be a finite number"),
+    (False, ["--delta", "nan"], "argument --delta: must be a finite number"),
+    (False, ["--delta", "inf"], "argument --delta: must be a finite number"),
 ], ids=["file-negative-length", "file-nan-length", "preset-nan-length",
         "preset-inf-length", "nan-delta", "inf-delta"])
 def test_evolve_rejects_bad_values(tmp_path, capsys, from_file, flags, detail):
@@ -588,6 +588,26 @@ def test_fidelity_dict_inputs(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("theory, experiment", [
+    ("[null, 1.0]", "[0.5, 0.5]"),
+    ("[1.0, 0.0]", "[NaN, 1.0]"),
+    ("[{}, 1.0]", "[0.5, 0.5]"),
+    ('{"a": null}', '{"a": 1.0}'),
+    ('{"a": [1.0]}', '{"a": 1.0}'),
+], ids=["null", "nan", "object-in-list", "null-in-object", "list-in-object"])
+def test_fidelity_rejects_undefined_entries(tmp_path, capsys, theory, experiment):
+    t = tmp_path / "t.json"
+    e = tmp_path / "e.json"
+    t.write_text(theory)
+    e.write_text(experiment)
+    code = main(["--out-dir", str(tmp_path), "fidelity", "--theory", str(t),
+                 "--experiment", str(e)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error[invalid-arguments]:")
+    assert "list of finite numbers" in captured.err
+
+
 # ---------------------------------------------------------- deterministic JSON
 
 
@@ -617,7 +637,7 @@ COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
      "s1,80,|2000>,1a-1b,5\n\ns1,eighty,|2000>,1a-1b,3\n", "line 4"),
     (["--config", "{tmp}/nope.json", "plateau", "--table-s2"], None, "--config"),
     (["plateau", "--table-s2", "--rule", "experimental", "--lengths", "80,nan",
-      "--subspace", "/nonexistent.json"], None, "--subspace, --lengths, --rule"),
+      "--subspace", "/nonexistent.json"], None, "argument --lengths:"),
     (["plateau", "--table-s2", "--mode", "synthetic"], None, "--mode"),
     (["plateau", "--table-s2", "--grid", "60:115:0.5"], None, "--grid"),
     (["plateau", "--table-s2", "--inputs", "2000"], None, "--inputs"),
@@ -644,6 +664,18 @@ COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
     (["enumerate", "--particles", "2", "--type", "quark"], None, "invalid choice: 'quark'"),
     (["bogus"], None, "invalid choice: 'bogus'"),
     ([], None, "required: command"),
+    (["plateau", "--table-s2", "--rule", "experimental", "--lengths", "80,85",
+      "--subspace", "/nonexistent.json"], None, "--subspace, --lengths, --rule"),
+    (["simulate-counts", "--subspace", "{sub}", "--hom-bunched", "--visibility", "2"], None,
+     "visibility must lie in [0, 1]"),
+    (["scan", "--subspace", "{sub}", "--grid", "80:90:1", "--lengths", "80,85"], None,
+     "argument --lengths: not allowed with argument --grid"),
+    (["scan", "--subspace", "{sub}", "--lengths", ""], None, "argument --lengths:"),
+    (["scan", "--subspace", "{sub}", "--grid", ""], None, "argument --grid:"),
+    (["simulate-counts", "--subspace", "{sub}", "--inputs", "2000,2000"], None,
+     "argument --inputs: must name each input once"),
+    (["evolve", "--delta", "0", "--length", "84.9"], None,
+     "argument --length: not allowed with argument --delta"),
 ])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_file, argv,
                                                  counts, detail):
@@ -657,6 +689,47 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_fi
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+# Every numeric or list flag of evolve, enumerate, scan, plateau and
+# simulate-counts, and the global --seed, with base arguments under which
+# its value matters; the --grid and --lengths cells drop the base lengths.
+SCAN_BASE = ["--subspace", "{sub}", "--lengths", "80,90", "--hom-bunched"]
+FUZZ_CELLS = [
+    ("evolve", [], "--delta"),
+    ("evolve", [], "--length"),
+    ("enumerate", ["--particles", "1"], "--particles"),
+    ("enumerate", ["--particles", "1"], "--cap"),
+    *((command, [*SCAN_BASE, *extra], flag)
+      for command, extra in (("scan", ["--mode", "synthetic"]), ("plateau", []),
+                             ("simulate-counts", []))
+      for flag in ("--inputs", "--lengths", "--grid", "--trials", "--visibility", "--seed")),
+    ("plateau", [*SCAN_BASE, "--clip-hi", "95"], "--clip-lo"),
+    ("plateau", [*SCAN_BASE, "--clip-lo", "70"], "--clip-hi"),
+    ("plateau", ["--table-s2"], "--table-grid-step"),
+]
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "x", "2", "1e400", "80,80", "90:80:1",
+               "2000,2000"]
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("command, base, flag", FUZZ_CELLS,
+                         ids=[f"{c}{f}" for c, _, f in FUZZ_CELLS])
+def test_flag_values_exit_cleanly(tmp_path, capsys, three_state_file, command, base, flag,
+                                  value):
+    """Any value of any numeric or list flag: exit 0, or one error line."""
+    base = [a.format(sub=three_state_file) for a in base]
+    if flag in ("--lengths", "--grid"):
+        base = [a for a in base if a not in ("--lengths", "80,90")]
+    argv = [flag, value, command, *base] if flag == "--seed" else [command, *base, flag, value]
+    code = main(["--out-dir", str(tmp_path), *argv])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert "error[" not in err
+    elif code == 3:
+        assert flag == "--cap" and err.startswith("error[cap-exceeded]:")
+    else:
+        assert code == 2 and err.startswith("error[") and err.count("\n") == 1, err
 
 
 def test_help_exits_0(capsys):

@@ -645,6 +645,18 @@ def test_fidelity_validation():
         xp.fidelity([1.1, -0.1], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("p", [
+    [float("nan"), 1.0], [float("inf"), 0.0], [None, 1.0], [{}, 1.0], ["0.5", "0.5"],
+    [[0.5], [0.5]], 1.0,
+], ids=["nan", "inf", "none", "object", "string", "2-d", "scalar"])
+def test_fidelity_rejects_undefined_entries(p):
+    """An undefined entry is an error, never a nan overlap: nan - 1 passes
+    no tolerance comparison."""
+    for args in ((p, [0.5, 0.5]), ([0.5, 0.5], p)):
+        with pytest.raises(ValueError, match="list of finite numbers"):
+            xp.fidelity(*args)
+
+
 # -------------------------------------------------------------- count files
 
 
