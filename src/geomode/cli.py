@@ -25,6 +25,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,8 @@ class CommandError(Exception):
 
 
 def _format_scalar(x) -> str:
+    if type(x) is float:  # the common case, before the isinstance chain
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if x is None:
         return "null"
     if isinstance(x, bool):
@@ -70,6 +74,29 @@ def _format_scalar(x) -> str:
             return "null"
         return format(v, ".17g")
     raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def _dumps_records(seq: list, indent: int) -> str | None:
+    """A list of dicts with the same keys in the same order, written
+    through one template; None for any other list.  A column of finite
+    floats fills its slots by ``%.17g`` directly, any other column is
+    written value by value."""
+    if set(map(type, seq)) != {dict} or len(set(map(tuple, seq))) != 1 or not seq[0]:
+        return None
+    slots, cells = [], []
+    for column in zip(*map(dict.values, seq)):
+        if set(map(type, column)) == {float} and all(map(math.isfinite, column)):
+            slots.append("%.17g")
+            cells.append(column)
+        else:
+            slots.append("%s")
+            cells.append([dumps_json(v, indent + 4) for v in column])
+    pad, inner = " " * (indent + 2), " " * (indent + 4)
+    keys = (json.dumps(str(k)).replace("%", "%%") for k in seq[0])
+    body = ",\n".join(f"{inner}{k}: {slot}" for k, slot in zip(keys, slots))
+    item = f"{pad}{{\n{body}\n{pad}}}"
+    return ("[\n" + ",\n".join([item] * len(seq)) + f"\n{' ' * indent}]") % tuple(
+        chain.from_iterable(zip(*cells)))
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -88,7 +115,10 @@ def dumps_json(obj, indent: int = 0) -> str:
             return "[]"
         if all(isinstance(v, (int, float, np.integer, np.floating, type(None), bool))
                for v in seq):
-            return "[" + ", ".join(_format_scalar(v) for v in seq) + "]"
+            return "[" + ", ".join(map(_format_scalar, seq)) + "]"
+        records = _dumps_records(seq, indent)
+        if records is not None:
+            return records
         parts = [f"{inner}{dumps_json(v, indent + 2)}" for v in seq]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     if isinstance(obj, complex):
@@ -105,13 +135,30 @@ def write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------- plumbing
 
 
+@contextmanager
+def _reading(path, kind: str, what: str):
+    """Report a file that cannot be read (missing, a directory, no
+    permission, not UTF-8) as one ``error[kind]:`` line."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise CommandError(kind, f"{what} {path} not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise CommandError(kind, f"cannot read {what} {path}: {reason}") from None
+
+
+def _read_text(path, kind: str, what: str) -> str:
+    with _reading(path, kind, what):
+        return Path(path).read_text()
+
+
 def load_config(args) -> dict:
     if not args.config:
         return {"preset": PRESET_NAME}
+    text = _read_text(args.config, "invalid-config", "config file")
     try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise CommandError("invalid-config", f"config file {args.config} not found")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CommandError("invalid-config", f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -149,12 +196,10 @@ def load_subspace(args, modes: int) -> hol.Subspace:
     """The ``--subspace`` file; ``modes`` is the configured system's mode count."""
     if not getattr(args, "subspace", None):
         raise CommandError("invalid-arguments", "this command needs --subspace FILE")
+    text = _read_text(args.subspace, "invalid-arguments", "subspace file")
     try:
-        doc = json.loads(Path(args.subspace).read_text())
-        return hol.subspace_from_json(doc, modes=modes)
-    except FileNotFoundError:
-        raise CommandError("invalid-arguments", f"subspace file {args.subspace} not found")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        return hol.subspace_from_json(json.loads(text), modes=modes)
+    except (ValueError, KeyError) as exc:
         raise CommandError("invalid-arguments", f"bad subspace definition: {exc}")
 
 
@@ -427,10 +472,8 @@ def cmd_simulate_counts(args) -> int:
 def cmd_ingest(args) -> int:
     system, family = build_system(load_config(args))
     sub = load_subspace(args, system.modes)
-    try:
+    with _reading(args.counts, "invalid-arguments", "count file"):
         result = xp.ingest_counts(args.counts, sub, _detection(args, system.modes), family)
-    except FileNotFoundError:
-        raise CommandError("invalid-arguments", f"count file {args.counts} not found")
     directory = out_dir(args)
     write_json(directory / "ingested_scan.json", result.to_json())
     result.write_csv(directory / "ingested_curves.csv")
@@ -440,13 +483,11 @@ def cmd_ingest(args) -> int:
 
 
 def _load_distribution(path: str):
+    text = _read_text(path, "invalid-arguments", "distribution file")
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise CommandError("invalid-arguments", f"distribution file {path} not found")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CommandError("invalid-arguments", f"bad distribution JSON: {exc}")
-    return doc
 
 
 def cmd_fidelity(args) -> int:

@@ -33,10 +33,12 @@ basis) keep each assignment as its own member.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import chain, repeat
@@ -147,6 +149,15 @@ class DetectionModel:
         return 2.0 * r * (1.0 - r)
 
 
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer``'s default dialect writes it: quoted,
+    with its quotes doubled, when it holds a comma, quote or line break."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+
+
 class ScanPoint(NamedTuple):
     """One point of a success curve: a length (mm), its success
     probability and one-sigma uncertainty, both None where the point is
@@ -186,17 +197,22 @@ class ScanResult:
         }
 
     def write_csv(self, path):
-        """Two-column-per-point curve export: length, probability, sigma."""
+        """Curve export, one row per point: input label, length,
+        probability and sigma with 17 significant digits, an undefined
+        value as an empty cell.  The bytes are those of ``csv.writer``'s
+        default dialect; the rows are formatted through one template and
+        written once."""
+        template, values = ["input_state,length_mm,probability,sigma\r\n"], []
+        for label, points in self.curves.items():
+            label = _csv_field(label).replace("%", "%%")
+            # one row form per (probability defined, sigma defined)
+            rows = {(p, s): f"{label},%.17g,{'%.17g' if p else ''},{'%.17g' if s else ''}\r\n"
+                    for p in (False, True) for s in (False, True)}
+            template.extend(rows[p.probability is not None, p.sigma is not None]
+                            for p in points)
+            values.extend(v for v in chain.from_iterable(points) if v is not None)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input_state", "length_mm", "probability", "sigma"])
-            for lab, points in self.curves.items():
-                for p in points:
-                    writer.writerow([
-                        lab, f"{p.length_mm:.17g}",
-                        "" if p.probability is None else f"{p.probability:.17g}",
-                        "" if p.sigma is None else f"{p.sigma:.17g}",
-                    ])
+            fh.write("".join(template) % tuple(values))
 
 
 # ----------------------------------------------------------- theory curves
@@ -774,9 +790,6 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
     return rows
 
 
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
-
-
 def write_counts_csv(path, rows):
     """Write the header and ``rows`` (tuples of :data:`COUNT_COLUMNS`
     fields) with the bytes of ``csv.writer``'s default dialect, formatted
@@ -787,7 +800,7 @@ def write_counts_csv(path, rows):
     if set(map(len, rows)) - {width}:
         raise ValueError(f"count rows need {width} fields")
     columns = (set(map(operator.itemgetter(k), rows)) for k in range(width))
-    quoted = {value: '"' + value.replace('"', '""') + '"' for column in columns
+    quoted = {value: _csv_field(value) for column in columns
               for value in column if isinstance(value, str) and _CSV_SPECIAL.search(value)}
     if quoted:
         rows = [tuple(quoted.get(value, value) for value in row) for row in rows]
@@ -796,65 +809,152 @@ def write_counts_csv(path, rows):
         fh.write(template % tuple(chain.from_iterable(rows)))
 
 
+#: Records per block of the count-file tokenizer: its field lists live
+#: only while their block is coded, so a large file's peak memory stays
+#: that of one block.
+_INGEST_BLOCK = 8192
+
+
+def _count_blocks(path):
+    """The header fields of a count file (None if it is empty) and its
+    non-blank records after the header as ``(cells, widths, lines)``
+    blocks: the records' fields in one flat list, each record's field
+    count and the file line on which it ends, blank lines counted.
+
+    A file without ``"`` is split on line breaks and commas; a file with
+    quoted fields goes through ``csv.reader`` and its ``line_num``."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if '"' in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        del text
+        header, rows, lines = next(reader, None), [], []
+        for row in filter(None, reader):
+            rows.append(row)
+            lines.append(reader.line_num)
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        return header, [(list(chain.from_iterable(rows)), widths, np.array(lines, np.intp))
+                        ] if rows else []
+    if not text:
+        return None, []
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    records = text.split("\n")
+    del text
+    header = records.pop(0).split(",")
+    lines = np.flatnonzero(np.fromiter(map(len, records), np.intp, len(records))) + 2
+    records = list(filter(None, records))
+
+    def blocks():
+        done = 0
+        while records:  # each block's records are freed as it is handed out
+            block = records[:_INGEST_BLOCK]
+            del records[:_INGEST_BLOCK]
+            widths = np.fromiter(map(str.count, block, repeat(",")), np.intp, len(block)) + 1
+            yield ",".join(block).split(","), widths, lines[done:done + len(block)]
+            done += len(block)
+    return header, blocks()
+
+
+def _picked_fields(cells, widths, picks) -> list[list[str]]:
+    """Field ``k`` of every record of a block, for each ``k`` in ``picks``;
+    ``""`` where a record has no field ``k``."""
+    if widths.min() == widths.max():
+        width = int(widths[0])
+        if width > max(picks):
+            return [cells[k::width] for k in picks]
+    starts = np.cumsum(widths) - widths
+    cells.append("")  # index -1: the field a short record lacks
+    return [list(map(cells.__getitem__, np.where(widths > k, starts + k, -1).tolist()))
+            for k in picks]
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
                   family: StructureFamily | None = None) -> ScanResult:
     """Rebuild success probabilities from a count CSV.
 
-    Expects the :data:`COUNT_COLUMNS` schema.  Malformed rows raise a
-    ValueError naming the line number; groups with zero post-selected
-    counts yield an undefined-probability point (None, not 0).  An
-    ``input_state`` is the label of a state of the subspace's basis
-    (``|2000>``, ``|a1 b3>``).  Each input's channel map follows its
-    first row: heralded (``nXY`` labels) or the subspace's own
-    detection.  An unknown input state or channel raises a ValueError
-    naming its line.  The family (default:
-    the calibrated Jx structure) fixes each input's ideal outcome, as
-    in :func:`scan`.
+    Expects the :data:`COUNT_COLUMNS` schema, in any column order and
+    with extra columns allowed.  The file is read once and split into
+    columns: on commas and line breaks when it holds no ``"``, else by
+    ``csv.reader`` (quoted fields).  Each column is coded by one dict
+    of its distinct values, so a number is parsed once per distinct
+    text, and the counts are grouped by one ``np.add.at`` per input.
+
+    A malformed row (too few fields, a length or count that is not a
+    finite number, a negative count, an empty input state or channel)
+    raises a ValueError naming the file line of the first such row,
+    blank lines counted; groups with zero post-selected counts yield an
+    undefined-probability point (None, not 0).  An ``input_state`` is
+    the label of a state of the subspace's basis (``|2000>``,
+    ``|a1 b3>``).  Each input's channel map follows its first row:
+    heralded (``nXY`` labels) or the subspace's own detection.  An
+    unknown input state or channel raises a ValueError naming its line.
+    The family (default: the calibrated Jx structure) fixes each input's
+    ideal outcome, as in :func:`scan`.
     """
     detection = detection or DetectionModel()
-    records = {}  # input label -> [(line, length, channel, counts)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            warnings.warn(f"count file {path} is empty")
-            return ScanResult(sub, "ingested")
-        missing = set(COUNT_COLUMNS) - set(header)
-        if missing:
-            raise ValueError(f"count file missing columns {sorted(missing)}")
-        i_length, i_label, i_channel, i_counts = (header.index(name) for name in COUNT_COLUMNS[1:])
-        for row in filter(None, reader):
-            lineno = reader.line_num
-            try:
-                length, counts = float(row[i_length]), float(row[i_counts])
-                label, channel = row[i_label], row[i_channel]
-                if counts < 0 or not math.isfinite(length + counts) or not label or not channel:
-                    raise ValueError
-            except (IndexError, ValueError):
-                raise ValueError(f"malformed count row at line {lineno}") from None
-            records.setdefault(label, []).append((lineno, length, channel, counts))
-
-    if not records:
+    header, blocks = _count_blocks(path)
+    if header is None:
+        warnings.warn(f"count file {path} is empty")
+        return ScanResult(sub, "ingested")
+    missing = set(COUNT_COLUMNS) - set(header)
+    if missing:
+        raise ValueError(f"count file missing columns {sorted(missing)}")
+    picks = [header.index(name) for name in COUNT_COLUMNS[1:]]
+    # per column, distinct text -> code; a text not yet seen gets the dict's length
+    indexes = [defaultdict() for _ in picks]
+    for index in indexes:
+        index.default_factory = index.__len__
+    parts = []
+    for cells, widths, lines in blocks:
+        fields = _picked_fields(cells, widths, picks)
+        del cells
+        parts.append([widths <= max(picks), lines] + [
+            np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+            for index, column in zip(indexes, fields)])
+    if not parts:
         warnings.warn(f"count file {path} has no data rows")
         return ScanResult(sub, "ingested")
+    short, lines, length_code, label_code, channel_code, count_code = map(
+        np.concatenate, zip(*parts))
+    del parts
+    length_index, label_index, channel_index, count_index = indexes
+    lengths = np.array([_float_or_nan(text) for text in length_index])[length_code]
+    values = np.array([_float_or_nan(text) for text in count_index])[count_code]
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = short | (values < 0) | ~np.isfinite(lengths + values)
+    bad |= (label_code == label_index.get("", -1)) | (channel_code == channel_index.get("", -1))
+    if bad.any():
+        raise ValueError(f"malformed count row at line {lines[bad.argmax()]}")
 
     ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).cycle()
     states = {state.label(): state for state in sub.basis.states}
+    names = list(channel_index)
     result = ScanResult(sub, "ingested")
-    for label in sorted(records):
-        lines, lengths, names, values = zip(*records[label])
+    for label in sorted(label_index):
+        rows = np.flatnonzero(label_code == label_index[label])
         if label not in states:
-            raise ValueError(f"unknown input_state {label!r} at line {lines[0]}")
+            raise ValueError(f"unknown input_state {label!r} at line {lines[rows[0]]}")
         spec = InputSpec(states[label])
-        statistics = DISTINGUISHABLE_STATS if names[0].startswith("n") else _statistics(sub, spec)
+        statistics = (DISTINGUISHABLE_STATS if names[channel_code[rows[0]]].startswith("n")
+                      else _statistics(sub, spec))
         channels = channel_map(sub.basis, statistics, detection)
         index = {name: c for c, name in enumerate(channels.labels)}
-        for lineno, name in zip(lines, names):
-            if name not in index:
-                raise ValueError(f"unknown detector_pair {name!r} at line {lineno}")
-        grid, at = np.unique(lengths, return_inverse=True)
+        column = np.array([index.get(name, -1) for name in names])[channel_code[rows]]
+        if (column < 0).any():
+            row = rows[(column < 0).argmax()]
+            raise ValueError(f"unknown detector_pair {names[channel_code[row]]!r} "
+                             f"at line {lines[row]}")
+        grid, at = np.unique(lengths[rows], return_inverse=True)
         counts = np.zeros((grid.size, len(channels.labels)))
-        np.add.at(counts, (at, [index[name] for name in names]), values)
+        np.add.at(counts, (at, column), values[rows])
         target = _ideal_target_index(sub, ideal, spec.state)
         result.curves[label] = _success_points(grid, sub, target, *channels.estimate(counts))
     return result

@@ -676,6 +676,13 @@ COUNT_HEADER = "structure_id,length_mm,input_state,detector_pair,counts\n"
      "argument --inputs: must name each input once"),
     (["evolve", "--delta", "0", "--length", "84.9"], None,
      "argument --length: not allowed with argument --delta"),
+    # a directory where a file is read
+    (["--config", "{tmp}", "evolve", "--delta", "0"], None,
+     "error[invalid-config]: cannot read config file"),
+    (["check", "--subspace", "{tmp}"], None, "cannot read subspace file"),
+    (["ingest", "--subspace", "{sub}", "--counts", "{tmp}"], None, "cannot read count file"),
+    (["fidelity", "--theory", "{tmp}", "--experiment", "{sub}"], None,
+     "cannot read distribution file"),
 ])
 def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_file, argv,
                                                  counts, detail):
@@ -685,10 +692,32 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_fi
     code = main(["--out-dir", str(tmp_path / "out"), *(a.format(**paths) for a in argv)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error[invalid-arguments]:") and detail in err
+    # a detail that begins with "error[" names its own kind
+    prefix = detail if detail.startswith("error[") else "error[invalid-arguments]:"
+    assert err.startswith(prefix) and detail in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("argv, kind, what", [
+    (["--config", "{bad}", "evolve", "--delta", "0"], "invalid-config", "config file"),
+    (["check", "--subspace", "{bad}"], "invalid-arguments", "subspace file"),
+    (["ingest", "--subspace", "{sub}", "--counts", "{bad}"], "invalid-arguments", "count file"),
+    (["fidelity", "--theory", "{sub}", "--experiment", "{bad}"], "invalid-arguments",
+     "distribution file"),
+], ids=["config", "subspace", "counts", "distribution"])
+def test_non_utf8_file_exits_2_without_traceback(tmp_path, capsys, three_state_file, argv,
+                                                 kind, what):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("structure_id,length_mm,input_state,detector_pair,counts\n"
+                    "s1,80,|2000>,caf\u00e9,5\n".encode("latin-1"))
+    paths = {"sub": three_state_file, "bad": bad}
+    code = main(["--out-dir", str(tmp_path / "out"), *(a.format(**paths) for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error[{kind}]: cannot read {what} {bad}: 'utf-8' codec")
+    assert err.count("\n") == 1
 
 
 # Every numeric or list flag of evolve, enumerate, scan, plateau and

@@ -1,0 +1,234 @@
+"""Report bytes: the JSON and CSV writers against the recursive and
+``csv.writer`` forms they replaced, and golden hashes of the count round
+trip's reports."""
+
+import csv
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomode import cli
+from geomode import experiment as xp
+from geomode import holonomy as hol
+from geomode.cli import main
+
+REPORT_HASHES = json.loads((Path(__file__).parent / "data" / "report_hashes.json").read_text())
+
+
+# ------------------------------------------------------------ JSON oracle
+
+
+def oracle_format_scalar(x) -> str:
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        v = float(x)
+        if v != v or v in (float("inf"), float("-inf")):
+            return "null"
+        return format(v, ".17g")
+    raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def oracle_dumps_json(obj, indent: int = 0) -> str:
+    """The recursive writer: one call per container, one per number."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: {oracle_dumps_json(v, indent + 2)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        if all(isinstance(v, (int, float, np.integer, np.floating, type(None), bool))
+               for v in seq):
+            return "[" + ", ".join(oracle_format_scalar(v) for v in seq) + "]"
+        parts = [f"{inner}{oracle_dumps_json(v, indent + 2)}" for v in seq]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if isinstance(obj, complex):
+        return "[" + oracle_format_scalar(obj.real) + ", " + oracle_format_scalar(obj.imag) + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return oracle_format_scalar(obj)
+
+
+def write_subspace(path, states, particle="boson"):
+    path.write_text(json.dumps({"particle": particle, "states": states}))
+    return str(path)
+
+
+@pytest.fixture
+def recorded_reports(monkeypatch):
+    """Every (path, document) that ``cli.write_json`` writes."""
+    written = []
+    real = cli.write_json
+
+    def record(path, obj):
+        written.append((path, obj))
+        real(path, obj)
+
+    monkeypatch.setattr(cli, "write_json", record)
+    return written
+
+
+def run_matrix(tmp_path):
+    three = write_subspace(tmp_path / "three.json", [[2, 0, 0, 0], [1, 0, 0, 1], [0, 0, 0, 2]])
+    mixed = write_subspace(tmp_path / "mixed.json", [[2, 0, 0, 0], [0, 2, 0, 0]])
+    out = ["--out-dir", str(tmp_path / "out")]
+    codes = [main([*out, "evolve", "--length", "84.9"]),
+             main([*out, "enumerate", "--particles", "2"]),
+             main([*out, "check", "--subspace", three]),
+             main([*out, "check", "--subspace", mixed]),
+             main([*out, "scan", "--subspace", three]),
+             main([*out, "--seed", "5", "scan", "--subspace", three, "--mode", "synthetic",
+                   "--trials", "20"]),
+             main([*out, "plateau", "--subspace", three, "--rule", "experimental"]),
+             main([*out, "plateau", "--table-s2", "--table-grid-step", "0.05"]),
+             main([*out, "--seed", "5", "simulate-counts", "--subspace", three,
+                   "--trials", "20"]),
+             main([*out, "ingest", "--subspace", three, "--counts",
+                   str(tmp_path / "out" / "counts.csv")])]
+    return codes
+
+
+def test_dumps_json_matches_recursive_writer_on_every_report(tmp_path, recorded_reports):
+    codes = run_matrix(tmp_path)
+    assert codes[:3] + codes[4:] == [0] * 9 and codes[3] != 0
+    names = {path.name for path, _ in recorded_reports}
+    assert names == {"evolution.json", "enumeration_report.json", "check_report.json",
+                     "scan_result.json", "plateau_report.json", "plateau_table.json",
+                     "ingested_scan.json"}
+    assert len(recorded_reports) == 9
+    for path, doc in recorded_reports:
+        assert cli.dumps_json(doc) == oracle_dumps_json(doc), path.name
+    # the last write of each name is the file on disk
+    for path, doc in dict(recorded_reports).items():
+        assert path.read_text() == oracle_dumps_json(doc) + "\n"
+
+
+KEYS = st.sampled_from(["a", "b", "length_mm", "%s", "100%", 'q"k', "é", 7])
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e308, 5e-324]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+
+
+def records(values):
+    """Lists of dicts with the same keys in the same order."""
+    return st.lists(KEYS, unique=True, max_size=4).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: values for k in keys}),
+                              min_size=1, max_size=5))
+
+
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+        records(LEAVES),
+        records(children),
+        st.lists(st.dictionaries(KEYS, LEAVES, max_size=3), min_size=1, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=250)
+@given(DOCUMENTS)
+def test_dumps_json_matches_recursive_writer(doc):
+    assert cli.dumps_json(doc) == oracle_dumps_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [{"x": 1.0, "y": None}, {"x": 2.5, "y": 0.1}],
+    [{"x": 1.0}, {"y": 1.0}],
+    [{"x": 1.0, "y": 2.0}, {"y": 2.0, "x": 1.0}],
+    [{"x": [1.0]}, {"x": [2.0]}],
+    [{}, {}],
+    {"curves": {"|2000>": [{"length_mm": 80.0, "probability": math.nan, "sigma": math.inf}]}},
+    [{"x": np.float64(0.1), "c": 1 + 2j, "s": "%d", "b": True, "i": np.int64(3)}] * 3,
+    np.arange(3.0),
+    [np.arange(2.0), {"k": ()}],
+], ids=["records-with-null", "differing-keys", "differing-order", "container-values",
+        "empty-dicts", "non-finite", "mixed-types", "array", "nested"])
+def test_dumps_json_matches_recursive_writer_on_edge_cases(doc):
+    assert cli.dumps_json(doc) == oracle_dumps_json(doc)
+
+
+def test_dumps_json_rejects_unknown_values():
+    for doc in ([{"x": object()}], [{"x": np.bool_(True)}, {"x": np.bool_(False)}]):
+        with pytest.raises(TypeError):
+            oracle_dumps_json(doc)
+        with pytest.raises(TypeError):
+            cli.dumps_json(doc)
+
+
+# ------------------------------------------------------------- CSV oracle
+
+
+def oracle_write_csv(result, path):
+    """The ``csv.writer`` export, one ``writerow`` per point."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["input_state", "length_mm", "probability", "sigma"])
+        for lab, points in result.curves.items():
+            for p in points:
+                writer.writerow([
+                    lab, f"{p.length_mm:.17g}",
+                    "" if p.probability is None else f"{p.probability:.17g}",
+                    "" if p.sigma is None else f"{p.sigma:.17g}",
+                ])
+
+
+def test_scan_csv_matches_csv_writer(tmp_path):
+    sub = hol.subspace_from_json({"particle": "boson", "states": [[2, 0, 0, 0], [0, 0, 0, 2]]},
+                                 modes=4)
+    result = xp.ScanResult(sub, "ingested", {
+        "|2000>": [xp.ScanPoint(80.0, 0.25, 0.01), xp.ScanPoint(80.5, None, None),
+                   xp.ScanPoint(81.0, 1.0, None), xp.ScanPoint(-0.0, None, 5e-324)],
+        'a,"b%s\r\n': [xp.ScanPoint(1e308, math.nan, math.inf), xp.ScanPoint(3, 1, 0)],
+        "": [xp.ScanPoint(np.float64(0.1), np.float64(0.2), 0.3)],
+        "|0002>": [],
+        "all defined": [xp.ScanPoint(90.0 + k / 7, k / 9, k / 11) for k in range(5)],
+    })
+    result.write_csv(tmp_path / "new.csv")
+    oracle_write_csv(result, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ------------------------------------------------------- golden reports
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_HASHES["cases"]))
+def test_count_round_trip_report_hashes(tmp_path, case):
+    """simulate-counts, ingest and scan --mode synthetic at the golden
+    seed reproduce the stored sha256 of every report."""
+    spec = REPORT_HASHES["cases"][case]
+    sub = write_subspace(tmp_path / "sub.json", REPORT_HASHES["states"])
+    out = tmp_path / "out"
+    common = ["--seed", str(REPORT_HASHES["seed"]), "--out-dir", str(out)]
+    assert main([*common, "simulate-counts", "--subspace", sub, *spec["args"]]) == 0
+    assert main([*common, "ingest", "--subspace", sub, "--counts", str(out / "counts.csv")]) == 0
+    assert main([*common, "scan", "--mode", "synthetic", "--subspace", sub, *spec["args"]]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in spec["sha256"]}
+    assert got == spec["sha256"]
