@@ -264,9 +264,6 @@ def cmd_evolve(args) -> int:
     else:
         # the preset is built at the requested length; a file system is cut there
         z = system.length if config.get("preset") is not None else args.length
-        if not 0.0 <= z <= system.length + 1e-9:
-            raise CommandError("invalid-arguments", "--length must lie in [0, "
-                               f"{system.length}] mm for the configured system")
         u, delta = cm.evolve(system, z), system.envelope.phase(z)
     doc = {"modes": u.shape[0], "delta": float(delta), "matrix": cm.matrix_to_json(u)}
     write_json(out_dir(args) / "evolution.json", doc)
@@ -285,7 +282,9 @@ def cmd_enumerate(args) -> int:
     try:
         report = en.enumerate_holonomic(system, basis, cap=args.cap)
     except en.EnumerationCapError as exc:
-        print(f"error[cap-exceeded]: {exc}", file=sys.stderr)
+        cyclic = exc.partial_report.cyclic_subspaces
+        print(f"error[cap-exceeded]: {cyclic} cyclic subspaces exceed the cap of {args.cap}; "
+              f"rerun with --cap {cyclic}", file=sys.stderr)
         return EXIT_CAP
     doc = report.to_json()
     directory = out_dir(args)

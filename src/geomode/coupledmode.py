@@ -29,7 +29,7 @@ stack of evolution operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -371,11 +371,16 @@ class CoupledModeSystem:
         return h
 
 
+def _checked_position(system: CoupledModeSystem, z: float) -> float:
+    """``z`` if it lies in [0, L] (rounding allowed); else ValueError."""
+    if not -1e-12 <= z <= system.length + 1e-9:
+        raise ValueError(f"position {z} outside [0, {system.length}]")
+    return z
+
+
 def accumulated_phase(system: CoupledModeSystem, z: float) -> float:
     """delta(z) = int_0^z Omega(tau) dtau in radians."""
-    if z < -1e-12 or z > system.length + 1e-9:
-        raise ValueError(f"position {z} outside [0, {system.length}]")
-    return system.envelope.phase(z)
+    return system.envelope.phase(_checked_position(system, z))
 
 
 def ordered_products(generators, weights, ends) -> np.ndarray:
@@ -438,10 +443,7 @@ def evolve(system: CoupledModeSystem, z: float | None = None) -> np.ndarray:
     ``U[j, k]`` is the amplitude for mode k at 0 to end in mode j at z;
     equivalently a_k^dag(z) = sum_j U[j, k] a_j^dag(0).
     """
-    if z is None:
-        z = system.length
-    if not -1e-12 <= z <= system.length + 1e-9:
-        raise ValueError(f"position {z} outside [0, {system.length}]")
+    z = system.length if z is None else _checked_position(system, z)
     return evolution_on_grid(system, [z])[0]
 
 
@@ -586,15 +588,9 @@ _SEGMENT_KINDS = {
 
 
 def segment_to_json(seg) -> dict:
-    if isinstance(seg, ConstantSegment):
-        return {"kind": "constant", "value_per_mm": seg.value, "length_mm": seg.length}
-    if isinstance(seg, CosineRampSegment):
-        return {"kind": "cosine_ramp", "start_per_mm": seg.start,
-                "end_per_mm": seg.end, "length_mm": seg.length}
-    if isinstance(seg, ExpCosineRampSegment):
-        return {"kind": "exp_cosine_ramp", "peak_per_mm": seg.peak,
-                "sharpness": seg.sharpness, "length_mm": seg.length,
-                "rising": seg.rising}
+    for kind, (cls, keys) in _SEGMENT_KINDS.items():
+        if isinstance(seg, cls):
+            return {"kind": kind, **dict(zip(keys, astuple(seg)))}
     raise TypeError(f"unknown segment type {type(seg)!r}")
 
 

@@ -225,6 +225,17 @@ def _statistics(sub: Subspace, spec: InputSpec) -> str:
     )
 
 
+def _input_specs(sub: Subspace, inputs) -> list[InputSpec]:
+    """``inputs`` as :class:`InputSpec` (a bare state is launched
+    directly); raises ValueError for an input outside the subspace."""
+    specs = [spec if isinstance(spec, InputSpec) else InputSpec(spec) for spec in inputs]
+    member_keys = {m.occupations for m in sub.members}
+    for spec in specs:
+        if spec.state.occupations not in member_keys:
+            raise ValueError(f"input {spec.label()} is outside the subspace")
+    return specs
+
+
 def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
     """Member hit by the input under ``ideal``, the family's single-particle
     cycle; only the input's column over the members is lifted."""
@@ -329,12 +340,7 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
     the detection model, and re-estimates, attaching one-sigma Poisson
     uncertainties.
     """
-    inputs = [spec if isinstance(spec, InputSpec) else InputSpec(spec) for spec in inputs]
-    member_keys = {m.occupations for m in sub.members}
-    for spec in inputs:
-        if spec.state.occupations not in member_keys:
-            raise ValueError(f"input {spec.label()} is outside the subspace")
-
+    inputs = _input_specs(sub, inputs)
     engine = CurveEngine(lengths, family)
     lengths = engine.lengths
     if mode == "theory":
@@ -683,8 +689,7 @@ def theory_plateau_widths(sub: Subspace, inputs, grid_step: float = 0.005,
         engine = CurveEngine(theory_lengths(grid_step))
     lengths = engine.lengths
     widths_r, widths_u = [], []
-    for spec in inputs:
-        spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
+    for spec in _input_specs(sub, inputs):
         curve = engine.success_curve(sub, spec)
         interval = plateau_interval(lengths, curve, THEORY_RULE)
         widths_u.append(interval.width)
@@ -718,7 +723,7 @@ def plateau_width_delta(sub: Subspace, spec: InputSpec) -> float:
     distinguishable input asks for it); each call lifts only its input's
     column over the members.
     """
-    spec = spec if isinstance(spec, InputSpec) else InputSpec(spec)
+    spec, = _input_specs(sub, [spec])
     engine = _delta_axis_engine()
     curve = engine.success_curve(sub, spec)
     interval = plateau_interval(engine.lengths, curve, THEORY_RULE,
@@ -776,7 +781,7 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
     if detection.trials <= 0:
         raise ValueError("count simulation needs a positive Poisson trial count")
     lengths = np.asarray(lengths, dtype=float)
-    inputs = [spec if isinstance(spec, InputSpec) else InputSpec(spec) for spec in inputs]
+    inputs = _input_specs(sub, inputs)
     engine = CurveEngine(lengths, family)
     rows = []
     for i, spec in enumerate(inputs):
@@ -793,20 +798,21 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
 def write_counts_csv(path, rows):
     """Write the header and ``rows`` (tuples of :data:`COUNT_COLUMNS`
     fields) with the bytes of ``csv.writer``'s default dialect, formatted
-    as one string and written once.  A text field holding a comma, quote
-    or line break is quoted once per distinct value."""
+    as one string and written once.  The rows are formatted again, with
+    their text fields quoted, only when the text holds a quote or more
+    commas or line breaks than the rows account for."""
     rows = list(rows)
     width = len(COUNT_COLUMNS)
     if set(map(len, rows)) - {width}:
         raise ValueError(f"count rows need {width} fields")
-    columns = (set(map(operator.itemgetter(k), rows)) for k in range(width))
-    quoted = {value: _csv_field(value) for column in columns
-              for value in column if isinstance(value, str) and _CSV_SPECIAL.search(value)}
-    if quoted:
-        rows = [tuple(quoted.get(value, value) for value in row) for row in rows]
-    template = ",".join(COUNT_COLUMNS) + "\r\n" + (",".join(["%s"] * width) + "\r\n") * len(rows)
+    template = (",".join(["%s"] * width) + "\r\n") * len(rows)
+    body = template % tuple(chain.from_iterable(rows))
+    if ('"' in body or body.count(",") > (width - 1) * len(rows)
+            or body.count("\r") > len(rows) or body.count("\n") > len(rows)):
+        body = template % tuple(_csv_field(value) if isinstance(value, str) else value
+                                for value in chain.from_iterable(rows))
     with open(path, "w", newline="") as fh:
-        fh.write(template % tuple(chain.from_iterable(rows)))
+        fh.writelines([",".join(COUNT_COLUMNS) + "\r\n", body])
 
 
 #: Records per block of the count-file tokenizer: its field lists live

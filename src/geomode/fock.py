@@ -12,7 +12,9 @@ caller reads; :func:`lift_unitary` validates one matrix and calls it.
 Ryser's :func:`permanent` and :func:`permanent_naive` are kept as
 oracles.  The kernel, the one-body tensor and the vacuum-expectation
 evaluator are built independently of each other so that they can be
-used to validate each other.
+used to validate each other.  A basis is immutable; its state index,
+mode table, norms and one-body tensor are cached properties, each built
+at its first use.
 
 Conventions
 -----------
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -161,8 +163,6 @@ class FockBasis:
     modes: int
     particles: int
     states: tuple[OccupationState, ...]
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _cache: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -171,7 +171,7 @@ class FockBasis:
     def index_of(self, state) -> int:
         occ = state.occupations if isinstance(state, OccupationState) else tuple(state)
         try:
-            return self._index[occ]
+            return self.state_index[occ]
         except KeyError:
             raise KeyError(f"state {occ} not in basis") from None
 
@@ -183,6 +183,11 @@ class FockBasis:
         v = np.zeros(self.size, dtype=complex)
         v[self.index_of(state)] = 1.0
         return v
+
+    @cached_property
+    def state_index(self) -> dict:
+        """Occupations -> position of each state in the basis."""
+        return {s.occupations: i for i, s in enumerate(self.states)}
 
     @cached_property
     def mode_table(self) -> np.ndarray:
@@ -197,6 +202,31 @@ class FockBasis:
         norms = np.sqrt([s.norm_factorial() for s in self.states])
         norms.setflags(write=False)
         return norms
+
+    @cached_property
+    def one_body(self) -> np.ndarray:
+        """The one-body tensor of :func:`one_body_tensor`, read-only."""
+        m, kind = self.modes, self.particle.kind
+        t = np.zeros((self.size, self.size, m, m))
+        for col, st in enumerate(self.states):
+            occ = st.occupations
+            if kind == DISTINGUISHABLE:
+                for li, b in enumerate(occ):
+                    for a in range(m):
+                        t[self.index_of(occ[:li] + (a,) + occ[li + 1 :]), col, a, b] += 1.0
+                continue
+            for b in range(m):
+                down = _annihilate(occ, b, kind)
+                if down is None:
+                    continue
+                f1, occ1 = down
+                for a in range(m):
+                    up = _create(occ1, a, kind)
+                    if up is not None:
+                        f2, occ2 = up
+                        t[self.index_of(occ2), col, a, b] = f1 * f2
+        t.setflags(write=False)
+        return t
 
 
 def basis_size(modes: int, particles: int, particle: ParticleType) -> int:
@@ -225,27 +255,20 @@ def enumerate_basis(modes: int, particles: int, particle: ParticleType) -> FockB
     if particle.kind == DISTINGUISHABLE:
         occs = sorted(itertools.product(range(modes), repeat=particles))
     else:
+        combos = (itertools.combinations_with_replacement if particle.kind == BOSON
+                  else itertools.combinations)
         occs = []
-        if particle.kind == BOSON:
-            for modes_combo in itertools.combinations_with_replacement(range(modes), particles):
-                occ = [0] * modes
-                for m in modes_combo:
-                    occ[m] += 1
-                occs.append(tuple(occ))
-        else:
-            for modes_combo in itertools.combinations(range(modes), particles):
-                occ = [0] * modes
-                for m in modes_combo:
-                    occ[m] = 1
-                occs.append(tuple(occ))
+        for modes_combo in combos(range(modes), particles):
+            occ = [0] * modes
+            for m in modes_combo:
+                occ[m] += 1
+            occs.append(tuple(occ))
         occs.sort(reverse=True)
 
     states = tuple(OccupationState(particle, modes, occ) for occ in occs)
     expected = basis_size(modes, particles, particle)
     assert len(states) == expected, "basis size mismatch"
-    basis = FockBasis(particle, modes, particles, states)
-    basis._index.update({s.occupations: i for i, s in enumerate(states)})
-    return basis
+    return FockBasis(particle, modes, particles, states)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -417,32 +440,7 @@ def one_body_tensor(basis: FockBasis) -> np.ndarray:
     operator sum_ab X[a,b] a_a^dag a_b is T contracted with X.  The
     entries are real; the cached array is read-only.
     """
-    cached = basis._cache.get("one_body")
-    if cached is not None:
-        return cached
-    m = basis.modes
-    t = np.zeros((basis.size, basis.size, m, m))
-    kind = basis.particle.kind
-    for col, st in enumerate(basis.states):
-        occ = st.occupations
-        if kind == DISTINGUISHABLE:
-            for li, b in enumerate(occ):
-                for a in range(m):
-                    t[basis.index_of(occ[:li] + (a,) + occ[li + 1 :]), col, a, b] += 1.0
-            continue
-        for b in range(m):
-            down = _annihilate(occ, b, kind)
-            if down is None:
-                continue
-            f1, occ1 = down
-            for a in range(m):
-                up = _create(occ1, a, kind)
-                if up is not None:
-                    f2, occ2 = up
-                    t[basis.index_of(occ2), col, a, b] = f1 * f2
-    t.setflags(write=False)
-    basis._cache["one_body"] = t
-    return t
+    return basis.one_body
 
 
 def lift_hamiltonian(h, basis: FockBasis) -> np.ndarray:

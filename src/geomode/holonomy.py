@@ -22,11 +22,12 @@ tensor <s| a_a^dag a_b |t> (see :func:`fock.one_body_tensor`) with a
 single-particle matrix, for every statistics and particle number: K
 with the mode coupling J(z), the gauge field with the single-particle
 field i Phi^dag d_z Phi (J(z) in the Heisenberg family, J(z) +
-Omega(z)/2 in the phase-adjusted one), so both are exact.  An
-independent "lifted" K path sandwiches the second-quantized Hamiltonian
-between the evolved member kets; tests hold the two together.  The
-per-element formulas :func:`k_two_particle`, :func:`k_n_boson` and
-:func:`gauge_relation_two_particle` are kept as oracles.
+Omega(z)/2 in the phase-adjusted one), so both are exact.  The
+oracles are kept apart from that path: :func:`k_matrix_lifted`
+sandwiches the second-quantized Hamiltonian between the evolved member
+kets, and the per-element formulas :func:`k_two_particle` (which also
+gives two-particle gauge-field elements from the single-particle field)
+and :func:`k_n_boson`; tests hold them to the contraction.
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ class Subspace:
     @property
     def member_indices(self) -> tuple[int, ...]:
         return tuple(self.basis.index_of(s) for s in self.members)
-
-    def labels(self) -> list[str]:
-        return [s.label() for s in self.members]
 
 
 def subspace_from_states(basis: FockBasis, states) -> Subspace:
@@ -220,11 +218,6 @@ def _cycle_grid(system: CoupledModeSystem, grid) -> np.ndarray:
 # --------------------------------------------------- closed-form K terms
 
 
-def _two_particle_norm(modes_pair) -> float:
-    a, b = modes_pair
-    return math.sqrt(2.0) if a == b else 1.0
-
-
 def k_two_particle(bra: OccupationState, ket: OccupationState, j_matrix: np.ndarray,
                    particle: ParticleType | None = None) -> complex:
     """Dynamical-contribution element between two-particle states.
@@ -236,7 +229,10 @@ def k_two_particle(bra: OccupationState, ket: OccupationState, j_matrix: np.ndar
     (A, B) are the bra modes with the operator order reversed by the
     adjoint, (C, D) the ket modes in creation order; N normalizes
     doubly occupied states.  Elements are between unit-norm kets, so
-    they match the lifted-Hamiltonian matrix elements directly.
+    they match the lifted-Hamiltonian matrix elements directly.  Any
+    one-body generator lifts by the same formula: with the
+    single-particle gauge field i Phi^dag d_z Phi in place of J it gives
+    the two-particle gauge-field element.
     """
     particle = particle or bra.particle
     j = np.asarray(j_matrix)
@@ -259,7 +255,7 @@ def k_two_particle(bra: OccupationState, ket: OccupationState, j_matrix: np.ndar
         + sign * (b_ == d_) * j[a_, c_]
         + (b_ == c_) * j[a_, d_]
     )
-    norm = _two_particle_norm(bra_modes) * _two_particle_norm(ket_modes)
+    norm = (math.sqrt(2.0) if a_ == b_ else 1.0) * (math.sqrt(2.0) if c_ == d_ else 1.0)
     return complex(raw / norm)
 
 
@@ -328,23 +324,21 @@ class DynamicalContribution:
         return float(np.max(np.abs(self.matrices - np.conj(np.swapaxes(self.matrices, 1, 2)))))
 
 
-def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None,
-             method: str = "closed_form") -> DynamicalContribution:
+def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None) -> DynamicalContribution:
     """Dynamical contribution of a subspace along the cycle, in the
-    Heisenberg mode family.
-
-    ``closed_form`` contracts the basis's one-body tensor, restricted to
-    the members, with the mode coupling J(z): K = sum_ab J_ab a_a^dag a_b
-    for any statistics and any particle number.  ``lifted`` sandwiches
-    the second-quantized Hamiltonian between the evolved member kets
-    (permanents / determinants / per-label products).  Both paths agree
-    to tight tolerance (enforced in tests).
+    Heisenberg mode family: the basis's one-body tensor, restricted to
+    the members, contracted with the mode coupling J(z), i.e.
+    K = sum_ab J_ab a_a^dag a_b for any statistics and any particle
+    number.  :func:`k_matrix_lifted` is its oracle.
     """
-    if method == "closed_form":
-        return gauge_field(sub, system, grid, HEISENBERG)
-    if method != "lifted":
-        raise ValueError(f"unknown K method {method!r}")
+    return gauge_field(sub, system, grid, HEISENBERG)
 
+
+def k_matrix_lifted(sub: Subspace, system: CoupledModeSystem, grid=None) -> DynamicalContribution:
+    """Oracle for :func:`k_matrix`: the second-quantized Hamiltonian
+    sandwiched between the evolved member kets (permanents /
+    determinants / per-label products).  Tests hold the two together.
+    """
     grid = _cycle_grid(system, grid)
     kets = _member_kets_batch(sub, system, grid, HEISENBERG)  # (Z, S, dim)
     h_pattern = fock.lift_hamiltonian(system.pattern.matrix, sub.basis)
@@ -394,35 +388,6 @@ def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
     elif family != HEISENBERG:
         raise ValueError(f"unknown mode family {family!r}")
     return DynamicalContribution(grid, _lift_on_members(a, sub), sub)
-
-
-def gauge_relation_two_particle(a_single: np.ndarray, bra: OccupationState,
-                                ket: OccupationState,
-                                particle: ParticleType | None = None) -> complex:
-    """Two-particle gauge-field element from the single-particle one.
-
-    Bosons:   N [ d_BD A_AC + d_BC A_AD + d_AD A_BC + d_AC A_BD]
-    Fermions: N [-d_BD A_AC + d_BC A_AD + d_AD A_BC - d_AC A_BD]
-    Distinguishable: d_BD A_AC + d_AC A_BD per label, with the same
-    index conventions as :func:`k_two_particle`.
-    """
-    particle = particle or bra.particle
-    a = np.asarray(a_single)
-    if particle.kind == DISTINGUISHABLE:
-        (p, q), (r, s) = bra.occupations, ket.occupations
-        return complex((q == s) * a[p, r] + (p == r) * a[q, s])
-
-    b_, a_ = bra.mode_list()
-    c_, d_ = ket.mode_list()
-    sign = 1.0 if particle.kind == BOSON else -1.0
-    raw = (
-        sign * (b_ == d_) * a[a_, c_]
-        + (b_ == c_) * a[a_, d_]
-        + (a_ == d_) * a[b_, c_]
-        + sign * (a_ == c_) * a[b_, d_]
-    )
-    norm = _two_particle_norm(bra.mode_list()) * _two_particle_norm(ket.mode_list())
-    return complex(raw / norm)
 
 
 # ------------------------------------------------------------- the verdict

@@ -189,8 +189,7 @@ def test_c06_two_particle_gauge_relation():
             lifts = fock.lift_unitary_batch(np.stack([fp, fm]), basis)
             a_two = 1j * lift0.conj().T @ ((lifts[0] - lifts[1]) / (2 * h_fd))
             bi, ki = rng.integers(0, basis.size, size=2)
-            got = hol.gauge_relation_two_particle(
-                a_single, basis.states[bi], basis.states[ki], particle)
+            got = hol.k_two_particle(basis.states[bi], basis.states[ki], a_single, particle)
             worst = max(worst, abs(got - a_two[bi, ki]))
             checks += 1
     report(6, worst < 1e-6, f"{checks} random families, worst |dev| = {worst:.2e}")

@@ -153,6 +153,17 @@ def test_enumerate_cap_exceeded(tmp_path, capsys):
     assert "error[cap-exceeded]" in capsys.readouterr().err
 
 
+def test_cap_line_names_the_flag_that_covers_the_census(tmp_path, capsys):
+    code = main(["--out-dir", str(tmp_path), "enumerate", "--particles", "2", "--cap", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("error[cap-exceeded]: 62 cyclic subspaces exceed the cap of 10; "
+                   "rerun with --cap 62\n")
+    assert "token" not in err
+    assert main(["--out-dir", str(tmp_path), "enumerate", "--particles", "2",
+                 "--cap", "62"]) == 0
+
+
 # ------------------------------------------------------------------- check
 
 
@@ -759,6 +770,54 @@ def test_flag_values_exit_cleanly(tmp_path, capsys, three_state_file, command, b
         assert flag == "--cap" and err.startswith("error[cap-exceeded]:")
     else:
         assert code == 2 and err.startswith("error[") and err.count("\n") == 1, err
+
+
+def _system_axis():
+    """The systems of the census axis by name; None is the preset."""
+    jx4 = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
+    swap = [1, 0, 2, 3]
+    two_pair = np.zeros((4, 4))
+    two_pair[0, 1] = two_pair[1, 0] = 1.0
+    two_pair[2, 3] = two_pair[3, 2] = 0.7
+    return {
+        "preset": None,
+        "file-jx4": jx4,
+        "jx4-swapped": cm.CoupledModeSystem(
+            cm.CouplingPattern(jx4.pattern.matrix[np.ix_(swap, swap)]), jx4.envelope),
+        "jx4-detuned": cm.CoupledModeSystem(jx4.pattern, jx4.envelope,
+                                            cm.CouplingPattern(np.diag([0.01, 0, 0, 0]))),
+        "jx3": cm.CoupledModeSystem(cm.jx_pattern(3), jx4.envelope),
+        "jx5": cm.CoupledModeSystem(cm.jx_pattern(5), jx4.envelope),
+        "two-pair": cm.CoupledModeSystem(cm.CouplingPattern(two_pair), jx4.envelope),
+    }
+
+
+SYSTEM_AXIS = _system_axis()
+
+
+@pytest.mark.parametrize("particle", ["boson", "fermion", "distinguishable"])
+@pytest.mark.parametrize("name", list(SYSTEM_AXIS))
+def test_enumerate_and_check_on_every_system(tmp_path, capsys, name, particle):
+    """Every admitted system: a documented exit code, one error line when it
+    is not 0, no traceback, and a report over the config's own modes."""
+    system = SYSTEM_AXIS[name]
+    modes = 4 if system is None else system.modes
+    config = [] if system is None else ["--config", write_system(tmp_path / "s.json", system)]
+    basis = fock.enumerate_basis(modes, 2, cli._particle_type(particle, 2))
+    sub = write_subspace(tmp_path / "sub.json", hol.subspace_to_json(
+        hol.Subspace(basis, basis.states[:2])))
+    for command in (["enumerate", "--particles", "2", "--type", particle],
+                    ["check", "--subspace", sub]):
+        out = tmp_path / command[0]
+        code = main([*config, "--out-dir", str(out), *command])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert code in (0, 2, 3, 4, 5), (command, code)
+        if code:
+            assert captured.err.startswith("error[") and captured.err.count("\n") == 1
+        if code == 0 and command[0] == "enumerate":
+            report = json.loads((out / "enumeration_report.json").read_text())
+            assert report["modes"] == modes
 
 
 def test_help_exits_0(capsys):

@@ -288,7 +288,7 @@ def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
     assert len(report.records) == 62
     for r in report.records:
         sub = hol.Subspace(basis, tuple(basis.states[i] for i in r.member_indices))
-        assert abs(r.max_k - hol.k_matrix(sub, system, method="lifted").max_abs) < 1e-10
+        assert abs(r.max_k - hol.k_matrix_lifted(sub, system).max_abs) < 1e-10
 
 
 @pytest.mark.parametrize("name,particle", [

@@ -711,6 +711,18 @@ def test_count_file_quotes_labels_like_csv_writer(tmp_path):
         assert [tuple(r) for r in csv.reader(fh)][1:] == [tuple(map(str, r)) for r in rows]
 
 
+@pytest.mark.parametrize("call", [
+    lambda sub, state: xp.scan(sub, [state], [80.0, 85.0]),
+    lambda sub, state: xp.simulate_counts(sub, [state], [80.0, 85.0]),
+    lambda sub, state: xp.theory_plateau_widths(sub, [state], grid_step=0.5),
+    lambda sub, state: xp.plateau_width_delta(sub, state),
+], ids=["scan", "simulate_counts", "theory_plateau_widths", "plateau_width_delta"])
+def test_input_outside_the_subspace_is_rejected(bunched_pair, call):
+    outside = bunched_pair.basis.state((1, 0, 0, 1))
+    with pytest.raises(ValueError, match=r"input \|1001> is outside the subspace"):
+        call(bunched_pair, outside)
+
+
 def test_ingest_simple_counts(tmp_path, outer_single):
     path = tmp_path / "counts.csv"
     path.write_text(

@@ -235,8 +235,8 @@ def test_k_matrix_bunched_inner_pair_vanishes(system, boson_basis):
 def test_k_matrix_closed_form_matches_lifted(system, boson_basis, members):
     sub = sub_boson(boson_basis, *members)
     grid = np.linspace(0.0, system.length, 41)
-    k1 = hol.k_matrix(sub, system, grid, method="closed_form")
-    k2 = hol.k_matrix(sub, system, grid, method="lifted")
+    k1 = hol.k_matrix(sub, system, grid)
+    k2 = hol.k_matrix_lifted(sub, system, grid)
     assert np.max(np.abs(k1.matrices - k2.matrices)) < 1e-8
 
 
@@ -249,8 +249,8 @@ def test_k_matrix_hermitian(system, boson_basis):
 def test_k_matrix_distinguishable_matches_lifted(system, dist_basis):
     sub = hol.subspace_from_states(dist_basis, [(0, 2), (1, 0), (2, 3), (3, 1)])
     grid = np.linspace(0.0, system.length, 21)
-    k1 = hol.k_matrix(sub, system, grid, method="closed_form")
-    k2 = hol.k_matrix(sub, system, grid, method="lifted")
+    k1 = hol.k_matrix(sub, system, grid)
+    k2 = hol.k_matrix_lifted(sub, system, grid)
     assert np.max(np.abs(k1.matrices - k2.matrices)) < 1e-8
     assert k1.max_abs < hol.holonomic_tolerance(system)
 
@@ -276,8 +276,8 @@ def test_k_matrix_many_particles_matches_lifted(particle, modes, members, detune
     basis = enumerate_basis(modes, 3, particle)
     sub = hol.subspace_from_states(basis, members)
     grid = np.linspace(0.0, system.length, 21)
-    k1 = hol.k_matrix(sub, system, grid, method="closed_form")
-    k2 = hol.k_matrix(sub, system, grid, method="lifted")
+    k1 = hol.k_matrix(sub, system, grid)
+    k2 = hol.k_matrix_lifted(sub, system, grid)
     assert k1.max_abs > 1e-3
     assert np.max(np.abs(k1.matrices - k2.matrices)) < 1e-10
 
@@ -513,7 +513,7 @@ def test_gauge_relation_matches_finite_difference(particle):
         a_two = 1j * lift0.conj().T @ ((liftp[0] - liftp[1]) / (2 * h_fd))
         bi, ki = rng.integers(0, basis.size, size=2)
         bra, ket = basis.states[bi], basis.states[ki]
-        got = hol.gauge_relation_two_particle(a_single, bra, ket, particle)
+        got = hol.k_two_particle(bra, ket, a_single, particle)
         want = a_two[bi, ki]
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
         checks += 1
@@ -527,7 +527,7 @@ def test_one_body_lift_matches_two_particle_gauge_relation(particle, seed):
     lifted = hol._lift_on_members(a, hol.Subspace(basis, basis.states))
     for bi, bra in enumerate(basis.states):
         for ki, ket in enumerate(basis.states):
-            want = hol.gauge_relation_two_particle(a, bra, ket, particle)
+            want = hol.k_two_particle(bra, ket, a, particle)
             assert abs(lifted[bi, ki] - want) < 1e-12
 
 
@@ -536,14 +536,14 @@ def test_gauge_relation_all_modes_distinct_is_zero():
     a = np.ones((4, 4))
     bra = basis.state((1, 1, 0, 0))
     ket = basis.state((0, 0, 1, 1))
-    assert hol.gauge_relation_two_particle(a, bra, ket, BOSON) == 0
+    assert hol.k_two_particle(bra, ket, a, BOSON) == 0
 
 
 def test_gauge_relation_bunched_element():
     basis = enumerate_basis(4, 2, BOSON)
     a = 0.5 * np.eye(4)  # single-particle gauge field Omega/2 with Omega=1
     bra = ket = basis.state((2, 0, 0, 0))
-    assert hol.gauge_relation_two_particle(a, bra, ket, BOSON) == pytest.approx(1.0)
+    assert hol.k_two_particle(bra, ket, a, BOSON) == pytest.approx(1.0)
 
 
 # --------------------------------------------------- Eq.-style reconstruction
