@@ -12,16 +12,23 @@ the calibrated four-waveguide Jx structure at its ideal length.  Scans
 and ingest use its structure family: the preset with its flat section
 varied, or U(0 -> L) of a file-defined system.
 
+The parser is built once per process (``build_parser`` is cached), and
+options that several commands take come from shared parent parsers, so
+each flag is defined once.  ``main`` runs the command ``cmd_<name>``
+(``-`` read as ``_``) that it finds by name in this module at call time.
+
 Arguments are validated in two places only.  The parser checks all
 that the argument text decides (typed flags and exclusive groups), and
 ``main`` is the one boundary that reports a ``ValueError`` raised by
 the library on a caller's value as ``error[invalid-arguments]:``.  The
-commands keep only the checks that need the built system or a file.
+commands keep only the checks that need the built system or a file;
+whether ``--subspace`` was given is checked in ``load_subspace`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -193,8 +200,10 @@ def build_system(config: dict, length_mm: float | None = None):
 
 
 def load_subspace(args, modes: int) -> hol.Subspace:
-    """The ``--subspace`` file; ``modes`` is the configured system's mode count."""
-    if not getattr(args, "subspace", None):
+    """The ``--subspace`` file; ``modes`` is the configured system's mode count.
+
+    The one check that ``--subspace`` was given, for every command that reads it."""
+    if not args.subspace:
         raise CommandError("invalid-arguments", "this command needs --subspace FILE")
     text = _read_text(args.subspace, "invalid-arguments", "subspace file")
     try:
@@ -290,12 +299,12 @@ def cmd_enumerate(args) -> int:
     directory = out_dir(args)
     write_json(directory / "enumeration_report.json", doc)
     report.write_csv(directory / "enumeration_summary.csv")
-    by_class = report.holonomic_by_class()
-    print(f"{report.total_subspaces} total, {report.cyclic_subspaces} cyclic, "
-          f"{report.holonomic_count} holonomic "
-          f"(scalar={by_class[hol.SCALAR]}, diagonal={by_class[hol.DIAGONAL]}, "
-          f"non_scalar={by_class[hol.NON_SCALAR]}); "
-          f"dim>=2 holonomic={len(report.holonomic_records(2))}")
+    totals = doc["totals"]
+    print(f"{totals['subspaces']} total, {totals['cyclic']} cyclic, "
+          f"{totals['holonomic']} holonomic "
+          f"(scalar={totals['holonomic_scalar']}, diagonal={totals['holonomic_diagonal']}, "
+          f"non_scalar={totals['holonomic_non_scalar']}); "
+          f"dim>=2 holonomic={totals['holonomic_dim_ge_2']}")
     return EXIT_OK
 
 
@@ -377,14 +386,14 @@ def _table_comparison_doc(grid_step: float):
     system = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
     basis = enumerate_basis(4, 2, ParticleType.boson())
     census = en.enumerate_holonomic(system, basis)
-    by_class = census.holonomic_by_class()
+    totals = census.to_json()["totals"]
     return {
         "tolerance": "max(15%, 1.5 mm)",
         "rows": rows,
         "non_holonomic_rows": non_h,
         "holonomy_census": {
-            "enumerated_dim_ge_2": len(census.holonomic_records(2)),
-            "enumerated_non_scalar": by_class[hol.NON_SCALAR],
+            "enumerated_dim_ge_2": totals["holonomic_dim_ge_2"],
+            "enumerated_non_scalar": totals["holonomic_non_scalar"],
             "enumerated_scalar_dim_ge_2": sum(
                 1 for r in census.holonomic_records(2)
                 if r.classification == hol.SCALAR),
@@ -399,10 +408,13 @@ def _table_comparison_doc(grid_step: float):
 
 def cmd_plateau(args) -> int:
     if args.table_s2:
-        # the catalogue is the preset's: --config and every scan option stay unset
+        # the catalogue is the preset's: --config and every scan, rule and clip
+        # option stay unset; --seed, --out-dir and the table's own options may be set
+        defaults = vars(build_parser().parse_args(["plateau"]))
         extra = ["--config"] * bool(args.config) + [
-            f"--{k.replace('_', '-')}" for k, v in args.scan_defaults.items()
-            if getattr(args, k) != v]
+            f"--{k.replace('_', '-')}" for k, v in defaults.items()
+            if k not in ("config", "seed", "out_dir", "table_s2", "table_grid_step")
+            and getattr(args, k) != v]
         if extra:
             raise CommandError("invalid-arguments", "--table-s2 recomputes the paper-jx4 "
                                f"catalogue and takes no {', '.join(extra)}")
@@ -535,6 +547,7 @@ class ArgumentParser(argparse.ArgumentParser):
         raise CommandError("invalid-arguments", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = ArgumentParser(
         prog="geomode",
@@ -547,11 +560,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     finite = _flag(float, math.isfinite, "must be a finite number")
 
+    # options shared by several commands, each written once
+    subspace = ArgumentParser(add_help=False)
+    subspace.add_argument("--subspace", help="subspace JSON file")
+    detection = ArgumentParser(add_help=False)
+    detection.add_argument("--trials", type=int, default=100_000)
+    detection.add_argument("--splitters", choices=["ideal", "calibrated"], default="calibrated")
+    scan = ArgumentParser(add_help=False, parents=[subspace, detection])
+    scan.add_argument("--inputs", help="comma-separated occupation strings (default: all)",
+                      type=_flag(lambda text: tuple(text.split(",")),
+                                 lambda keys: len(set(keys)) == len(keys),
+                                 "must name each input once"))
+    group = scan.add_mutually_exclusive_group()
+    group.add_argument("--lengths", help="comma-separated lengths in mm",
+                       type=_flag(_numbers(","), _all_finite,
+                                  "must be comma-separated finite numbers"))
+    group.add_argument("--grid", help="LO:HI:STEP dense length grid in mm",
+                       type=_flag(_numbers(":"), lambda v: len(v) == 3 and _all_finite(v)
+                                  and v[2] > 0, "must be LO:HI:STEP with finite LO and "
+                                  "HI and a positive finite STEP"))
+    scan.add_argument("--mode", choices=["theory", "synthetic"], default="theory")
+    scan.add_argument("--distinguishable", action="store_true",
+                      help="launch independent (heralded) photons")
+    scan.add_argument("--hom-bunched", action="store_true",
+                      help="prepare bunched inputs on a balanced splitter")
+    scan.add_argument("--visibility", type=float, default=xp.BUNCHED_PREPARATION_VISIBILITY)
+
     p = sub.add_parser("evolve", help="print the single-particle evolution operator")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta", type=finite, help="accumulated phase in radians")
     group.add_argument("--length", type=finite, help="structure length in mm")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("enumerate", help="enumerate cyclic subspaces and classify them")
     p.add_argument("--particles", type=int, required=True)
@@ -559,76 +597,36 @@ def build_parser() -> argparse.ArgumentParser:
                    default="boson")
     p.add_argument("--cap", type=_flag(int, lambda n: n >= 0, "must be a non-negative integer"),
                    default=en.ENUMERATION_CAP)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("check", help="cyclicity/holonomy verdict for a subspace")
-    p.add_argument("--subspace", required=True, help="subspace JSON file")
-    p.set_defaults(func=cmd_check)
+    sub.add_parser("check", parents=[subspace], help="cyclicity/holonomy verdict for a subspace")
+    sub.add_parser("scan", parents=[scan], help="success-probability scan over structure length")
 
-    def add_scan_options(p, include_rule=False, subspace_required=True):
-        p.add_argument("--subspace", required=subspace_required)
-        p.add_argument("--inputs", help="comma-separated occupation strings (default: all)",
-                       type=_flag(lambda text: tuple(text.split(",")),
-                                  lambda keys: len(set(keys)) == len(keys),
-                                  "must name each input once"))
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--lengths", help="comma-separated lengths in mm",
-                           type=_flag(_numbers(","), _all_finite,
-                                      "must be comma-separated finite numbers"))
-        group.add_argument("--grid", help="LO:HI:STEP dense length grid in mm",
-                           type=_flag(_numbers(":"), lambda v: len(v) == 3 and _all_finite(v)
-                                      and v[2] > 0, "must be LO:HI:STEP with finite LO and "
-                                      "HI and a positive finite STEP"))
-        p.add_argument("--mode", choices=["theory", "synthetic"], default="theory")
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--splitters", choices=["ideal", "calibrated"], default="calibrated")
-        p.add_argument("--distinguishable", action="store_true",
-                       help="launch independent (heralded) photons")
-        p.add_argument("--hom-bunched", action="store_true",
-                       help="prepare bunched inputs on a balanced splitter")
-        p.add_argument("--visibility", type=float,
-                       default=xp.BUNCHED_PREPARATION_VISIBILITY)
-        if include_rule:
-            p.add_argument("--rule", choices=["theory", "experimental"], default="theory")
-            p.add_argument("--clip-lo", type=float, default=None)
-            p.add_argument("--clip-hi", type=float, default=None)
-
-    p = sub.add_parser("scan", help="success-probability scan over structure length")
-    add_scan_options(p)
-    p.set_defaults(func=cmd_scan)
-
-    scan_options = ArgumentParser(add_help=False)
-    add_scan_options(scan_options, include_rule=True, subspace_required=False)
-    p = sub.add_parser("plateau", parents=[scan_options],
-                       help="plateau extraction / reference table")
+    p = sub.add_parser("plateau", parents=[scan], help="plateau extraction / reference table")
+    p.add_argument("--rule", choices=["theory", "experimental"], default="theory")
+    p.add_argument("--clip-lo", type=float, default=None)
+    p.add_argument("--clip-hi", type=float, default=None)
     p.add_argument("--table-s2", action="store_true",
                    help="recompute the bundled reference width table")
     p.add_argument("--table-grid-step", default=0.01, type=_flag(
         float, lambda v: 0 < v < math.inf, "must be a positive finite number"))
-    p.set_defaults(func=cmd_plateau, scan_defaults=vars(scan_options.parse_args([])))
 
-    p = sub.add_parser("simulate-counts", help="write synthetic detector counts")
-    add_scan_options(p)
-    p.set_defaults(func=cmd_simulate_counts)
+    sub.add_parser("simulate-counts", parents=[scan], help="write synthetic detector counts")
 
-    p = sub.add_parser("ingest", help="rebuild probabilities from a count CSV")
-    p.add_argument("--subspace", required=True)
+    p = sub.add_parser("ingest", parents=[subspace, detection],
+                       help="rebuild probabilities from a count CSV")
     p.add_argument("--counts", required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--splitters", choices=["ideal", "calibrated"], default="calibrated")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fidelity", help="Bhattacharyya overlap of two distributions")
     p.add_argument("--theory", required=True)
     p.add_argument("--experiment", required=True)
-    p.set_defaults(func=cmd_fidelity)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up at each call, so a rebound cmd_* attribute is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CommandError, ValueError) as exc:
         # the one boundary for the library's verdict on a value the caller passed
         print(f"error[{getattr(exc, 'kind', 'invalid-arguments')}]: {exc}", file=sys.stderr)

@@ -615,15 +615,13 @@ def _matrix_from_json(rows):
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def system_to_json(system: CoupledModeSystem, omega_flat: float | None = None) -> dict:
+def system_to_json(system: CoupledModeSystem) -> dict:
     doc = {
         "modes": system.modes,
         "pattern": matrix_to_json(system.pattern.matrix),
         "envelope": [segment_to_json(s) for s in system.envelope.segments],
         "length_mm": system.length,
     }
-    if omega_flat is not None:
-        doc["omega_flat_per_mm"] = omega_flat
     if system.static_pattern is not None:
         doc["static_pattern"] = matrix_to_json(system.static_pattern.matrix)
     return doc

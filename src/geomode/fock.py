@@ -332,34 +332,20 @@ def permanent_naive(m: np.ndarray) -> complex:
     return complex(total)
 
 
-def _checked_unitary(m, modes: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (modes, modes):
-        raise ValueError(f"{name} must be {modes} x {modes}, the basis mode count")
-    if not is_unitary(m):
-        raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
-    return m
-
-
 def lift_unitary(u, basis: FockBasis) -> np.ndarray:
     """Lift a single-particle M x M unitary to the N-particle basis.
 
     Checks that ``u`` is an M x M unitary and returns
     ``lift_unitary_batch(u[None], basis)[0]``: permanents for bosons,
     determinants for fermions, per-label products for distinguishable
-    particles.  For distinguishable particles a dict ``{label: matrix}``
-    applies a different unitary to each label.
+    particles.
     """
-    if basis.particle.kind == DISTINGUISHABLE and isinstance(u, dict):
-        missing = set(basis.particle.labels) - set(u)
-        if missing:
-            raise ValueError(f"no matrix for labels {sorted(missing)}")
-        out = np.ones((basis.size, basis.size), dtype=complex)
-        for li, lab in enumerate(basis.particle.labels):
-            m = _checked_unitary(u[lab], basis.modes, f"matrix for label {lab!r}")
-            out = out * m[np.ix_(basis.mode_table[:, li], basis.mode_table[:, li])]
-        return out
-    u = _checked_unitary(u, basis.modes, "input matrix")
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (basis.modes, basis.modes):
+        raise ValueError(f"input matrix must be {basis.modes} x {basis.modes}, "
+                         "the basis mode count")
+    if not is_unitary(u):
+        raise ValueError(f"input matrix is not unitary within {UNITARY_TOL}")
     return lift_unitary_batch(u[None], basis)[0]
 
 

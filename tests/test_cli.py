@@ -827,6 +827,62 @@ def test_help_exits_0(capsys):
     assert "--particles" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("fidelity", ["--theory", "t.json", "--experiment", "e.json"]),
+    ("simulate-counts", []),
+])
+def test_main_runs_the_command_found_by_name(monkeypatch, command, argv):
+    """``main`` looks ``cmd_<command>`` up when it is called, so a rebound
+    attribute is the one that runs (the parser is built once per process)."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(args.command) or 7)
+    assert main([command, *argv]) == 7
+    assert seen == [command]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, outer_pair_file):
+    """Failing calls leave the one parser as they found it: every call exits
+    and writes as it does on a freshly built parser."""
+    calls = [
+        ["scan", "--subspace", outer_pair_file, "--grid", "80:90:1", "--lengths", "80,85"],
+        ["scan", "--subspace", outer_pair_file, "--lengths", "80,85,90"],
+        ["plateau", "--table-s2", "--mode", "synthetic"],
+        ["simulate-counts", "--lengths", "80,90"],
+        ["simulate-counts", "--subspace", outer_pair_file, "--lengths", "80,90",
+         "--trials", "100"],
+        ["enumerate", "--particles", "two"],
+        ["enumerate", "--particles", "1"],
+    ]
+
+    def run(directory, fresh):
+        codes = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            codes.append(main(["--out-dir", str(directory / str(i)), *argv]))
+        err = capsys.readouterr().err
+        files = {p.relative_to(directory): p.read_bytes()
+                 for p in sorted(directory.rglob("*")) if p.is_file()}
+        return codes, err, files
+
+    shared = run(tmp_path / "shared", fresh=False)
+    assert shared == run(tmp_path / "fresh", fresh=True)
+    assert shared[0] == [2, 0, 2, 2, 0, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["scan"], ["plateau"], ["simulate-counts"], ["ingest", "--counts", "c.csv"],
+], ids=lambda argv: argv[0])
+def test_missing_subspace_is_one_error_line(tmp_path, capsys, argv):
+    code = main(["--out-dir", str(tmp_path), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error[invalid-arguments]: this command needs --subspace FILE\n"
+    assert "Traceback" not in captured.out
+
+
 def test_short_config_length_is_a_config_error(tmp_path, capsys, outer_pair_file):
     """A preset length_mm below 60 mm is the config's mistake (a short --length
     is the caller's: see test_bad_arguments_exit_2_without_traceback)."""

@@ -325,7 +325,7 @@ def test_outer_pair_width_at_default_coupling():
 
 
 def test_system_json_round_trip(ideal_system):
-    doc = cm.system_to_json(ideal_system, omega_flat=cm.FLAT_COUPLING_PER_MM)
+    doc = cm.system_to_json(ideal_system)
     back = cm.system_from_json(doc)
     assert back.modes == 4
     assert np.allclose(back.pattern.matrix, ideal_system.pattern.matrix)

@@ -166,16 +166,6 @@ def test_boson_lifting_composes():
     assert np.max(np.abs(left - right)) < 1e-9
 
 
-def test_distinguishable_lift_with_per_label_matrices():
-    rng = np.random.default_rng(5)
-    ua, ub = random_unitary(4, rng), random_unitary(4, rng)
-    b = enumerate_basis(4, 2, DIST_AB)
-    v = lift_unitary({"a": ua, "b": ub}, b)
-    i_in = b.index_of((0, 2))   # a in mode 0, b in mode 2
-    i_out = b.index_of((3, 1))
-    assert v[i_out, i_in] == pytest.approx(ua[3, 0] * ub[1, 2])
-
-
 # ----------------------------------------------------- lift_hamiltonian
 
 
