@@ -424,10 +424,9 @@ def cmd_plateau(args) -> int:
         if None in clip or not -math.inf < clip[0] < clip[1] < math.inf:
             raise CommandError("invalid-arguments", "--clip-lo and --clip-hi go together "
                                "and need finite LO < HI")
-    directory = out_dir(args)
     if args.table_s2:
         doc = _table_comparison_doc(args.table_grid_step)
-        write_json(directory / "plateau_table.json", doc)
+        write_json(out_dir(args) / "plateau_table.json", doc)
         print(f"{'subspace':55s} {'restricted':>18s} {'unrestricted':>18s}")
         for row in doc["rows"]:
             rtxt = f"{row['restricted_mm']:6.2f}/{row['restricted_reference_mm']:5.1f} " \
@@ -454,7 +453,7 @@ def cmd_plateau(args) -> int:
     result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode], detection=detection,
                      family=family)
     report = xp.plateau_report(result, rule, clip=clip)
-    write_json(directory / "plateau_report.json", report.to_json())
+    write_json(out_dir(args) / "plateau_report.json", report.to_json())
     for label, interval in report.per_input.items():
         print(f"{label}: plateau [{interval.start:.2f}, {interval.end:.2f}] mm, "
               f"width {interval.width:.2f} mm")

@@ -68,8 +68,8 @@ class CouplingPattern:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("coupling pattern must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) >= HERMITIAN_TOL:
-            raise ValueError(f"coupling pattern must be Hermitian within {HERMITIAN_TOL}")
+        if not np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL:  # False for NaN entries
+            raise ValueError(f"coupling pattern must be finite, Hermitian within {HERMITIAN_TOL}")
         m.setflags(write=False)
         self.matrix = m
         self.modes = m.shape[0]
@@ -595,6 +595,8 @@ def segment_to_json(seg) -> dict:
 
 
 def segment_from_json(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError("an envelope segment must be a JSON object")
     kind = doc.get("kind")
     if kind not in _SEGMENT_KINDS:
         raise ValueError(f"unknown envelope segment kind {kind!r}")
@@ -603,6 +605,11 @@ def segment_from_json(doc: dict):
     if missing:
         raise ValueError(f"segment {kind!r} missing fields {missing}")
     args = [doc[k] for k in keys if k in doc]
+    for key, value in zip(keys, args):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (isinstance(value, bool) if key == "rising" else number and math.isfinite(value)):
+            want = "true or false" if key == "rising" else "a finite number"
+            raise ValueError(f"segment {kind!r} field {key!r} must be {want}, not {value!r}")
     return cls(*args)
 
 
@@ -612,7 +619,10 @@ def matrix_to_json(m: np.ndarray):
 
 
 def _matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError):
+        raise ValueError("a matrix must be a list of rows of [re, im] pairs") from None
 
 
 def system_to_json(system: CoupledModeSystem) -> dict:
@@ -630,14 +640,19 @@ def system_to_json(system: CoupledModeSystem) -> dict:
 def system_from_json(doc: dict) -> CoupledModeSystem:
     try:
         modes = int(doc["modes"])
+        length = float(doc.get("length_mm", math.nan))
         pattern = CouplingPattern(_matrix_from_json(doc["pattern"]))
-        segments = tuple(segment_from_json(s) for s in doc["envelope"])
+        segments = doc["envelope"]
     except KeyError as exc:
         raise ValueError(f"system definition missing field {exc}") from None
+    except TypeError:
+        raise ValueError("modes and length_mm must be numbers") from None
+    if not isinstance(segments, list):
+        raise ValueError("envelope must be a list of segments")
     if pattern.modes != modes:
         raise ValueError("pattern size does not match the declared mode count")
-    envelope = Envelope(segments)
-    if "length_mm" in doc and abs(envelope.length - float(doc["length_mm"])) > 1e-9:
+    envelope = Envelope(tuple(segment_from_json(s) for s in segments))
+    if "length_mm" in doc and not abs(envelope.length - length) <= 1e-9:
         raise ValueError("length_mm does not match the envelope segments")
     static = None
     if doc.get("static_pattern") is not None:

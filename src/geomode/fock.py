@@ -3,17 +3,20 @@
 Provides ordered Fock bases for bosons, fermions, and distinguishable
 particles, the lifting of single-particle unitaries to multi-particle
 operators (permanents / determinants / per-label products), the
-one-body tensor T[s, t, a, b] = <s| a_a^dag a_b |t> that lifts every
-one-body operator, and a brute-force vacuum-expectation evaluator for
-ladder-operator strings.  Every unitary lift runs through one kernel,
-:func:`lift_unitary_batch`, which sums the N! permutation products of a
-whole stack of matrices at once, for just the block of entries a
-caller reads; :func:`lift_unitary` validates one matrix and calls it.
-Ryser's :func:`permanent` and :func:`permanent_naive` are kept as
-oracles.  The kernel, the one-body tensor and the vacuum-expectation
+one-body lift of any single-particle matrix, and a brute-force
+vacuum-expectation evaluator for ladder-operator strings.  Every
+unitary lift runs through one kernel, :func:`lift_unitary_batch`,
+which sums the N! permutation products of a whole stack of matrices at
+once, for just the block of entries a caller reads; every one-body
+lift runs through :func:`lift_one_body`, which reads the basis's
+operator <s| a_a^dag a_b |t> as coordinate lists of at most S*N*M
+entries, for the whole basis or a subset of it.  :func:`lift_unitary`
+and :func:`lift_hamiltonian` validate one matrix and call them.  Ryser's
+:func:`permanent` and :func:`permanent_naive` are kept as oracles.
+The unitary kernel, the one-body lists and the vacuum-expectation
 evaluator are built independently of each other so that they can be
 used to validate each other.  A basis is immutable; its state index,
-mode table, norms and one-body tensor are cached properties, each built
+mode table, norms and one-body lists are cached properties, each built
 at its first use.
 
 Conventions
@@ -24,9 +27,8 @@ Conventions
 * Normalized kets: |n> = prod_k (a_k^dag)^{n_k} / sqrt(n_k!) |0>.
   Fermion reference kets apply creation operators in increasing mode
   order.
-* ``lift_hamiltonian(h)`` represents sum_{jk} h[j,k] a_j^dag a_k (the
-  one-body tensor contracted with h), so it generates
-  ``lift_unitary(expm(-1j*delta*h))``.
+* ``lift_hamiltonian(h)`` represents sum_{jk} h[j,k] a_j^dag a_k, so it
+  generates ``lift_unitary(expm(-1j*delta*h))``.
 """
 
 from __future__ import annotations
@@ -130,10 +132,7 @@ class OccupationState:
         """
         if self.particle.kind == DISTINGUISHABLE:
             return self.occupations
-        out = []
-        for mode, n in enumerate(self.occupations):
-            out.extend([mode] * n)
-        return tuple(out)
+        return tuple(mode for mode, n in enumerate(self.occupations) for _ in range(n))
 
     def norm_factorial(self) -> float:
         """prod_k n_k! (1 for fermions and distinguishable particles)."""
@@ -204,29 +203,44 @@ class FockBasis:
         return norms
 
     @cached_property
-    def one_body(self) -> np.ndarray:
-        """The one-body tensor of :func:`one_body_tensor`, read-only."""
+    def one_body(self) -> tuple[np.ndarray, ...]:
+        """Coordinate lists ``(row, col, a, b, value)`` of the one-body
+        operator: <row| a_a^dag a_b |col> = value, zero elsewhere.
+
+        One entry per column state, occupied mode b (one per label for
+        distinguishable particles) and target mode a, so at most S*N*M
+        entries; sorted by (row, col), read-only.  Values follow the
+        ladder rules: sqrt(n_b) * sqrt(n_a - delta_ab + 1) for bosons, the
+        product of the two ladder signs for fermions, and 1 for
+        distinguishable particles (whose label moves from b to a).
+        """
         m, kind = self.modes, self.particle.kind
-        t = np.zeros((self.size, self.size, m, m))
-        for col, st in enumerate(self.states):
-            occ = st.occupations
-            if kind == DISTINGUISHABLE:
-                for li, b in enumerate(occ):
-                    for a in range(m):
-                        t[self.index_of(occ[:li] + (a,) + occ[li + 1 :]), col, a, b] += 1.0
-                continue
-            for b in range(m):
-                down = _annihilate(occ, b, kind)
-                if down is None:
-                    continue
-                f1, occ1 = down
-                for a in range(m):
-                    up = _create(occ1, a, kind)
-                    if up is not None:
-                        f2, occ2 = up
-                        t[self.index_of(occ2), col, a, b] = f1 * f2
-        t.setflags(write=False)
-        return t
+        occ = np.array([s.occupations for s in self.states], dtype=int)
+        # every (column state, label) pair, or (column state, occupied mode b)
+        col, slot = np.nonzero(occ >= 0 if kind == DISTINGUISHABLE else occ)
+        b = occ[col, slot] if kind == DISTINGUISHABLE else slot
+        col, slot, b = (np.repeat(x, m) for x in (col, slot, b))
+        a = np.tile(np.arange(m), len(col) // m)
+        new, entry, value = occ[col], np.arange(len(col)), np.ones(len(col))
+        if kind == DISTINGUISHABLE:
+            new[entry, slot] = a
+        else:
+            new[entry, b] -= 1
+            if kind == BOSON:
+                value = np.sqrt(occ[col, b]) * np.sqrt(new[entry, a] + 1)
+            else:
+                # a_b and then a_a^dag each pass the occupied modes below them
+                below = np.cumsum(occ, axis=1) - occ
+                value = np.where((below[col, b] + below[col, a] - (b < a)) % 2, -1.0, 1.0)
+            new[entry, a] += 1
+        # a fermion created on an occupied mode leaves the basis: no entry
+        row = np.array([self.state_index.get(k, -1) for k in map(tuple, new.tolist())])
+        keep = np.flatnonzero(row >= 0)
+        keep = keep[np.lexsort((col[keep], row[keep]))]
+        lists = tuple(x[keep] for x in (row, col, a, b, value))
+        for x in lists:
+            x.setflags(write=False)
+        return lists
 
 
 def basis_size(modes: int, particles: int, particle: ParticleType) -> int:
@@ -257,13 +271,8 @@ def enumerate_basis(modes: int, particles: int, particle: ParticleType) -> FockB
     else:
         combos = (itertools.combinations_with_replacement if particle.kind == BOSON
                   else itertools.combinations)
-        occs = []
-        for modes_combo in combos(range(modes), particles):
-            occ = [0] * modes
-            for m in modes_combo:
-                occ[m] += 1
-            occs.append(tuple(occ))
-        occs.sort(reverse=True)
+        occs = sorted((tuple(map(combo.count, range(modes)))
+                       for combo in combos(range(modes), particles)), reverse=True)
 
     states = tuple(OccupationState(particle, modes, occ) for occ in occs)
     expected = basis_size(modes, particles, particle)
@@ -309,12 +318,8 @@ def permanent(m: np.ndarray) -> complex:
         gray = k ^ (k >> 1)
         changed = gray ^ gray_prev
         j = changed.bit_length() - 1
-        if gray & changed:
-            col_sum += m[:, j]
-            sign_size = -sign_size
-        else:
-            col_sum -= m[:, j]
-            sign_size = -sign_size
+        col_sum += m[:, j] if gray & changed else -m[:, j]
+        sign_size = -sign_size
         gray_prev = gray
         total += sign_size * np.prod(col_sum)
     return complex((-1) ** n * total)
@@ -387,60 +392,50 @@ def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=No
     return out
 
 
-def _annihilate(occ: tuple, mode: int, kind: str):
-    """Apply a_mode; returns (factor, new_occupations) or None."""
-    if kind == BOSON:
-        n = occ[mode]
-        if n == 0:
-            return None
-        new = list(occ)
-        new[mode] = n - 1
-        return math.sqrt(n), tuple(new)
-    if occ[mode] == 0:
-        return None
-    sign = -1.0 if sum(occ[:mode]) % 2 else 1.0
-    new = list(occ)
-    new[mode] = 0
-    return sign, tuple(new)
+def lift_one_body(ops, basis: FockBasis, members=None) -> np.ndarray:
+    """The one-body lift sum_ab X[a,b] a_a^dag a_b of a stack (..., M, M)
+    of single-particle matrices X: (..., d, d) over the basis indices
+    ``members``, in their given order (default: the whole basis).
 
-
-def _create(occ: tuple, mode: int, kind: str):
-    if kind == BOSON:
-        n = occ[mode]
-        new = list(occ)
-        new[mode] = n + 1
-        return math.sqrt(n + 1), tuple(new)
-    if occ[mode] == 1:
-        return None
-    sign = -1.0 if sum(occ[:mode]) % 2 else 1.0
-    new = list(occ)
-    new[mode] = 1
-    return sign, tuple(new)
-
-
-def one_body_tensor(basis: FockBasis) -> np.ndarray:
-    """T[s, t, a, b] = <s| a_a^dag a_b |t> on the basis, cached on it.
-
-    Built once from the ladder rules (for distinguishable particles, by
-    moving each label in turn from mode b to mode a), so any one-body
-    operator sum_ab X[a,b] a_a^dag a_b is T contracted with X.  The
-    entries are real; the cached array is read-only.
+    Keeps the entries of :attr:`FockBasis.one_body` between members,
+    gathers each (row, col) run into one column of an (M*M, runs)
+    coefficient matrix and multiplies the flattened stack by it.  For
+    distinguishable particles the same X acts on every label.
     """
-    return basis.one_body
+    ops = np.asarray(ops)
+    m, lead = basis.modes, ops.shape[:-2]
+    if ops.ndim < 2 or ops.shape[-2:] != (m, m):
+        raise ValueError("expected a (..., M, M) stack of matrices")
+    rows, cols, a, b, values = basis.one_body
+    size = basis.size if members is None else len(members)
+    if members is not None:
+        pos = np.full(basis.size, -1)
+        pos[np.asarray(members, dtype=int)] = np.arange(size)
+        rows, cols = pos[rows], pos[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, a, b, values = (x[keep] for x in (rows, cols, a, b, values))
+    # runs of one (row, col) stay contiguous under the injective member map
+    key = rows * size + cols
+    starts = np.diff(key, prepend=-1) != 0
+    coeffs = np.zeros((m * m, np.count_nonzero(starts)))
+    np.add.at(coeffs, (a * m + b, np.cumsum(starts) - 1), values)
+    out = np.zeros(lead + (size * size,), dtype=np.result_type(ops, float))
+    out[..., key[starts]] = ops.reshape(lead + (m * m,)) @ coeffs
+    return out.reshape(lead + (size, size))
 
 
 def lift_hamiltonian(h, basis: FockBasis) -> np.ndarray:
     """Represent sum_{jk} h[j,k] a_j^dag a_k on the N-particle basis.
 
-    For distinguishable particles the same single-particle matrix acts
-    on every label.  The result is Hermitian whenever ``h`` is.
+    Checks that ``h`` is an M x M Hermitian matrix and returns its
+    :func:`lift_one_body` over the whole basis, which is Hermitian too.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (basis.modes, basis.modes):
         raise ValueError("matrix dimension must equal the basis mode count")
     if not is_hermitian(h):
         raise ValueError(f"input matrix is not Hermitian within {HERMITIAN_TOL}")
-    return np.tensordot(one_body_tensor(basis), h, axes=([2, 3], [0, 1]))
+    return lift_one_body(h, basis)
 
 
 def _norm_factor(factor):

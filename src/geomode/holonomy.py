@@ -17,17 +17,18 @@ propagating waveguide modes), and ``phase_adjusted`` multiplies them by
 exp(-i delta(z)/2), which makes the gauge field of the flat-coupling
 Jx structure a multiple of the identity.
 
-Every N-particle generator is one contraction of the basis's one-body
-tensor <s| a_a^dag a_b |t> (see :func:`fock.one_body_tensor`) with a
-single-particle matrix, for every statistics and particle number: K
-with the mode coupling J(z), the gauge field with the single-particle
-field i Phi^dag d_z Phi (J(z) in the Heisenberg family, J(z) +
-Omega(z)/2 in the phase-adjusted one), so both are exact.  The
-oracles are kept apart from that path: :func:`k_matrix_lifted`
-sandwiches the second-quantized Hamiltonian between the evolved member
-kets, and the per-element formulas :func:`k_two_particle` (which also
-gives two-particle gauge-field elements from the single-particle field)
-and :func:`k_n_boson`; tests hold them to the contraction.
+Every N-particle generator is the one-body lift
+(:func:`fock.lift_one_body`) of a single-particle matrix over the
+members, for every statistics and particle number: K lifts the mode
+coupling J(z), the gauge field the single-particle field
+i Phi^dag d_z Phi (J(z) in the Heisenberg family, J(z) + Omega(z)/2 in
+the phase-adjusted one), so both are exact, and only the members'
+block is allocated.  The oracles are kept apart from that path:
+:func:`k_matrix_lifted` sandwiches the second-quantized Hamiltonian
+between the evolved member kets, and the per-element formulas
+:func:`k_two_particle` (which also gives two-particle gauge-field
+elements from the single-particle field) and :func:`k_n_boson`; tests
+hold them to the lift.
 """
 
 from __future__ import annotations
@@ -113,13 +114,15 @@ class Subspace:
 
 
 def subspace_from_states(basis: FockBasis, states) -> Subspace:
-    members = []
-    for st in states:
-        if isinstance(st, OccupationState):
-            members.append(basis.state(st.occupations))
-        else:
-            members.append(basis.state(tuple(st)))
-    return Subspace(basis, tuple(members))
+    return Subspace(basis, tuple(basis.state(st) for st in states))
+
+
+def _json_int(value) -> int:
+    """``int(value)`` of a JSON entry; ValueError for a list, object or null."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"expected an integer, not {value!r}") from None
 
 
 def subspace_from_json(doc: dict, modes: int | None = None) -> Subspace:
@@ -130,14 +133,21 @@ def subspace_from_json(doc: dict, modes: int | None = None) -> Subspace:
     1-based mode numbers in the per-label form.  ``modes`` is required
     for distinguishable states unless given in the document.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("subspace definition must be a JSON object")
     try:
         kind = doc["particle"]
         raw_states = doc["states"]
     except KeyError as exc:
         raise ValueError(f"subspace definition missing field {exc}") from None
+    shape = dict if kind == DISTINGUISHABLE else list
+    if not isinstance(raw_states, list) or not all(isinstance(st, shape) for st in raw_states):
+        raise ValueError(f"subspace 'states' must be a list of JSON "
+                         f"{'objects' if shape is dict else 'arrays'}")
     if not raw_states:
         raise ValueError("subspace needs at least one state")
     modes = doc.get("modes", modes)
+    modes = None if modes is None else _json_int(modes)
 
     if kind == DISTINGUISHABLE:
         labels = sorted(raw_states[0].keys())
@@ -148,11 +158,11 @@ def subspace_from_json(doc: dict, modes: int | None = None) -> Subspace:
         for st in raw_states:
             if sorted(st.keys()) != labels:
                 raise ValueError("inconsistent labels across states")
-            occs.append(tuple(int(st[lab]) - 1 for lab in labels))
+            occs.append(tuple(_json_int(st[lab]) - 1 for lab in labels))
         particles = len(labels)
     else:
         ptype = ParticleType(kind)
-        occs = [tuple(int(n) for n in st) for st in raw_states]
+        occs = [tuple(_json_int(n) for n in st) for st in raw_states]
         if modes is None:
             modes = len(occs[0])
         particles = sum(occs[0])
@@ -198,14 +208,6 @@ def mode_coupling_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
     phi = mode_family_matrices(system, grid)
     h = system.hamiltonian(np.asarray(grid, dtype=float))
     return np.einsum("zji,zjk,zkl->zil", phi.conj(), h, phi)
-
-
-def _lift_on_members(ops: np.ndarray, sub: Subspace) -> np.ndarray:
-    """One-body lift sum_ab X_ab a_a^dag a_b of a stack (..., M, M) of
-    single-particle operators X, restricted to the members."""
-    idx = list(sub.member_indices)
-    t = fock.one_body_tensor(sub.basis)[np.ix_(idx, idx)]
-    return np.tensordot(ops, t, axes=([-2, -1], [2, 3]))
 
 
 def _cycle_grid(system: CoupledModeSystem, grid) -> np.ndarray:
@@ -259,18 +261,6 @@ def k_two_particle(bra: OccupationState, ket: OccupationState, j_matrix: np.ndar
     return complex(raw / norm)
 
 
-def _delta_matrix(k_modes, l_modes) -> np.ndarray:
-    k = np.asarray(k_modes)[:, None]
-    l = np.asarray(l_modes)[None, :]
-    return (k == l).astype(float)
-
-
-def _minor(m: np.ndarray, row: int, col: int) -> np.ndarray:
-    keep_r = [i for i in range(m.shape[0]) if i != row]
-    keep_c = [j for j in range(m.shape[1]) if j != col]
-    return m[np.ix_(keep_r, keep_c)]
-
-
 def k_n_boson(k_modes, l_modes, j_matrix: np.ndarray, h_vac: complex = 0.0) -> complex:
     """N-boson dynamical-contribution element from the permutation sum.
 
@@ -286,19 +276,16 @@ def k_n_boson(k_modes, l_modes, j_matrix: np.ndarray, h_vac: complex = 0.0) -> c
     if n == 0 or n > 4:
         raise ValueError("particle number must be between 1 and 4")
     j = np.asarray(j_matrix)
-    d = _delta_matrix(k_modes, l_modes)
+    d = (np.asarray(k_modes)[:, None] == np.asarray(l_modes)[None, :]).astype(float)
     total = 0.0 + 0.0j
     for nu in range(n):
         for mu in range(n):
-            total += j[k_modes[nu], l_modes[mu]] * fock.permanent_naive(_minor(d, nu, mu))
+            minor = np.delete(np.delete(d, nu, axis=0), mu, axis=1)
+            total += j[k_modes[nu], l_modes[mu]] * fock.permanent_naive(minor)
     if n > 1 and h_vac != 0:
         total -= (n - 1) * h_vac * fock.permanent_naive(d)
-    norm = 1.0
-    for modes in (k_modes, l_modes):
-        counts = {}
-        for m in modes:
-            counts[m] = counts.get(m, 0) + 1
-        norm *= math.prod(math.factorial(c) for c in counts.values())
+    norm = math.prod(math.factorial(modes.count(m))
+                     for modes in (k_modes, l_modes) for m in set(modes))
     return complex(total / math.sqrt(norm))
 
 
@@ -326,10 +313,10 @@ class DynamicalContribution:
 
 def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None) -> DynamicalContribution:
     """Dynamical contribution of a subspace along the cycle, in the
-    Heisenberg mode family: the basis's one-body tensor, restricted to
-    the members, contracted with the mode coupling J(z), i.e.
-    K = sum_ab J_ab a_a^dag a_b for any statistics and any particle
-    number.  :func:`k_matrix_lifted` is its oracle.
+    Heisenberg mode family: the one-body lift of the mode coupling J(z)
+    over the members, i.e. K = sum_ab J_ab a_a^dag a_b for any
+    statistics and any particle number.  :func:`k_matrix_lifted` is its
+    oracle.
     """
     return gauge_field(sub, system, grid, HEISENBERG)
 
@@ -387,7 +374,8 @@ def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
         a = a + 0.5 * system.envelope.value(grid)[:, None, None] * np.eye(system.modes)
     elif family != HEISENBERG:
         raise ValueError(f"unknown mode family {family!r}")
-    return DynamicalContribution(grid, _lift_on_members(a, sub), sub)
+    return DynamicalContribution(grid, fock.lift_one_body(a, sub.basis, sub.member_indices),
+                                 sub)
 
 
 # ------------------------------------------------------------- the verdict
@@ -482,7 +470,8 @@ def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem) -> np.nd
     a holonomic subspace this reproduces :func:`extract_holonomy`.
     """
     if system.static_pattern is None:
-        c = _lift_on_members(system.pattern.matrix + 0.5 * np.eye(system.modes), sub)
+        c = fock.lift_one_body(system.pattern.matrix + 0.5 * np.eye(system.modes), sub.basis,
+                              sub.member_indices)
         g = ordered_products(c[None], [-system.envelope.total_phase], [0])[0]
     else:
         steps = math.ceil(system.length / STEP_MM)

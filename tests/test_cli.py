@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -569,6 +570,31 @@ def test_cli_runs_without_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_check_on_a_2401_state_basis_fits_in_2_gib(tmp_path):
+    """check on two members of the basis of four distinguishable particles
+    on Jx(7), in a child process whose address space is capped at 2 GiB."""
+    jx7 = cm.CoupledModeSystem(cm.jx_pattern(7), cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    config = tmp_path / "jx7.json"
+    config.write_text(json.dumps(cm.system_to_json(jx7)))
+    sub = write_subspace(tmp_path / "pair.json", {
+        "particle": "distinguishable", "modes": 7,
+        "states": [dict.fromkeys("abcd", 1), dict.fromkeys("abcd", 7)]})
+    src = str(Path(cm.__file__).resolve().parents[1])
+    argv = ["--config", str(config), "--out-dir", str(tmp_path), "check", "--subspace", sub]
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30}))\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from geomode.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    # one BLAS thread, so thread buffers do not count against the cap
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert "verdict: holonomic" in out.stdout
+
+
 def test_ingest_malformed_counts(tmp_path, outer_pair_file, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("structure_id,length_mm,input_state,detector_pair,counts\n"
@@ -708,7 +734,54 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, three_state_fi
     assert err.startswith(prefix) and detail in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["plateau", "scan", "simulate-counts"])
+def test_failing_command_leaves_no_report_directory(tmp_path, capsys, command):
+    code = main(["--out-dir", str(tmp_path / "out" / "p"), command])
+    assert code == 2
+    assert "this command needs --subspace FILE" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+SEGMENT = {"kind": "constant", "value_per_mm": 0.1, "length_mm": 10.0}
+PAIR = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("name, doc, detail", [
+    ("subspace", [1, 2], "must be a JSON object"),
+    ("subspace", {"particle": "boson", "states": 5}, "list of JSON arrays"),
+    ("subspace", {"particle": "distinguishable", "modes": 4, "states": [[1, 2]]},
+     "list of JSON objects"),
+    ("subspace", {"particle": "boson", "states": [[[1], 0, 0, 0]]}, "expected an integer"),
+    ("config", {"modes": 2, "pattern": 5, "envelope": [SEGMENT]}, "[re, im] pairs"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": 5}, "list of segments"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": [[1, 2]]}, "must be a JSON object"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": [{**SEGMENT, "value_per_mm": "x"}]},
+     "'value_per_mm' must be a finite number"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": [SEGMENT], "length_mm": [10]},
+     "must be numbers"),
+    ("config", {"modes": 2, "pattern": [[[0, 0], [math.nan, 0]], [[math.nan, 0], [0, 0]]],
+                "envelope": [SEGMENT]}, "finite, Hermitian"),
+], ids=["subspace-array", "subspace-states-number", "subspace-label-lists",
+        "subspace-nested-entry", "config-pattern-number", "config-envelope-number",
+        "config-segment-list", "config-segment-string", "config-length-list",
+        "config-pattern-nan"])
+def test_malformed_documents_exit_2_without_traceback(tmp_path, capsys, outer_pair_file, name,
+                                                      doc, detail):
+    """A subspace or config document of the wrong shape is one error line."""
+    paths = {"subspace": outer_pair_file, "config": None}
+    paths[name] = write_subspace(tmp_path / f"{name}.json", doc)
+    config = ["--config", paths["config"]] if paths["config"] else []
+    code = main([*config, "--out-dir", str(tmp_path / "out"), "check",
+                 "--subspace", paths["subspace"]])
+    err = capsys.readouterr().err
+    kind = "invalid-config" if name == "config" else "invalid-arguments"
+    assert code == 2
+    assert err.startswith(f"error[{kind}]:") and detail in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, kind, what", [

@@ -15,9 +15,9 @@ from geomode.fock import (
     ParticleType,
     enumerate_basis,
     lift_hamiltonian,
+    lift_one_body,
     lift_unitary,
     lift_unitary_batch,
-    one_body_tensor,
     permanent,
     permanent_naive,
     vacuum_expectation,
@@ -205,32 +205,21 @@ def test_lift_hamiltonian_generates_lift_unitary(ptype, delta):
     assert np.max(np.abs(left - right)) < 1e-8
 
 
-def test_lift_hamiltonian_matches_vacuum_expectation_oracle():
-    rng = np.random.default_rng(23)
-    h = random_hermitian(3, rng)
-    b = enumerate_basis(3, 2, BOSON)
-    lifted = lift_hamiltonian(h, b)
-    for bra in b.states:
-        for ket in b.states:
-            oracle = _sandwich(bra, h, ket, BOSON)
-            got = lifted[b.index_of(bra), b.index_of(ket)]
-            assert abs(got - oracle) < 1e-10
-
-
 def _sandwich(bra, h, ket, ptype):
-    """<bra| sum h_jk a_j^dag a_k |ket> via the vacuum-expectation oracle."""
+    """<bra| sum h_jk a_j^dag a_k |ket> via the vacuum-expectation oracle,
+    with the operator summed over the labels of distinguishable particles."""
     modes = bra.modes
     norm = math.sqrt(bra.norm_factorial() * ket.norm_factorial())
     e = np.eye(modes)
+    labels = ptype.labels or (None,) * len(ket.mode_list())
+    bra_ops = [(e[m], False, lab) for m, lab in reversed(list(zip(bra.mode_list(), labels)))]
+    ket_ops = [(e[m], True, lab) for m, lab in zip(ket.mode_list(), labels)]
     total = 0.0
-    bra_ops = [(e[m], False) for m in reversed(bra.mode_list())]
-    ket_ops = [(e[m], True) for m in ket.mode_list()]
-    for j in range(modes):
-        for k in range(modes):
-            if h[j, k] == 0:
-                continue
-            seq = bra_ops + [(e[j], True), (e[k], False)] + ket_ops
-            total += h[j, k] * vacuum_expectation(seq, ptype)
+    for lab in ptype.labels or (None,):
+        for j in range(modes):
+            for k in range(modes):
+                seq = bra_ops + [(e[j], True, lab), (e[k], False, lab)] + ket_ops
+                total += h[j, k] * vacuum_expectation(seq, ptype)
     return total / norm
 
 
@@ -323,23 +312,25 @@ def test_fermion_lift_matches_oracle_signs():
             assert abs(got - oracle) < 1e-10
 
 
-# ----------------------------------------------------- one-body tensor
+# ----------------------------------------------------- one-body lift
 
 
-def test_one_body_tensor_is_cached_and_read_only():
+def test_one_body_lists_are_cached_and_read_only():
     b = enumerate_basis(4, 2, BOSON)
-    t = one_body_tensor(b)
-    assert t.shape == (b.size, b.size, 4, 4)
-    assert one_body_tensor(b) is t
-    with pytest.raises(ValueError):
-        t[0, 0, 0, 0] = 1.0
+    lists = b.one_body
+    assert b.one_body is lists
+    assert len(lists) == 5 and len(lists[0]) <= b.size * 2 * 4
+    for x in lists:
+        with pytest.raises(ValueError):
+            x[0] = 0
 
 
-def test_one_body_tensor_number_operator_distinguishable():
+def test_one_body_number_operator_distinguishable():
     # both labels in mode 0: a_0^dag a_0 counts two particles
     b = enumerate_basis(3, 2, DIST_AB)
     i = b.index_of((0, 0))
-    assert one_body_tensor(b)[i, i, 0, 0] == 2.0
+    assert lift_hamiltonian(np.diag([1.0, 0.0, 0.0]), b)[i, i] == 2.0
+    assert np.array_equal(lift_hamiltonian(np.eye(3), b), 2.0 * np.eye(b.size))
 
 
 @st.composite
@@ -355,10 +346,37 @@ def bases(draw, max_particles=3):
     return enumerate_basis(modes, particles, ptype)
 
 
+def index_subsets(size):
+    return st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
+
+
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1))
+def test_lift_hamiltonian_matches_vacuum_expectation_oracle(basis, seed):
+    # one column of the lift, every row, against the ladder-operator algebra
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(basis.modes, rng)
+    col = int(rng.integers(basis.size))
+    lifted = lift_hamiltonian(h, basis)
+    for row, bra in enumerate(basis.states):
+        oracle = _sandwich(bra, h, basis.states[col], basis.particle)
+        assert abs(lifted[row, col] - oracle) < 1e-10
+
+
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lift_one_body_on_members_is_the_restricted_full_lift(basis, seed, data):
+    rng = np.random.default_rng(seed)
+    shape = data.draw(st.sampled_from([(), (2,), (2, 3)])) + (basis.modes, basis.modes)
+    ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    members = data.draw(index_subsets(basis.size))
+    full = lift_one_body(ops, basis)
+    assert np.array_equal(lift_one_body(ops, basis, members),
+                          full[(..., *np.ix_(members, members))])
+
+
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1))
 def test_lift_hamiltonian_conjugation_matches_lift_unitary(basis, seed):
     # lift_U(u)^dag lift_H(h) lift_U(u) = lift_H(u^dag h u): the one-body
-    # tensor against the permanent / determinant / per-label lift
+    # lift against the permanent / determinant / per-label lift
     rng = np.random.default_rng(seed)
     h = random_hermitian(basis.modes, rng)
     u = random_unitary(basis.modes, rng)
@@ -400,10 +418,6 @@ def reference_lift(u, basis):
 def test_lift_unitary_matches_entrywise_reference(basis, seed):
     u = random_unitary(basis.modes, np.random.default_rng(seed))
     assert np.max(np.abs(lift_unitary(u, basis) - reference_lift(u, basis))) < 1e-12
-
-
-def index_subsets(size):
-    return st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
 
 
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1), data=st.data())

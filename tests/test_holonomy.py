@@ -524,7 +524,7 @@ def test_gauge_relation_matches_finite_difference(particle):
 def test_one_body_lift_matches_two_particle_gauge_relation(particle, seed):
     a = random_hermitian(4, np.random.default_rng(seed))
     basis = enumerate_basis(4, 2, particle)
-    lifted = hol._lift_on_members(a, hol.Subspace(basis, basis.states))
+    lifted = fock.lift_one_body(a, basis)
     for bi, bra in enumerate(basis.states):
         for ki, ket in enumerate(basis.states):
             want = hol.k_two_particle(bra, ket, a, particle)
