@@ -66,38 +66,44 @@ class CommandError(Exception):
 # ------------------------------------------------------- deterministic JSON
 
 
+#: JSON leaves whose text follows from their value and type alone (bool is an int)
+_LEAVES = (str, int, type(None))
+#: the JSON text of a leaf, memoised: a report's columns repeat their values
+_leaf_json = functools.lru_cache(maxsize=1 << 16, typed=True)(json.dumps)
+
+
 def _format_scalar(x) -> str:
-    if type(x) is float:  # the common case, before the isinstance chain
-        return format(x, ".17g") if math.isfinite(x) else "null"
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g") if math.isfinite(x) else "null"
+    if x is None or isinstance(x, bool):
+        return {None: "null", False: "false", True: "true"}[x]
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if v != v or v in (float("inf"), float("-inf")):
-            return "null"
-        return format(v, ".17g")
     raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def _column(column, indent: int):
+    """(template slot, values) of one record column at ``indent``: finite
+    floats fill ``%.17g`` slots directly, leaves come through the memo and
+    lists of strings through one template, anything else value by value."""
+    kinds = set(map(type, column))
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return "%.17g", column
+    if all(issubclass(kind, _LEAVES) for kind in kinds):
+        return "%s", list(map(_leaf_json, column))
+    if kinds <= {list, tuple} and set(map(type, chain.from_iterable(column))) <= {str}:
+        inner, close = "\n" + " " * (indent + 2), "\n" + " " * indent + "]"
+        return "%s", ["[" + inner + ("," + inner).join(map(_leaf_json, v)) + close if v else "[]"
+                      for v in column]
+    return "%s", [dumps_json(v, indent) for v in column]
 
 
 def _dumps_records(seq: list, indent: int) -> str | None:
     """A list of dicts with the same keys in the same order, written
-    through one template; None for any other list.  A column of finite
-    floats fills its slots by ``%.17g`` directly, any other column is
-    written value by value."""
+    through one template of :func:`_column` slots; None for any other list."""
     if set(map(type, seq)) != {dict} or len(set(map(tuple, seq))) != 1 or not seq[0]:
         return None
-    slots, cells = [], []
-    for column in zip(*map(dict.values, seq)):
-        if set(map(type, column)) == {float} and all(map(math.isfinite, column)):
-            slots.append("%.17g")
-            cells.append(column)
-        else:
-            slots.append("%s")
-            cells.append([dumps_json(v, indent + 4) for v in column])
+    slots, cells = zip(*(_column(column, indent + 4) for column in zip(*map(dict.values, seq))))
     pad, inner = " " * (indent + 2), " " * (indent + 4)
     keys = (json.dumps(str(k)).replace("%", "%%") for k in seq[0])
     body = ",\n".join(f"{inner}{k}: {slot}" for k, slot in zip(keys, slots))
@@ -309,8 +315,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = load_config(args)
-    system, _ = build_system(config)
+    system, _ = build_system(load_config(args))
     sub = load_subspace(args, system.modes)
     check = hol.check_subspace(sub, system)
     k = check.k
@@ -366,26 +371,19 @@ def cmd_scan(args) -> int:
 
 
 def _table_comparison_doc(grid_step: float):
-    comps = ref.compare_reference_widths(grid_step=grid_step)
-    rows = []
-    for c in comps:
-        rows.append({
-            "subspace": c.row.key(),
-            "restricted_mm": c.restricted_mm,
-            "restricted_reference_mm": c.row.restricted_mm,
-            "restricted_pass": c.restricted_ok,
-            "unrestricted_mm": c.unrestricted_mm,
-            "unrestricted_reference_mm": c.row.unrestricted_mm,
-            "unrestricted_pass": c.unrestricted_ok,
-        })
+    rows = [{"subspace": c.row.key(), "restricted_mm": c.restricted_mm,
+             "restricted_reference_mm": c.row.restricted_mm, "restricted_pass": c.restricted_ok,
+             "unrestricted_mm": c.unrestricted_mm,
+             "unrestricted_reference_mm": c.row.unrestricted_mm,
+             "unrestricted_pass": c.unrestricted_ok}
+            for c in ref.compare_reference_widths(grid_step=grid_step)]
     non_h = [
         {"subspace": row.key(), "unrestricted_mm": width,
          "classified_non_holonomic": width <= ref.NON_HOLONOMIC_WIDTH_MM}
         for row, width in ref.non_holonomic_widths(grid_step=grid_step)
     ]
-    system = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
-    basis = enumerate_basis(4, 2, ParticleType.boson())
-    census = en.enumerate_holonomic(system, basis)
+    census = en.enumerate_holonomic(cm.jx4_structure(cm.IDEAL_LENGTH_MM),
+                                    enumerate_basis(4, 2, ParticleType.boson()))
     totals = census.to_json()["totals"]
     return {
         "tolerance": "max(15%, 1.5 mm)",
@@ -394,11 +392,9 @@ def _table_comparison_doc(grid_step: float):
         "holonomy_census": {
             "enumerated_dim_ge_2": totals["holonomic_dim_ge_2"],
             "enumerated_non_scalar": totals["holonomic_non_scalar"],
-            "enumerated_scalar_dim_ge_2": sum(
-                1 for r in census.holonomic_records(2)
-                if r.classification == hol.SCALAR),
-            "catalogued_subspaces": sum(
-                1 for r in ref.REFERENCE_WIDTHS if r.statistics == ref.INDIST),
+            "enumerated_scalar_dim_ge_2": sum(r.classification == hol.SCALAR
+                                              for r in census.holonomic_records(2)),
+            "catalogued_subspaces": sum(r.statistics == ref.INDIST for r in ref.REFERENCE_WIDTHS),
             "stated_non_abelian_count": ref.STATED_NON_ABELIAN_COUNT,
         },
         "all_pass": all(r["restricted_pass"] and r["unrestricted_pass"] for r in rows)

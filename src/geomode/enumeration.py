@@ -5,25 +5,27 @@ unitary V iff V has no entry between it and its complement, so the
 cyclic subsets are exactly the unions of the connected components of
 the support graph {(i, j) : |V_ij| > CYCLIC_TOL}.  For a cycle that
 permutes basis states up to phases the components are its orbits.
-Enumeration walks the 2^(#components) - 2 unions, K-checks each one
-against one basis-wide table of max_z |K|, and classifies the
-holonomic survivors.
+One basis-wide table of max_z |K| becomes the component graph
+(:func:`orbit_graph`), and the 2^(#components) - 2 unions are walked as
+arrays (:func:`ordered_unions`); only the records up to the cap are
+built, and only their holonomic ones classified.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import fock
 from . import holonomy as hol
 from .coupledmode import CoupledModeSystem, evolve
+from .experiment import _csv_field
 from .fock import FockBasis
 
 ENUMERATION_CAP = 4096
+UNION_COMPONENTS_CAP = 25  # the union walk's arrays hold 2^(#components) entries
 #: Largest basis the exhaustive 2^dim projector check will walk.
 EXHAUSTIVE_MAX_DIM = 10
 
@@ -32,9 +34,8 @@ class EnumerationCapError(RuntimeError):
     """Too many cyclic subspaces; carries a resume token and partial report."""
 
     def __init__(self, cap, partial_report, resume_token):
-        super().__init__(
-            f"cyclic subspace count exceeds cap {cap}; resume with token {resume_token}"
-        )
+        super().__init__(f"cyclic subspace count exceeds cap {cap}; "
+                         f"resume with token {resume_token}")
         self.partial_report = partial_report
         self.resume_token = resume_token
 
@@ -75,10 +76,8 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomp
 
 
 def count_subspaces(decomposition: OrbitDecomposition) -> tuple[int, int]:
-    """(total, cyclic) counts of nonempty proper basis-state subsets.
-
-    total = 2^dim - 2; cyclic = 2^(#components) - 2 (their unions).
-    """
+    """(total, cyclic) = (2^dim - 2, 2^(#components) - 2): the nonempty
+    proper basis-state subsets, and those that are unions of components."""
     size = decomposition.basis.size
     if size < 2:
         raise ValueError("subspace counting needs a basis of dimension >= 2")
@@ -107,14 +106,11 @@ class EnumerationReport:
 
     @property
     def holonomic_count(self) -> int:
-        return sum(1 for r in self.records if r.holonomic)
+        return len(self.holonomic_records())
 
     def holonomic_by_class(self) -> dict:
-        out = {hol.SCALAR: 0, hol.DIAGONAL: 0, hol.NON_SCALAR: 0}
-        for r in self.records:
-            if r.holonomic:
-                out[r.classification] += 1
-        return out
+        classes = [r.classification for r in self.holonomic_records()]
+        return {c: classes.count(c) for c in (hol.SCALAR, hol.DIAGONAL, hol.NON_SCALAR)}
 
     def holonomic_records(self, min_dimension: int = 1):
         return [r for r in self.records if r.holonomic and r.dimension >= min_dimension]
@@ -135,40 +131,71 @@ class EnumerationReport:
                 "holonomic_dim_ge_2": len(self.holonomic_records(2)),
             },
             "subspaces": [
-                {
-                    "members": list(r.members),
-                    "dimension": r.dimension,
-                    "cyclic": r.cyclic,
-                    "max_k": r.max_k,
-                    "holonomic": r.holonomic,
-                    "classification": r.classification,
-                    "abelian_by_construction": r.abelian_by_construction,
-                }
+                {"members": list(r.members), "dimension": r.dimension, "cyclic": r.cyclic,
+                 "max_k": r.max_k, "holonomic": r.holonomic,
+                 "classification": r.classification,
+                 "abelian_by_construction": r.abelian_by_construction}
                 for r in self.records
             ],
         }
 
     def write_csv(self, path):
+        """One row per record with the bytes of ``csv.writer``'s default
+        dialect, formatted through one template and written once."""
+        rows = [(_csv_field(" ".join(r.members)), r.dimension, r.cyclic, r.holonomic,
+                 r.classification or "", r.max_k) for r in self.records]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["members", "dimension", "cyclic", "holonomic",
-                             "classification", "max_k"])
-            for r in self.records:
-                writer.writerow([
-                    " ".join(r.members), r.dimension, r.cyclic, r.holonomic,
-                    r.classification or "", f"{r.max_k:.17g}",
-                ])
+            fh.write("members,dimension,cyclic,holonomic,classification,max_k\r\n"
+                     + "%s,%d,%s,%s,%s,%.17g\r\n" * len(rows) % tuple(chain.from_iterable(rows)))
 
 
-def _orbit_unions(orbits):
-    """All nonempty proper unions of components, members ascending."""
-    n = len(orbits)
-    for mask in range(1, (1 << n) - 1):
-        members = []
-        for i in range(n):
-            if mask & (1 << i):
-                members.extend(orbits[i])
-        yield tuple(sorted(members))
+def orbit_graph(decomposition: OrbitDecomposition, k_table: np.ndarray) -> np.ndarray:
+    """The (n, n) table of max ``k_table`` over components i x j of the n
+    components; the diagonal is each component's own max."""
+    order = np.concatenate(decomposition.orbits)
+    starts = np.cumsum([0] + [len(o) for o in decomposition.orbits[:-1]])
+    rows = np.maximum.reduceat(k_table[order], starts, axis=0)
+    return np.maximum.reduceat(rows[:, order], starts, axis=1)
+
+
+def ordered_unions(decomposition: OrbitDecomposition, graph: np.ndarray,
+                   start: int = 0, stop: int | None = None):
+    """(members, max_k) of the unions at positions [start, stop) of the
+    census order (dimension, then member labels in basis-index order):
+    ascending index tuples, and the max of ``graph`` over each union's
+    component pairs.  A union is the bitmask m < 2^n of its components;
+    dimensions and max_k are built by doubling over the components, one
+    1-D array each, and one lexsort orders the unions of the smallest
+    dimensions that reach ``stop``."""
+    orbits, size, n = decomposition.orbits, decomposition.basis.size, decomposition.orbit_count
+    if n > UNION_COMPONENTS_CAP:
+        raise ValueError(f"{n} components: the union walk takes {UNION_COMPONENTS_CAP} at most")
+    stop = (1 << n) - 2 if stop is None else min(stop, (1 << n) - 2)
+    if stop <= start:
+        return [], np.empty(0)
+    graph = np.maximum(graph, graph.T)  # a computed |K| is symmetric only to rounding
+    dims = np.zeros(1 << n, dtype=np.int32)
+    max_k = np.zeros(1 << n)
+    for c, orbit in enumerate(orbits):
+        low, high = slice(0, 1 << c), slice(1 << c, 2 << c)
+        row = np.zeros(1 << c)  # row[m]: max of graph[c, j] over the components j in m
+        for j in range(c):
+            np.maximum(row[:1 << j], graph[c, j], out=row[1 << j:2 << j])
+        np.maximum(np.maximum(max_k[low], row), graph[c, c], out=max_k[high])
+        dims[high] = dims[low] + len(orbit)
+    top = int(np.searchsorted(np.cumsum(np.bincount(dims[1:-1])), stop))
+    masks = np.flatnonzero(dims[1:-1] <= top) + 1
+    owner = np.repeat(np.arange(n), [len(o) for o in orbits])[np.argsort(np.concatenate(orbits))]
+    # each union's member indices ascending, padded with `size`, 2^16 unions at a time
+    idx = np.concatenate([
+        np.sort(np.where((block[:, None] >> owner) & 1, np.arange(size), size), axis=1)[:, :top]
+        for block in np.split(masks, range(1 << 16, len(masks), 1 << 16))])
+    labels = [state.label() for state in decomposition.basis.states]
+    rank = {label: r for r, label in enumerate(sorted(set(labels)))}
+    ranks = np.array([rank[label] for label in labels] + [-1])[idx]
+    chosen = np.lexsort(np.vstack([ranks.T[::-1], dims[masks]]))[start:stop]
+    members = [tuple(r[:d]) for r, d in zip(idx[chosen].tolist(), dims[masks[chosen]].tolist())]
+    return members, max_k[masks[chosen]]
 
 
 def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
@@ -182,45 +209,22 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
     ``cap``.  Records are sorted by (dimension, member labels).
     """
     decomposition = decompose_orbits(system, basis)
-    total, cyclic = count_subspaces(decomposition)
-    report = EnumerationReport(basis, total, cyclic)
-
+    report = EnumerationReport(basis, *count_subspaces(decomposition))
     tol = hol.holonomic_tolerance(system)
     # A union's closed-form K is the basis-wide K restricted to its
     # members, so one (S, S) table of max_z |K| serves every union.
     k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system)
                             .matrices), axis=0)
-    labels = [state.label() for state in basis.states]
-    candidates = sorted(
-        _orbit_unions(decomposition.orbits),
-        key=lambda idx: (len(idx), [labels[i] for i in idx]),
-    )
-
-    records = []
-    for pos, member_idx in enumerate(candidates):
-        if pos < resume_token:
-            continue
-        if len(records) >= cap:
-            report.records = records
-            raise EnumerationCapError(cap, report, pos)
-        max_k = float(np.max(k_table[np.ix_(member_idx, member_idx)]))
-        holonomic = max_k < tol
-        classification = None
-        if holonomic:
-            r = decomposition.cycle[np.ix_(member_idx, member_idx)]
-            classification = hol.classify_unitary(r)
-        records.append(SubspaceRecord(
-            members=tuple(labels[i] for i in member_idx),
-            member_indices=member_idx,
-            dimension=len(member_idx),
-            cyclic=True,
-            max_k=max_k,
-            holonomic=holonomic,
-            classification=classification,
-            abelian_by_construction=len(member_idx) == 1,
-        ))
-    report.records = records
-    assert len(records) == cyclic - min(resume_token, cyclic)
+    members, max_k = ordered_unions(decomposition, orbit_graph(decomposition, k_table),
+                                    resume_token, resume_token + cap)
+    labels, cycle = [state.label() for state in basis.states], decomposition.cycle
+    report.records = [
+        SubspaceRecord(tuple(map(labels.__getitem__, m)), m, len(m), True, k, k < tol,
+                       hol.classify_unitary(cycle.take(m, 0).take(m, 1)) if k < tol else None,
+                       len(m) == 1)
+        for m, k in zip(members, max_k.tolist())]
+    if report.cyclic_subspaces > resume_token + cap:
+        raise EnumerationCapError(cap, report, resume_token + cap)
     return report
 
 
@@ -235,10 +239,11 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
     if basis.size > EXHAUSTIVE_MAX_DIM:
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
-    union_sets = {frozenset(m) for m in _orbit_unions(decomposition.orbits)}
+    no_k = np.zeros((decomposition.orbit_count,) * 2)
+    union_sets = set(map(frozenset, ordered_unions(decomposition, no_k)[0]))
     for r in range(1, basis.size):
-        for combo in itertools.combinations(range(basis.size), r):
-            projector_cyclic = hol.projector_residual(decomposition.cycle, combo) < hol.CYCLIC_TOL
-            if projector_cyclic != (frozenset(combo) in union_sets):
+        for combo in combinations(range(basis.size), r):
+            residual = hol.projector_residual(decomposition.cycle[:, combo], combo)
+            if (residual < hol.CYCLIC_TOL) != (frozenset(combo) in union_sets):
                 return False
     return True

@@ -337,13 +337,13 @@ def permanent_naive(m: np.ndarray) -> complex:
     return complex(total)
 
 
-def lift_unitary(u, basis: FockBasis) -> np.ndarray:
+def lift_unitary(u, basis: FockBasis, cols=None) -> np.ndarray:
     """Lift a single-particle M x M unitary to the N-particle basis.
 
     Checks that ``u`` is an M x M unitary and returns
-    ``lift_unitary_batch(u[None], basis)[0]``: permanents for bosons,
-    determinants for fermions, per-label products for distinguishable
-    particles.
+    ``lift_unitary_batch(u[None], basis, cols=cols)[0]``: permanents for
+    bosons, determinants for fermions, per-label products for
+    distinguishable particles.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (basis.modes, basis.modes):
@@ -351,7 +351,7 @@ def lift_unitary(u, basis: FockBasis) -> np.ndarray:
                          "the basis mode count")
     if not is_unitary(u):
         raise ValueError(f"input matrix is not unitary within {UNITARY_TOL}")
-    return lift_unitary_batch(u[None], basis)[0]
+    return lift_unitary_batch(u[None], basis, cols=cols)[0]
 
 
 def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=None) -> np.ndarray:

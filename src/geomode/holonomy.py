@@ -381,14 +381,13 @@ def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
 # ------------------------------------------------------------- the verdict
 
 
-def projector_residual(v: np.ndarray, member_indices) -> float:
-    """Projector test: max |P - v P v^dag| for the projector P on the
-    basis states ``member_indices`` and the lifted cycle ``v`` (S, S).
-    The span is invariant under the cycle when it is below CYCLIC_TOL."""
-    idx = list(member_indices)
-    p = np.zeros(v.shape)
-    p[idx, idx] = 1.0
-    return float(np.max(np.abs(p - v @ p @ v.conj().T)))
+def projector_residual(columns: np.ndarray, member_indices) -> float:
+    """Projector test: max |P - V P V^dag| = max |P - V_m V_m^dag| for the
+    projector P on the basis states ``member_indices`` and their columns
+    V_m (S, d) of the lifted cycle V; below CYCLIC_TOL the span is cyclic."""
+    w = columns @ columns.conj().T
+    w[member_indices, member_indices] -= 1.0
+    return float(np.max(np.abs(w)))
 
 
 def classify_unitary(matrix: np.ndarray) -> str:
@@ -431,11 +430,11 @@ class SubspaceCheck:
 
 
 def check_subspace(sub: Subspace, system: CoupledModeSystem) -> SubspaceCheck:
-    """Lift the cycle once, run the projector test and compute K."""
-    v = fock.lift_unitary(evolve(system), sub.basis)
+    """Lift the cycle's member columns once, run the projector test and compute K."""
     idx = list(sub.member_indices)
+    v = fock.lift_unitary(evolve(system), sub.basis, cols=idx)
     return SubspaceCheck(sub, projector_residual(v, idx), k_matrix(sub, system),
-                         holonomic_tolerance(system), v[np.ix_(idx, idx)])
+                         holonomic_tolerance(system), v[idx])
 
 
 def extract_holonomy(sub: Subspace, system: CoupledModeSystem) -> SubspaceCheck:

@@ -570,6 +570,21 @@ def test_cli_runs_without_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def _main_under_2_gib(argv):
+    """``main(argv)`` in a child process whose address space is capped at
+    2 GiB, with one BLAS thread so that thread buffers do not count."""
+    src = str(Path(cm.__file__).resolve().parents[1])
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30}))\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from geomode.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
 def test_check_on_a_2401_state_basis_fits_in_2_gib(tmp_path):
     """check on two members of the basis of four distinguishable particles
     on Jx(7), in a child process whose address space is capped at 2 GiB."""
@@ -579,20 +594,23 @@ def test_check_on_a_2401_state_basis_fits_in_2_gib(tmp_path):
     sub = write_subspace(tmp_path / "pair.json", {
         "particle": "distinguishable", "modes": 7,
         "states": [dict.fromkeys("abcd", 1), dict.fromkeys("abcd", 7)]})
-    src = str(Path(cm.__file__).resolve().parents[1])
-    argv = ["--config", str(config), "--out-dir", str(tmp_path), "check", "--subspace", sub]
-    code = ("import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30}))\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "from geomode.cli import main\n"
-            f"sys.exit(main({argv!r}))\n")
-    # one BLAS thread, so thread buffers do not count against the cap
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=300)
+    out = _main_under_2_gib(["--config", str(config), "--out-dir", str(tmp_path), "check",
+                             "--subspace", sub])
     assert out.returncode == 0, out.stderr
     assert "verdict: holonomic" in out.stdout
+
+
+def test_capped_census_of_2_20_unions_fits_in_2_gib(tmp_path):
+    """enumerate for two bosons on Jx(8) (20 components, 2^20 - 2 unions)
+    stops at the default cap in a child process capped at 2 GiB."""
+    jx8 = cm.CoupledModeSystem(cm.jx_pattern(8), cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    config = tmp_path / "jx8.json"
+    config.write_text(json.dumps(cm.system_to_json(jx8)))
+    out = _main_under_2_gib(["--config", str(config), "--out-dir", str(tmp_path / "out"),
+                             "enumerate", "--particles", "2"])
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == ("error[cap-exceeded]: 1048574 cyclic subspaces exceed the cap of "
+                          "4096; rerun with --cap 1048574\n")
 
 
 def test_ingest_malformed_counts(tmp_path, outer_pair_file, capsys):

@@ -1,8 +1,14 @@
+import hashlib
+import json
+from itertools import chain
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomode import cli
 from geomode import coupledmode as cm
 from geomode import fock
 from geomode import enumeration as enum
@@ -373,13 +379,59 @@ def test_distinguishable_enumeration_examples(system):
 
 
 def test_enumeration_cap_and_resume(system):
+    # the capped records and those resumed from each token are the uncapped
+    # records in their order; the caps fall inside dimensions 3 and 4
     basis = enumerate_basis(4, 2, BOSON)
-    with pytest.raises(enum.EnumerationCapError) as err:
-        enum.enumerate_holonomic(system, basis, cap=10)
-    partial = err.value.partial_report
-    assert len(partial.records) == 10
-    resumed = enum.enumerate_holonomic(system, basis, resume_token=err.value.resume_token)
-    assert len(partial.records) + len(resumed.records) == 62
+    full = enum.enumerate_holonomic(system, basis).records
+    for cap in (10, 20):
+        assert full[cap - 1].dimension == full[cap].dimension
+        records, token = [], 0
+        while True:
+            try:
+                records += enum.enumerate_holonomic(system, basis, cap=cap,
+                                                    resume_token=token).records
+                break
+            except enum.EnumerationCapError as err:
+                assert err.resume_token == token + cap
+                assert len(err.partial_report.records) == cap
+                records += err.partial_report.records
+                token = err.resume_token
+        assert token == 60
+        assert records == full
+        assert enum.enumerate_holonomic(system, basis, resume_token=cap).records == full[cap:]
+
+
+BASES = [enumerate_basis(4, 2, BOSON), enumerate_basis(3, 3, BOSON),
+         enumerate_basis(5, 2, FERMION), enumerate_basis(4, 2, DIST_AB)]
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_ordered_unions_match_brute_force(data):
+    # random partitions into up to 10 components and random non-negative
+    # tables, symmetric or not: order, members and max_k of the unions
+    # in a window of the census order
+    basis = data.draw(st.sampled_from(BASES))
+    n = data.draw(st.integers(1, 10))
+    rest = data.draw(st.lists(st.integers(0, n - 1), min_size=basis.size - n,
+                              max_size=basis.size - n))
+    owner = data.draw(st.permutations(list(range(n)) + rest))
+    orbits = tuple(sorted(tuple(i for i, c in enumerate(owner) if c == k) for k in range(n)))
+    entries = data.draw(st.lists(st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0]),
+                                 min_size=basis.size ** 2, max_size=basis.size ** 2))
+    k_table = np.reshape(entries, (basis.size, basis.size))
+    if data.draw(st.booleans()):  # a computed |K| table is symmetric only to rounding
+        k_table = np.maximum(k_table, k_table.T)
+    labels = [state.label() for state in basis.states]
+    unions = [tuple(sorted(chain.from_iterable(o for c, o in enumerate(orbits) if mask >> c & 1)))
+              for mask in range(1, 2 ** n - 1)]
+    want = sorted(unions, key=lambda m: (len(m), [labels[i] for i in m]))
+    start = data.draw(st.integers(0, len(want)))
+    stop = data.draw(st.none() | st.integers(0, len(want) + 2))
+    dec = enum.OrbitDecomposition(basis, orbits, np.eye(basis.size))
+    members, max_k = enum.ordered_unions(dec, enum.orbit_graph(dec, k_table), start, stop)
+    assert members == want[start:stop]
+    assert max_k.tolist() == [np.max(k_table[np.ix_(m, m)]) for m in want[start:stop]]
 
 
 def test_report_serialization(tmp_path, two_boson_report):
@@ -395,3 +447,38 @@ def test_report_serialization(tmp_path, two_boson_report):
     # deterministic ordering: sorted by dimension then labels
     dims = [int(line.split(",")[1]) for line in lines[1:]]
     assert dims == sorted(dims)
+
+
+# ------------------------------------------------------------ pinned bytes
+
+
+CENSUS_HASHES = json.loads((Path(__file__).parent / "data" / "census_hashes.json").read_text())
+CENSUS_SYSTEMS = {"jx3": _jx_system(3), "jx4": _jx_system(4), "jx5": _jx_system(5),
+                  "two-pair": NON_PERMUTATION_SYSTEMS["two-pair"],
+                  "detuned-jx4": NON_PERMUTATION_SYSTEMS["detuned-jx4"]}
+
+
+@pytest.mark.parametrize("case", sorted(CENSUS_HASHES["cases"]))
+def test_census_report_hashes(tmp_path, case):
+    """enumerate through the CLI reproduces the stored sha256 of both reports."""
+    spec = CENSUS_HASHES["cases"][case]
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(cm.system_to_json(CENSUS_SYSTEMS[spec["system"]])))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out-dir", str(out), "enumerate",
+                     *spec["args"]]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in spec["sha256"]}
+    assert got == spec["sha256"]
+
+
+def test_census_beyond_the_union_walk_exits_2(tmp_path, capsys):
+    # three bosons on Jx(6) have 28 components: the walk refuses 2^28 - 2
+    # unions before it allocates anything
+    config = tmp_path / "jx6.json"
+    config.write_text(json.dumps(cm.system_to_json(_jx_system(6))))
+    assert cli.main(["--config", str(config), "--out-dir", str(tmp_path / "out"), "enumerate",
+                     "--particles", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error[invalid-arguments]: 28 components: the union walk takes 25 at most\n")
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,6 @@
 """Report bytes: the JSON and CSV writers against the recursive and
 ``csv.writer`` forms they replaced, and golden hashes of the count round
-trip's reports."""
+trip's reports (the census's are in ``test_enumeration.py``)."""
 
 import csv
 import hashlib
@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomode import cli
+from geomode import coupledmode as cm
+from geomode import enumeration as en
 from geomode import experiment as xp
 from geomode import holonomy as hol
 from geomode.cli import main
+from geomode.fock import ParticleType, enumerate_basis
 
 REPORT_HASHES = json.loads((Path(__file__).parent / "data" / "report_hashes.json").read_text())
 
@@ -168,8 +171,11 @@ def test_dumps_json_matches_recursive_writer(doc):
     [{"x": np.float64(0.1), "c": 1 + 2j, "s": "%d", "b": True, "i": np.int64(3)}] * 3,
     np.arange(3.0),
     [np.arange(2.0), {"k": ()}],
+    [{"v": True}, {"v": 1}, {"v": 0}, {"v": False}, {"v": None}, {"v": 1}, {"v": True}],
+    [{"m": ["|20>", "|02>"], "c": None}, {"m": (), "c": "scalar"}, {"m": ('a"b',), "c": "%s"}],
 ], ids=["records-with-null", "differing-keys", "differing-order", "container-values",
-        "empty-dicts", "non-finite", "mixed-types", "array", "nested"])
+        "empty-dicts", "non-finite", "mixed-types", "array", "nested", "bools-and-ints",
+        "label-lists"])
 def test_dumps_json_matches_recursive_writer_on_edge_cases(doc):
     assert cli.dumps_json(doc) == oracle_dumps_json(doc)
 
@@ -213,6 +219,21 @@ def test_scan_csv_matches_csv_writer(tmp_path):
     result.write_csv(tmp_path / "new.csv")
     oracle_write_csv(result, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_enumeration_csv_matches_csv_writer(tmp_path):
+    system = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
+    for particle in (ParticleType.boson(), ParticleType.distinguishable("p,", 'q"')):
+        report = en.enumerate_holonomic(system, enumerate_basis(4, 2, particle))
+        report.write_csv(tmp_path / "new.csv")
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["members", "dimension", "cyclic", "holonomic", "classification",
+                             "max_k"])
+            for r in report.records:
+                writer.writerow([" ".join(r.members), r.dimension, r.cyclic, r.holonomic,
+                                 r.classification or "", f"{r.max_k:.17g}"])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ------------------------------------------------------- golden reports
