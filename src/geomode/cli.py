@@ -189,6 +189,10 @@ def build_system(config: dict, length_mm: float | None = None):
     if preset is not None:
         if preset != PRESET_NAME:
             raise CommandError("invalid-config", f"unknown preset {preset!r}")
+        for key in ("omega_flat_per_mm", "length_mm"):
+            if not cm.is_finite_number(config.get(key, 0.0)):
+                raise CommandError("invalid-config",
+                                   f"{key} must be a finite number, not {config[key]!r}")
         omega = float(config.get("omega_flat_per_mm", cm.FLAT_COUPLING_PER_MM))
         length = length_mm if length_mm is not None else float(
             config.get("length_mm", cm.IDEAL_LENGTH_MM))

@@ -594,6 +594,11 @@ def segment_to_json(seg) -> dict:
     raise TypeError(f"unknown segment type {type(seg)!r}")
 
 
+def is_finite_number(value) -> bool:
+    """A finite JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def segment_from_json(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError("an envelope segment must be a JSON object")
@@ -606,8 +611,7 @@ def segment_from_json(doc: dict):
         raise ValueError(f"segment {kind!r} missing fields {missing}")
     args = [doc[k] for k in keys if k in doc]
     for key, value in zip(keys, args):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (isinstance(value, bool) if key == "rising" else number and math.isfinite(value)):
+        if not (isinstance(value, bool) if key == "rising" else is_finite_number(value)):
             want = "true or false" if key == "rising" else "a finite number"
             raise ValueError(f"segment {kind!r} field {key!r} must be {want}, not {value!r}")
     return cls(*args)

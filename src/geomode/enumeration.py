@@ -6,15 +6,14 @@ cyclic subsets are exactly the unions of the connected components of
 the support graph {(i, j) : |V_ij| > CYCLIC_TOL}.  For a cycle that
 permutes basis states up to phases the components are its orbits.
 One basis-wide table of max_z |K| becomes the component graph
-(:func:`orbit_graph`), and the 2^(#components) - 2 unions are walked as
-arrays (:func:`ordered_unions`); only the records up to the cap are
-built, and only their holonomic ones classified.
+(:func:`orbit_graph`); the unions are built by dimension, only up to the
+cap (:func:`ordered_unions`), and only their holonomic ones classified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .experiment import _csv_field
 from .fock import FockBasis
 
 ENUMERATION_CAP = 4096
-UNION_COMPONENTS_CAP = 25  # the union walk's arrays hold 2^(#components) entries
 #: Largest basis the exhaustive 2^dim projector check will walk.
 EXHAUSTIVE_MAX_DIM = 10
 
@@ -161,41 +159,34 @@ def orbit_graph(decomposition: OrbitDecomposition, k_table: np.ndarray) -> np.nd
 def ordered_unions(decomposition: OrbitDecomposition, graph: np.ndarray,
                    start: int = 0, stop: int | None = None):
     """(members, max_k) of the unions at positions [start, stop) of the
-    census order (dimension, then member labels in basis-index order):
-    ascending index tuples, and the max of ``graph`` over each union's
-    component pairs.  A union is the bitmask m < 2^n of its components;
-    dimensions and max_k are built by doubling over the components, one
-    1-D array each, and one lexsort orders the unions of the smallest
-    dimensions that reach ``stop``."""
+    census order (dimension, then member labels in basis-index order, then
+    component bitmask): ascending index tuples, and the max of ``graph``
+    over each union's component pairs.  Per-dimension counts, the
+    coefficients of prod_c (1 + x^|c|), fix ``top``, the smallest dimension
+    whose unions reach ``stop``; a 0/1 knapsack over the components builds
+    each union up to ``top`` once, fewer than (n + 1) ``stop`` of them."""
     orbits, size, n = decomposition.orbits, decomposition.basis.size, decomposition.orbit_count
-    if n > UNION_COMPONENTS_CAP:
-        raise ValueError(f"{n} components: the union walk takes {UNION_COMPONENTS_CAP} at most")
     stop = (1 << n) - 2 if stop is None else min(stop, (1 << n) - 2)
     if stop <= start:
         return [], np.empty(0)
-    graph = np.maximum(graph, graph.T)  # a computed |K| is symmetric only to rounding
-    dims = np.zeros(1 << n, dtype=np.int32)
-    max_k = np.zeros(1 << n)
+    counts = [1] + [0] * size  # counts[d]: unions of dimension d, the empty one included
+    for orbit in orbits:
+        for d in range(size, len(orbit) - 1, -1):
+            counts[d] += counts[d - len(orbit)]
+    top = next(d for d, reached in enumerate(accumulate(counts)) if reached > stop)
+    rows = np.maximum(graph, graph.T).tolist()  # a computed |K| is symmetric only to rounding
+    # levels[d]: (component bitmask, components, members, max_k) of the unions of dimension d
+    levels = [[(0, (), (), 0.0)]] + [[] for _ in range(top)]
     for c, orbit in enumerate(orbits):
-        low, high = slice(0, 1 << c), slice(1 << c, 2 << c)
-        row = np.zeros(1 << c)  # row[m]: max of graph[c, j] over the components j in m
-        for j in range(c):
-            np.maximum(row[:1 << j], graph[c, j], out=row[1 << j:2 << j])
-        np.maximum(np.maximum(max_k[low], row), graph[c, c], out=max_k[high])
-        dims[high] = dims[low] + len(orbit)
-    top = int(np.searchsorted(np.cumsum(np.bincount(dims[1:-1])), stop))
-    masks = np.flatnonzero(dims[1:-1] <= top) + 1
-    owner = np.repeat(np.arange(n), [len(o) for o in orbits])[np.argsort(np.concatenate(orbits))]
-    # each union's member indices ascending, padded with `size`, 2^16 unions at a time
-    idx = np.concatenate([
-        np.sort(np.where((block[:, None] >> owner) & 1, np.arange(size), size), axis=1)[:, :top]
-        for block in np.split(masks, range(1 << 16, len(masks), 1 << 16))])
+        row = rows[c]
+        for d in range(top, len(orbit) - 1, -1):
+            levels[d] += [(mask | 1 << c, comps + (c,), tuple(sorted(members + orbit)),
+                           max(k, row[c], *map(row.__getitem__, comps)))
+                          for mask, comps, members, k in levels[d - len(orbit)]]
     labels = [state.label() for state in decomposition.basis.states]
-    rank = {label: r for r, label in enumerate(sorted(set(labels)))}
-    ranks = np.array([rank[label] for label in labels] + [-1])[idx]
-    chosen = np.lexsort(np.vstack([ranks.T[::-1], dims[masks]]))[start:stop]
-    members = [tuple(r[:d]) for r, d in zip(idx[chosen].tolist(), dims[masks[chosen]].tolist())]
-    return members, max_k[masks[chosen]]
+    unions = sorted((d, [labels[i] for i in m], mask, m, k)
+                    for d in range(1, top + 1) for mask, _, m, k in levels[d])[start:stop]
+    return [u[3] for u in unions], np.array([u[4] for u in unions], dtype=float)
 
 
 def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,

@@ -613,6 +613,36 @@ def test_capped_census_of_2_20_unions_fits_in_2_gib(tmp_path):
                           "4096; rerun with --cap 1048574\n")
 
 
+@pytest.mark.parametrize("modes,particles", [(m, n) for m in range(4, 9) for n in range(2, 5)])
+def test_north_star_boson_census(tmp_path, capsys, modes, particles):
+    """N bosons on Jx(M), M = 4..8, N = 2..4: the mirror cycle's c = (S + P) / 2
+    orbits, P of the S occupation vectors being palindromes, give 2^c - 2
+    cyclic unions.  Four censuses fit the default cap, the other eleven exit 3;
+    (8,4), with 170 components, runs under the 2 GiB harness."""
+    states = fock.enumerate_basis(modes, particles, fock.ParticleType.boson()).states
+    palindromes = sum(s.occupations == s.occupations[::-1] for s in states)
+    cyclic = 2 ** ((len(states) + palindromes) // 2) - 2
+    jx = cm.CoupledModeSystem(cm.jx_pattern(modes),
+                              cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope)
+    config = tmp_path / "jx.json"
+    config.write_text(json.dumps(cm.system_to_json(jx)))
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "out"), "enumerate",
+            "--particles", str(particles)]
+    if (modes, particles) == (8, 4):
+        child = _main_under_2_gib(argv)
+        code, err = child.returncode, child.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    if (modes, particles) in {(4, 2), (4, 3), (5, 2), (6, 2)}:
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "enumeration_report.json").read_text())
+        assert report["totals"]["cyclic"] == cyclic
+    else:
+        assert code == 3, err
+        assert err == (f"error[cap-exceeded]: {cyclic} cyclic subspaces exceed the cap of "
+                       f"4096; rerun with --cap {cyclic}\n")
+
+
 def test_ingest_malformed_counts(tmp_path, outer_pair_file, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("structure_id,length_mm,input_state,detector_pair,counts\n"
@@ -782,10 +812,24 @@ PAIR = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
      "must be numbers"),
     ("config", {"modes": 2, "pattern": [[[0, 0], [math.nan, 0]], [[math.nan, 0], [0, 0]]],
                 "envelope": [SEGMENT]}, "finite, Hermitian"),
+    ("config", {"preset": "paper-jx4", "length_mm": [1]},
+     "length_mm must be a finite number, not [1]"),
+    ("config", {"preset": "paper-jx4", "length_mm": None},
+     "length_mm must be a finite number, not None"),
+    ("config", {"preset": "paper-jx4", "length_mm": "x"},
+     "length_mm must be a finite number, not 'x'"),
+    ("config", {"preset": "paper-jx4", "length_mm": "84.9"},
+     "length_mm must be a finite number, not '84.9'"),
+    ("config", {"preset": "paper-jx4", "omega_flat_per_mm": [0.1]},
+     "omega_flat_per_mm must be a finite number, not [0.1]"),
+    ("config", {"preset": "paper-jx4", "omega_flat_per_mm": "x"},
+     "omega_flat_per_mm must be a finite number, not 'x'"),
 ], ids=["subspace-array", "subspace-states-number", "subspace-label-lists",
         "subspace-nested-entry", "config-pattern-number", "config-envelope-number",
         "config-segment-list", "config-segment-string", "config-length-list",
-        "config-pattern-nan"])
+        "config-pattern-nan", "preset-length-list", "preset-length-null",
+        "preset-length-string", "preset-length-numeric-string", "preset-omega-list",
+        "preset-omega-string"])
 def test_malformed_documents_exit_2_without_traceback(tmp_path, capsys, outer_pair_file, name,
                                                       doc, detail):
     """A subspace or config document of the wrong shape is one error line."""

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +285,36 @@ def test_fermions_on_one_more_mode_count_like_bosons(modes):
     assert counts(modes + 1, FERMION) == counts(modes, BOSON)
 
 
+def _census_totals(modes, particles, particle):
+    """(S, cyclic, holonomic, holonomic dim >= 2, non-scalar, scalar) on Jx(modes)."""
+    report = enum.enumerate_holonomic(_jx_system(modes),
+                                      enumerate_basis(modes, particles, particle))
+    by_class = report.holonomic_by_class()
+    return (report.basis.size, report.cyclic_subspaces, report.holonomic_count,
+            len(report.holonomic_records(2)), by_class[hol.NON_SCALAR], by_class[hol.SCALAR])
+
+
+# Census identities of SU(2) reciprocity, as pairs of (modes, particles, kind):
+# N bosons on Jx(M) count like N fermions on Jx(M + N - 1) and like M - 1
+# bosons on Jx(N + 1); with M = 2, like one particle on Jx(N + 1).
+CENSUS_IDENTITIES = (
+    [((m, n, "boson"), (m + n - 1, n, "fermion"))
+     for m, n in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]]
+    + [((4, 2, "boson"), (3, 3, "boson")), ((5, 2, "boson"), (3, 4, "boson"))]
+    + [((2, n, "boson"), (n + 1, 1, "boson")) for n in range(2, 6)])
+
+
+@pytest.mark.parametrize("left,right", CENSUS_IDENTITIES,
+                         ids=[f"{a[2]}({a[0]},{a[1]})={b[2]}({b[0]},{b[1]})"
+                              for a, b in CENSUS_IDENTITIES])
+def test_census_identities_on_totals(left, right):
+    totals = _census_totals(left[0], left[1], ParticleType(left[2]))
+    assert _census_totals(right[0], right[1], ParticleType(right[2])) == totals
+    expected = {(4, 2): (10, 62, 19, 17, 16, 3), (5, 2): (15, 510, 90, 87, 83, 7)}
+    if left[2] == "boson" and left[:2] in expected:
+        assert totals == expected[left[:2]]
+
+
 @pytest.mark.parametrize("modes,particles", [(4, 2), (3, 3)])
 def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
     # every record's max|K| against the lifted-kets K of its own union
@@ -472,13 +502,34 @@ def test_census_report_hashes(tmp_path, case):
     assert got == spec["sha256"]
 
 
-def test_census_beyond_the_union_walk_exits_2(tmp_path, capsys):
-    # three bosons on Jx(6) have 28 components: the walk refuses 2^28 - 2
-    # unions before it allocates anything
+def test_census_of_28_components_stops_at_the_cap(tmp_path, capsys):
+    # three bosons on Jx(6) have 28 components: enumerate exits 3 at the
+    # default cap, and the partial records are the first 4096 unions of an
+    # independent walk over component subsets up to the boundary dimension
+    system = _jx_system(6)
     config = tmp_path / "jx6.json"
-    config.write_text(json.dumps(cm.system_to_json(_jx_system(6))))
+    config.write_text(json.dumps(cm.system_to_json(system)))
     assert cli.main(["--config", str(config), "--out-dir", str(tmp_path / "out"), "enumerate",
-                     "--particles", "3"]) == 2
+                     "--particles", "3"]) == 3
     assert capsys.readouterr().err == (
-        "error[invalid-arguments]: 28 components: the union walk takes 25 at most\n")
+        "error[cap-exceeded]: 268435454 cyclic subspaces exceed the cap of 4096; "
+        "rerun with --cap 268435454\n")
     assert not (tmp_path / "out").exists()
+
+    basis = enumerate_basis(6, 3, BOSON)
+    with pytest.raises(enum.EnumerationCapError) as err:
+        enum.enumerate_holonomic(system, basis)
+    records = err.value.partial_report.records
+    orbits = enum.decompose_orbits(system, basis).orbits
+    assert len(orbits) == 28
+    boundary = records[-1].dimension
+    labels = [state.label() for state in basis.states]
+    unions = [m for r in range(1, boundary // min(map(len, orbits)) + 1)
+              for combo in combinations(orbits, r)
+              for m in [tuple(sorted(chain.from_iterable(combo)))] if len(m) <= boundary]
+    want = sorted(unions, key=lambda m: (len(m), [labels[i] for i in m]))[:enum.ENUMERATION_CAP]
+    k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system).matrices),
+                     axis=0)
+    assert [r.member_indices for r in records] == want
+    assert [r.members for r in records] == [tuple(labels[i] for i in m) for m in want]
+    assert [r.max_k for r in records] == [np.max(k_table[np.ix_(m, m)]) for m in want]
