@@ -29,6 +29,7 @@ stack of evolution operators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -595,8 +596,9 @@ def segment_to_json(seg) -> dict:
 
 
 def is_finite_number(value) -> bool:
-    """A finite JSON number: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number: an int or float, not a bool, within float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def segment_from_json(doc: dict):
@@ -625,8 +627,8 @@ def matrix_to_json(m: np.ndarray):
 def _matrix_from_json(rows):
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError):
-        raise ValueError("a matrix must be a list of rows of [re, im] pairs") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("a matrix must be a list of rows of [re, im] pairs of floats") from None
 
 
 def system_to_json(system: CoupledModeSystem) -> dict:
@@ -649,8 +651,8 @@ def system_from_json(doc: dict) -> CoupledModeSystem:
         segments = doc["envelope"]
     except KeyError as exc:
         raise ValueError(f"system definition missing field {exc}") from None
-    except TypeError:
-        raise ValueError("modes and length_mm must be numbers") from None
+    except (TypeError, OverflowError):
+        raise ValueError("modes and length_mm must be numbers in float range") from None
     if not isinstance(segments, list):
         raise ValueError("envelope must be a list of segments")
     if pattern.modes != modes:

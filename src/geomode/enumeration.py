@@ -7,7 +7,7 @@ the support graph {(i, j) : |V_ij| > CYCLIC_TOL}.  For a cycle that
 permutes basis states up to phases the components are its orbits.
 One basis-wide table of max_z |K| becomes the component graph
 (:func:`orbit_graph`); the unions are built by dimension, only up to the
-cap (:func:`ordered_unions`), and only their holonomic ones classified.
+cap (:func:`ordered_unions`), and the holonomic ones classed by component phases.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class OrbitDecomposition:
     #: components as ascending tuples of basis-state indices, ordered by
     #: their smallest index
     orbits: tuple[tuple[int, ...], ...]
-    #: the lifted end-of-cycle unitary (S, S) the components were read from
-    cycle: np.ndarray = field(compare=False, repr=False)
+    #: per component, the cycle's diagonal entry if it is one state, else None:
+    #: no |V_ij| between components exceeds CYCLIC_TOL, so these class a union
+    phases: tuple[complex | None, ...]
 
     @property
     def orbit_count(self) -> int:
@@ -70,7 +71,8 @@ def decompose_orbits(system: CoupledModeSystem, basis: FockBasis) -> OrbitDecomp
             members.append(frontier)
             frontier = np.flatnonzero(linked[frontier].any(axis=0) & unlabeled)
         components.append(tuple(np.sort(np.concatenate(members)).tolist()))
-    return OrbitDecomposition(basis, tuple(components), v)
+    phases = tuple(complex(v[c[0], c[0]]) if len(c) == 1 else None for c in components)
+    return OrbitDecomposition(basis, tuple(components), phases)
 
 
 def count_subspaces(decomposition: OrbitDecomposition) -> tuple[int, int]:
@@ -158,17 +160,15 @@ def orbit_graph(decomposition: OrbitDecomposition, k_table: np.ndarray) -> np.nd
 
 def ordered_unions(decomposition: OrbitDecomposition, graph: np.ndarray,
                    start: int = 0, stop: int | None = None):
-    """(members, max_k) of the unions at positions [start, stop) of the
-    census order (dimension, then member labels in basis-index order, then
-    component bitmask): ascending index tuples, and the max of ``graph``
-    over each union's component pairs.  Per-dimension counts, the
+    """(members, max_k, components) of the unions at [start, stop) in census
+    order (dimension, then member labels in basis-index order, then component
+    bitmask): ascending state and component indices, and the max of ``graph``
+    over the union's component pairs.  Per-dimension counts, the
     coefficients of prod_c (1 + x^|c|), fix ``top``, the smallest dimension
     whose unions reach ``stop``; a 0/1 knapsack over the components builds
     each union up to ``top`` once, fewer than (n + 1) ``stop`` of them."""
     orbits, size, n = decomposition.orbits, decomposition.basis.size, decomposition.orbit_count
     stop = (1 << n) - 2 if stop is None else min(stop, (1 << n) - 2)
-    if stop <= start:
-        return [], np.empty(0)
     counts = [1] + [0] * size  # counts[d]: unions of dimension d, the empty one included
     for orbit in orbits:
         for d in range(size, len(orbit) - 1, -1):
@@ -184,9 +184,9 @@ def ordered_unions(decomposition: OrbitDecomposition, graph: np.ndarray,
                            max(k, row[c], *map(row.__getitem__, comps)))
                           for mask, comps, members, k in levels[d - len(orbit)]]
     labels = [state.label() for state in decomposition.basis.states]
-    unions = sorted((d, [labels[i] for i in m], mask, m, k)
-                    for d in range(1, top + 1) for mask, _, m, k in levels[d])[start:stop]
-    return [u[3] for u in unions], np.array([u[4] for u in unions], dtype=float)
+    unions = sorted((d, [labels[i] for i in m], mask, m, k, comps)
+                    for d in range(1, top + 1) for mask, comps, m, k in levels[d])[start:stop]
+    return [u[3:] for u in unions]
 
 
 def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
@@ -206,14 +206,14 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
     # members, so one (S, S) table of max_z |K| serves every union.
     k_table = np.max(np.abs(hol.k_matrix(hol.Subspace(basis, basis.states), system)
                             .matrices), axis=0)
-    members, max_k = ordered_unions(decomposition, orbit_graph(decomposition, k_table),
-                                    resume_token, resume_token + cap)
-    labels, cycle = [state.label() for state in basis.states], decomposition.cycle
+    unions = ordered_unions(decomposition, orbit_graph(decomposition, k_table),
+                            resume_token, resume_token + cap)
+    labels, phases = [state.label() for state in basis.states], decomposition.phases
     report.records = [
         SubspaceRecord(tuple(map(labels.__getitem__, m)), m, len(m), True, k, k < tol,
-                       hol.classify_unitary(cycle.take(m, 0).take(m, 1)) if k < tol else None,
+                       hol.classify_phases([phases[c] for c in comps]) if k < tol else None,
                        len(m) == 1)
-        for m, k in zip(members, max_k.tolist())]
+        for m, k, comps in unions]
     if report.cyclic_subspaces > resume_token + cap:
         raise EnumerationCapError(cap, report, resume_token + cap)
     return report
@@ -231,10 +231,11 @@ def verify_union_of_orbits_characterization(system: CoupledModeSystem,
         raise ValueError("exhaustive verification limited to small bases")
     decomposition = decompose_orbits(system, basis)
     no_k = np.zeros((decomposition.orbit_count,) * 2)
-    union_sets = set(map(frozenset, ordered_unions(decomposition, no_k)[0]))
+    union_sets = {frozenset(m) for m, _, _ in ordered_unions(decomposition, no_k)}
+    v = fock.lift_unitary(evolve(system), basis)
     for r in range(1, basis.size):
         for combo in combinations(range(basis.size), r):
-            residual = hol.projector_residual(decomposition.cycle[:, combo], combo)
+            residual = hol.projector_residual(v[:, combo], combo)
             if (residual < hol.CYCLIC_TOL) != (frozenset(combo) in union_sets):
                 return False
     return True

@@ -59,7 +59,6 @@ NON_SCALAR = "non_scalar"
 
 CYCLIC_TOL = 1e-8
 HOLONOMIC_TOL_SCALE = 1e-8
-CLASSIFY_TOL = 1e-8
 HEISENBERG_TOL = 1e-10
 K_GRID_POINTS = 201
 
@@ -390,14 +389,13 @@ def projector_residual(columns: np.ndarray, member_indices) -> float:
     return float(np.max(np.abs(w)))
 
 
-def classify_unitary(matrix: np.ndarray) -> str:
-    dim = matrix.shape[0]
-    c = np.trace(matrix) / dim
-    if np.max(np.abs(matrix - c * np.eye(dim))) < CLASSIFY_TOL:
-        return SCALAR
-    if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) < CLASSIFY_TOL:
-        return DIAGONAL
-    return NON_SCALAR
+def classify_phases(phases) -> str:
+    """Non-scalar if any of a holonomy's diagonal ``phases`` is None (a linked
+    state), else scalar if all lie within CYCLIC_TOL of their mean, else diagonal."""
+    if None in phases:
+        return NON_SCALAR
+    mean = sum(phases) / len(phases)
+    return SCALAR if all(abs(p - mean) < CYCLIC_TOL for p in phases) else DIAGONAL
 
 
 @dataclass(frozen=True)
@@ -426,7 +424,9 @@ class SubspaceCheck:
     @property
     def classification(self) -> str | None:
         """Scalar / diagonal / non-scalar for a holonomic subspace, else None."""
-        return classify_unitary(self.matrix) if self.holonomic else None
+        phases = np.diag(self.matrix)
+        linked = np.max(np.abs(self.matrix - np.diag(phases)), axis=1) > CYCLIC_TOL
+        return classify_phases(np.where(linked, None, phases).tolist()) if self.holonomic else None
 
 
 def check_subspace(sub: Subspace, system: CoupledModeSystem) -> SubspaceCheck:

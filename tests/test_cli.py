@@ -795,6 +795,7 @@ def test_failing_command_leaves_no_report_directory(tmp_path, capsys, command):
 
 SEGMENT = {"kind": "constant", "value_per_mm": 0.1, "length_mm": 10.0}
 PAIR = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+BEYOND_FLOAT = 10 ** 400  # a JSON integer that float() cannot convert
 
 
 @pytest.mark.parametrize("name, doc, detail", [
@@ -824,12 +825,21 @@ PAIR = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
      "omega_flat_per_mm must be a finite number, not [0.1]"),
     ("config", {"preset": "paper-jx4", "omega_flat_per_mm": "x"},
      "omega_flat_per_mm must be a finite number, not 'x'"),
+    ("config", {"preset": "paper-jx4", "length_mm": BEYOND_FLOAT},
+     "length_mm must be a finite number, not 1000"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": [{**SEGMENT, "length_mm": BEYOND_FLOAT}]},
+     "'length_mm' must be a finite number, not 1000"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": [SEGMENT], "length_mm": BEYOND_FLOAT},
+     "must be numbers in float range"),
+    ("config", {"modes": 2, "pattern": [[[0, 0], [BEYOND_FLOAT, 0]], [[1, 0], [0, 0]]],
+                "envelope": [SEGMENT]}, "[re, im] pairs of floats"),
 ], ids=["subspace-array", "subspace-states-number", "subspace-label-lists",
         "subspace-nested-entry", "config-pattern-number", "config-envelope-number",
         "config-segment-list", "config-segment-string", "config-length-list",
         "config-pattern-nan", "preset-length-list", "preset-length-null",
         "preset-length-string", "preset-length-numeric-string", "preset-omega-list",
-        "preset-omega-string"])
+        "preset-omega-string", "preset-length-beyond-float", "config-segment-beyond-float",
+        "config-length-beyond-float", "config-pattern-beyond-float"])
 def test_malformed_documents_exit_2_without_traceback(tmp_path, capsys, outer_pair_file, name,
                                                       doc, detail):
     """A subspace or config document of the wrong shape is one error line."""

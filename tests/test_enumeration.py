@@ -14,6 +14,7 @@ from geomode import fock
 from geomode import enumeration as enum
 from geomode import holonomy as hol
 from geomode.fock import ParticleType, enumerate_basis
+from test_holonomy import matrix_class
 
 BOSON = ParticleType.boson()
 FERMION = ParticleType.fermion()
@@ -350,6 +351,40 @@ def test_check_subspace_agrees_with_census(system, name, particle):
         assert check.k.max_abs == r.max_k
 
 
+def _dist(particles):
+    return ParticleType.distinguishable(*"abc"[:particles])
+
+
+# (system, modes, particles, statistics); the (4,4), (8,2), (8,3) and (6,3)
+# boson censuses stop at the cap and are checked on their partial records.
+# Detuned Jx4 is left out: its cycle has one component, so no cyclic union.
+CLASS_CENSUSES = {
+    **{f"bosons({m},{n})": (_jx_system(m), m, n, BOSON)
+       for m, n in [(4, 2), (4, 3), (5, 2), (6, 2), (3, 3), (4, 4), (8, 2), (8, 3), (6, 3)]},
+    **{f"fermions({m},{n})": (_jx_system(m), m, n, FERMION) for m, n in [(5, 2), (6, 3)]},
+    **{f"distinguishable({m},{n})": (_jx_system(m), m, n, _dist(n)) for m, n in [(4, 2), (3, 3)]},
+    "two-pair-bosons(4,2)": (NON_PERMUTATION_SYSTEMS["two-pair"], 4, 2, BOSON),
+    "two-pair-distinguishable(4,2)": (NON_PERMUTATION_SYSTEMS["two-pair"], 4, 2, _dist(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_CENSUSES))
+def test_census_classes_match_the_matrix_classification(name):
+    # each holonomic record's class, read from its components' phases,
+    # against the (d, d) block of the lifted cycle read as a matrix
+    system, modes, particles, particle = CLASS_CENSUSES[name]
+    basis = enumerate_basis(modes, particles, particle)
+    try:
+        records = enum.enumerate_holonomic(system, basis).records
+    except enum.EnumerationCapError as err:
+        records = err.partial_report.records
+    v = fock.lift_unitary(cm.evolve(system), basis)
+    assert any(r.holonomic for r in records)
+    for r in records:
+        block = v[np.ix_(r.member_indices, r.member_indices)]
+        assert r.classification == (matrix_class(block) if r.holonomic else None)
+
+
 def test_enumeration_lifts_the_cycle_once(system, monkeypatch):
     calls = []
     lift = fock.lift_unitary
@@ -458,10 +493,12 @@ def test_ordered_unions_match_brute_force(data):
     want = sorted(unions, key=lambda m: (len(m), [labels[i] for i in m]))
     start = data.draw(st.integers(0, len(want)))
     stop = data.draw(st.none() | st.integers(0, len(want) + 2))
-    dec = enum.OrbitDecomposition(basis, orbits, np.eye(basis.size))
-    members, max_k = enum.ordered_unions(dec, enum.orbit_graph(dec, k_table), start, stop)
-    assert members == want[start:stop]
-    assert max_k.tolist() == [np.max(k_table[np.ix_(m, m)]) for m in want[start:stop]]
+    dec = enum.OrbitDecomposition(basis, orbits, (None,) * n)
+    unions = enum.ordered_unions(dec, enum.orbit_graph(dec, k_table), start, stop)
+    assert [m for m, _, _ in unions] == want[start:stop]
+    assert [k for _, k, _ in unions] == [np.max(k_table[np.ix_(m, m)]) for m in want[start:stop]]
+    assert all(m == tuple(sorted(chain.from_iterable(orbits[c] for c in comps)))
+               and list(comps) == sorted(comps) for m, _, comps in unions)
 
 
 def test_report_serialization(tmp_path, two_boson_report):

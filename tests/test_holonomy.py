@@ -363,9 +363,43 @@ def test_classification_invariances(system, boson_basis):
     sub = sub_boson(boson_basis, (1, 0, 0, 1), (0, 1, 1, 0))
     h = hol.extract_holonomy(sub, system)
     # invariant under global phase and under member reordering
-    assert hol.classify_unitary(np.exp(0.7j) * h.matrix) == hol.SCALAR
+    assert hol.classify_phases(list(np.exp(0.7j) * np.diag(h.matrix))) == hol.SCALAR
     sub_r = sub_boson(boson_basis, (0, 1, 1, 0), (1, 0, 0, 1))
     assert hol.extract_holonomy(sub_r, system).classification == hol.SCALAR
+
+
+def matrix_class(block):
+    """The classification of a holonomy block B read from the matrix itself:
+    scalar if max |B - (tr B / d) I| < 1e-8, else diagonal if every
+    off-diagonal entry is below 1e-8, else non-scalar."""
+    d = len(block)
+    if np.max(np.abs(block - np.trace(block) / d * np.eye(d))) < 1e-8:
+        return hol.SCALAR
+    if np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-8:
+        return hol.DIAGONAL
+    return hol.NON_SCALAR
+
+
+@given(data=st.data())
+def test_classify_phases_at_the_tolerance_edge(data):
+    # unit phases spread by up to ~6e-8 around a common phase, so the spread
+    # straddles the 1e-8 tolerance; a None row stands for a 2e-8 off-diagonal
+    # entry in that row of the matrix the oracle reads
+    d = data.draw(st.integers(1, 5))
+    offsets = data.draw(st.lists(st.floats(-2.9e-8, 2.9e-8), min_size=d, max_size=d))
+    linked = data.draw(st.lists(st.booleans(), min_size=d, max_size=d)) if d > 1 else [False]
+    phases = np.exp(1j * (data.draw(st.floats(0.0, 2 * np.pi)) + np.array(offsets)))
+    block = np.diag(phases)
+    for i in np.flatnonzero(linked):
+        block[i, (i + 1) % d] = 2e-8
+    marked = [None if row else p for row, p in zip(linked, phases)]
+    expected = matrix_class(block)
+    assert hol.classify_phases(marked) == expected
+    # a global phase and a reordering leave the class alone
+    turn = np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi)))
+    assert hol.classify_phases([p if p is None else turn * p for p in marked]) == expected
+    order = data.draw(st.permutations(range(d)))
+    assert hol.classify_phases([marked[i] for i in order]) == expected
 
 
 # ------------------------------------------------------------ gauge field
