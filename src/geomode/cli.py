@@ -375,16 +375,17 @@ def cmd_scan(args) -> int:
 
 
 def _table_comparison_doc(grid_step: float):
+    engine = xp.CurveEngine(xp.theory_lengths(grid_step))  # shared by both halves
     rows = [{"subspace": c.row.key(), "restricted_mm": c.restricted_mm,
              "restricted_reference_mm": c.row.restricted_mm, "restricted_pass": c.restricted_ok,
              "unrestricted_mm": c.unrestricted_mm,
              "unrestricted_reference_mm": c.row.unrestricted_mm,
              "unrestricted_pass": c.unrestricted_ok}
-            for c in ref.compare_reference_widths(grid_step=grid_step)]
+            for c in ref.compare_reference_widths(engine=engine)]
     non_h = [
         {"subspace": row.key(), "unrestricted_mm": width,
          "classified_non_holonomic": width <= ref.NON_HOLONOMIC_WIDTH_MM}
-        for row, width in ref.non_holonomic_widths(grid_step=grid_step)
+        for row, width in ref.non_holonomic_widths(engine=engine)
     ]
     census = en.enumerate_holonomic(cm.jx4_structure(cm.IDEAL_LENGTH_MM),
                                     enumerate_basis(4, 2, ParticleType.boson()))
@@ -450,19 +451,24 @@ def cmd_plateau(args) -> int:
     if rule == xp.THEORY_RULE and args.grid is None and args.lengths is None:
         args.lengths = xp.theory_lengths(0.01)
     sub, specs, lengths, detection, family = _scan_setup(args)
-    result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode], detection=detection,
-                     family=family)
-    report = xp.plateau_report(result, rule, clip=clip)
+    labels = [spec.label() for spec in specs]
+    if args.mode == "theory":  # the curves' block, without a scan result's points
+        engine = xp.CurveEngine(lengths, family)
+        lengths, curves = engine.lengths, engine.success_curve(sub, specs)
+    else:
+        result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode],
+                         detection=detection, family=family)
+        curves = np.column_stack([result.probabilities(label) for label in labels])
+    report = xp.plateau_report(lengths, curves, labels, rule, clip=clip)
     write_json(out_dir(args) / "plateau_report.json", report.to_json())
     for label, interval in report.per_input.items():
         print(f"{label}: plateau [{interval.start:.2f}, {interval.end:.2f}] mm, "
               f"width {interval.width:.2f} mm")
         # an edge on the grid's first or last sample is where the scan
         # stopped, not where the rule found the plateau's end
-        points = result.curves[label]
         open_edges = [f"{name} ({edge:.2f} mm)" for name, edge, grid_end in (
-            ("start", interval.start, points[0].length_mm),
-            ("end", interval.end, points[-1].length_mm)) if edge == grid_end]
+            ("start", interval.start, lengths[0]),
+            ("end", interval.end, lengths[-1])) if edge == grid_end]
         if open_edges:
             print(f"warning[open-plateau]: {label}: the plateau runs to the length grid's "
                   f"{' and '.join(open_edges)}; the rule found no edge there", file=sys.stderr)

@@ -645,14 +645,15 @@ def system_to_json(system: CoupledModeSystem) -> dict:
 
 def system_from_json(doc: dict) -> CoupledModeSystem:
     try:
-        modes = int(doc["modes"])
-        length = float(doc.get("length_mm", math.nan))
+        modes, length = doc["modes"], doc.get("length_mm", 0.0)
         pattern = CouplingPattern(_matrix_from_json(doc["pattern"]))
         segments = doc["envelope"]
     except KeyError as exc:
         raise ValueError(f"system definition missing field {exc}") from None
-    except (TypeError, OverflowError):
-        raise ValueError("modes and length_mm must be numbers in float range") from None
+    if not isinstance(modes, int) or isinstance(modes, bool):
+        raise ValueError(f"modes must be a JSON integer, not {modes!r}")
+    if not is_finite_number(length):
+        raise ValueError(f"length_mm must be a finite number, not {length!r}")
     if not isinstance(segments, list):
         raise ValueError("envelope must be a list of segments")
     if pattern.modes != modes:

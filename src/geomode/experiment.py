@@ -236,17 +236,18 @@ def _input_specs(sub: Subspace, inputs) -> list[InputSpec]:
     return specs
 
 
-def _ideal_target_index(sub: Subspace, ideal, input_state) -> int:
-    """Member hit by the input under ``ideal``, the family's single-particle
-    cycle; only the input's column over the members is lifted."""
+def _ideal_targets(sub: Subspace, ideal, states) -> np.ndarray:
+    """Member hit by each input state under ``ideal``, the family's
+    single-particle cycle; the inputs' columns over the members are lifted
+    in one call."""
     amps = np.abs(lift_unitary_batch(ideal[None], sub.basis, sub.member_indices,
-                                     [sub.basis.index_of(input_state)])[0, :, 0])
-    m = int(np.argmax(amps))
-    if abs(amps[m] - 1.0) > 1e-8:
-        raise ValueError(
-            f"input {input_state.label()} has no sharp image inside the subspace"
-        )
-    return m
+                                     [sub.basis.index_of(state) for state in states])[0])
+    targets = np.argmax(amps, axis=0)
+    blurred = np.abs(amps[targets, np.arange(len(targets))] - 1.0) > 1e-8
+    if blurred.any():
+        raise ValueError(f"input {states[blurred.argmax()].label()} has no sharp image "
+                         "inside the subspace")
+    return targets
 
 
 class CurveEngine:
@@ -255,7 +256,7 @@ class CurveEngine:
     The family (default: the calibrated Jx structure) gives one
     single-particle evolution stack over non-empty, strictly ascending,
     finite lengths.  Each query lifts only the amplitudes it reads: the
-    input's column over the outcome states.
+    input's column over the outcome states, one input at a time.
     """
 
     def __init__(self, lengths, family: StructureFamily | None = None):
@@ -267,7 +268,6 @@ class CurveEngine:
         self.lengths = lengths
         self.u_stack = family.stack(self.lengths)
         self._ideal = family.cycle()
-        self._targets = {}
 
     @cached_property
     def _transition_stack(self) -> np.ndarray:
@@ -275,14 +275,6 @@ class CurveEngine:
         squared in place so that a long stack costs one real copy."""
         p = np.abs(self.u_stack)
         return np.square(p, out=p)
-
-    def target_index(self, sub: Subspace, input_state) -> int:
-        """Member hit by the input under the family's cycle, lifted once
-        per (statistics, members, input)."""
-        key = (sub.particle, tuple(m.occupations for m in sub.members), input_state.occupations)
-        if key not in self._targets:
-            self._targets[key] = _ideal_target_index(sub, self._ideal, input_state)
-        return self._targets[key]
 
     def outcome_probabilities(self, sub: Subspace, spec: InputSpec,
                               over_members=True) -> np.ndarray:
@@ -310,14 +302,19 @@ class CurveEngine:
             lifted = lift_unitary_batch(self._transition_stack, sub.basis, rows, col)[:, :, 0]
             lifted *= norms[col[0]] / norms[rows]
             return lifted
-        return np.abs(lift_unitary_batch(self.u_stack, sub.basis, rows, col)[:, :, 0]) ** 2
+        probs = np.abs(lift_unitary_batch(self.u_stack, sub.basis, rows, col)[:, :, 0])
+        return np.square(probs, out=probs)
 
-    def success_curve(self, sub: Subspace, spec: InputSpec) -> np.ndarray:
-        """Post-selected success probability per length."""
-        probs = self.outcome_probabilities(sub, spec)
-        target = self.target_index(sub, spec.state)
-        total = probs.sum(axis=1)
-        return probs[:, target] / total
+    def success_curve(self, sub: Subspace, inputs) -> np.ndarray:
+        """(L, n) post-selected success probabilities, one column per
+        input; the inputs' targets come from one lift of the cycle.  Each
+        column is one input's target over its contiguous member sum."""
+        targets = _ideal_targets(sub, self._ideal, [spec.state for spec in inputs])
+        curves = np.empty((len(targets), len(self.lengths)))
+        for curve, spec, target in zip(curves, inputs, targets):
+            probs = self.outcome_probabilities(sub, spec)
+            np.divide(probs[:, target], probs.sum(axis=1), out=curve)
+        return curves.T
 
 
 def success_probability(sub: Subspace, spec: InputSpec, system: CoupledModeSystem) -> float:
@@ -327,7 +324,7 @@ def success_probability(sub: Subspace, spec: InputSpec, system: CoupledModeSyste
     family = StructureFamily(lambda: system.pattern.unitary(math.pi),
                              lambda _: evolve(system)[None])
     engine = CurveEngine([system.length], family)
-    return float(engine.success_curve(sub, spec)[0])
+    return float(engine.success_curve(sub, [spec])[0, 0])
 
 
 def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theory",
@@ -346,8 +343,7 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
     if mode == "theory":
         result = ScanResult(sub, "theory")
         lengths = lengths.tolist()
-        for spec in inputs:
-            curve = engine.success_curve(sub, spec).tolist()
+        for spec, curve in zip(inputs, engine.success_curve(sub, inputs).T.tolist()):
             result.curves[spec.label()] = list(map(ScanPoint, lengths, curve, repeat(0.0)))
         return result
     if mode != "synthetic-experiment":
@@ -357,10 +353,11 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
     if detection.trials <= 0:
         raise ValueError("synthetic scans need a positive Poisson trial count")
     result = ScanResult(sub, "synthetic-experiment")
-    for i, spec in enumerate(inputs):
+    targets = _ideal_targets(sub, engine._ideal, [spec.state for spec in inputs])
+    for i, (spec, target) in enumerate(zip(inputs, targets)):
         channels, counts = _sample_channels(engine, sub, spec, detection, i)
-        result.curves[spec.label()] = _success_points(
-            lengths, sub, engine.target_index(sub, spec.state), *channels.estimate(counts))
+        result.curves[spec.label()] = _success_points(lengths, sub, target,
+                                                      *channels.estimate(counts))
     return result
 
 
@@ -629,50 +626,52 @@ def _slope_edge(lengths, excess, peak: int, step: int) -> float:
 
 
 def plateau_interval(lengths, probs, rule: str = THEORY_RULE,
-                     slope_limit: float = SLOPE_LIMIT_PER_MM) -> PlateauInterval:
-    """Contiguous stability region around the curve's peak.
+                     slope_limit: float = SLOPE_LIMIT_PER_MM):
+    """Contiguous stability region around the curve's peak: one interval
+    for one curve (L,), a list of n for a block (L, n) of curves.
 
-    Theory rule: |dp/dL| < slope_limit (central differences; the edge
-    positions are interpolated between grid samples).  Experimental
-    rule: consecutive-point differences below EXPERIMENTAL_STEP_LIMIT, edges at
-    the first/last conforming sample.  Undefined (NaN) points are never
-    the peak and end the region; a curve without defined points raises
-    ValueError.
+    Theory rule: |dp/dL| < slope_limit (central differences, taken for
+    the whole block at once and element by element, so each column's
+    are those of the curve alone; the edge positions are interpolated
+    between grid samples).  Experimental rule: consecutive-point
+    differences below EXPERIMENTAL_STEP_LIMIT, edges at the first/last
+    conforming sample.  Undefined (NaN) points are never the peak and end
+    the region; a curve without defined points raises ValueError.
     """
     lengths = np.asarray(lengths, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    if np.all(np.isnan(probs)):
+    curves = probs[:, None] if probs.ndim == 1 else probs
+    if np.isnan(curves).all(axis=0).any():
         raise ValueError("curve has no defined points")
-    peak = int(np.nanargmax(probs))
+    peaks = np.nanargmax(curves, axis=0)
     if rule == THEORY_RULE:
         if len(lengths) < 5:
             raise ValueError("theory rule needs a dense grid")
-        excess = np.abs(np.gradient(probs, lengths)) - slope_limit
-        return PlateauInterval(float(_slope_edge(lengths, excess, peak, -1)),
-                               float(_slope_edge(lengths, excess, peak, +1)))
-    if rule == EXPERIMENTAL_RULE:
+        excess = np.abs(np.gradient(curves, lengths, axis=0)) - slope_limit
+        intervals = [PlateauInterval(float(_slope_edge(lengths, e, peak, -1)),
+                                     float(_slope_edge(lengths, e, peak, +1)))
+                     for e, peak in zip(excess.T, peaks)]
+    elif rule == EXPERIMENTAL_RULE:
         if len(lengths) < 3:
             raise ValueError("experimental rule needs at least 3 points")
-        steady = np.abs(np.diff(probs)) < EXPERIMENTAL_STEP_LIMIT
-        start = peak - _run_length(steady[:peak][::-1])
-        end = peak + _run_length(steady[peak:])
-        return PlateauInterval(float(lengths[start]), float(lengths[end]))
-    raise ValueError(f"unknown plateau rule {rule!r}")
+        steady = np.abs(np.diff(curves, axis=0)) < EXPERIMENTAL_STEP_LIMIT
+        intervals = [PlateauInterval(float(lengths[peak - _run_length(s[:peak][::-1])]),
+                                     float(lengths[peak + _run_length(s[peak:])]))
+                     for s, peak in zip(steady.T, peaks)]
+    else:
+        raise ValueError(f"unknown plateau rule {rule!r}")
+    return intervals if probs.ndim > 1 else intervals[0]
 
 
-def plateau_report(result: ScanResult, rule: str = THEORY_RULE,
+def plateau_report(lengths, curves, labels, rule: str = THEORY_RULE,
                    clip: tuple[float, float] | None = None) -> PlateauReport:
-    """Per-input plateaus and their mean width for a scan result."""
-    per_input = {}
-    for label, points in result.curves.items():
-        lengths = np.array([p.length_mm for p in points])
-        probs = np.array([p.probability for p in points], dtype=float)
-        interval = plateau_interval(lengths, probs, rule)
-        if clip is not None:
-            interval = interval.clipped(*clip)
-        per_input[label] = interval
-    mean = float(np.mean([iv.width for iv in per_input.values()]))
-    return PlateauReport(rule, per_input, mean)
+    """Per-input plateaus of an (L, n) block of success curves over
+    ``lengths``, one column per label, and their mean width."""
+    intervals = plateau_interval(lengths, curves, rule)
+    if clip is not None:
+        intervals = [iv.clipped(*clip) for iv in intervals]
+    per_input = dict(zip(labels, intervals))
+    return PlateauReport(rule, per_input, float(np.mean([iv.width for iv in per_input.values()])))
 
 
 def theory_lengths(grid_step: float) -> np.ndarray:
@@ -687,14 +686,10 @@ def theory_plateau_widths(sub: Subspace, inputs, grid_step: float = 0.005,
     restricted widths are clipped to RESTRICTED_WINDOW_MM."""
     if engine is None:
         engine = CurveEngine(theory_lengths(grid_step))
-    lengths = engine.lengths
-    widths_r, widths_u = [], []
-    for spec in _input_specs(sub, inputs):
-        curve = engine.success_curve(sub, spec)
-        interval = plateau_interval(lengths, curve, THEORY_RULE)
-        widths_u.append(interval.width)
-        widths_r.append(interval.clipped(*RESTRICTED_WINDOW_MM).width)
-    return float(np.mean(widths_r)), float(np.mean(widths_u))
+    intervals = plateau_interval(engine.lengths,
+                                 engine.success_curve(sub, _input_specs(sub, inputs)))
+    return (float(np.mean([iv.clipped(*RESTRICTED_WINDOW_MM).width for iv in intervals])),
+            float(np.mean([iv.width for iv in intervals])))
 
 
 @cache
@@ -723,9 +718,8 @@ def plateau_width_delta(sub: Subspace, spec: InputSpec) -> float:
     distinguishable input asks for it); each call lifts only its input's
     column over the members.
     """
-    spec, = _input_specs(sub, [spec])
     engine = _delta_axis_engine()
-    curve = engine.success_curve(sub, spec)
+    curve = engine.success_curve(sub, _input_specs(sub, [spec]))[:, 0]
     interval = plateau_interval(engine.lengths, curve, THEORY_RULE,
                                 slope_limit=SLOPE_LIMIT_PER_MM / FLAT_COUPLING_PER_MM)
     return interval.width
@@ -815,9 +809,11 @@ def write_counts_csv(path, rows):
         fh.writelines([",".join(COUNT_COLUMNS) + "\r\n", body])
 
 
-#: Records per block of the count-file tokenizer: its field lists live
-#: only while their block is coded, so a large file's peak memory stays
-#: that of one block.
+#: Records per block of the count-file tokenizer.  The whole file is read
+#: and split into one string per record first; only the field lists are
+#: made per block and live while their block is coded, so the peak holds
+#: every record's line plus one block's fields (a quoted file goes through
+#: ``csv.reader`` as one block).
 _INGEST_BLOCK = 8192
 
 
@@ -961,6 +957,6 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
         grid, at = np.unique(lengths[rows], return_inverse=True)
         counts = np.zeros((grid.size, len(channels.labels)))
         np.add.at(counts, (at, column), values[rows])
-        target = _ideal_target_index(sub, ideal, spec.state)
+        target, = _ideal_targets(sub, ideal, [spec.state])
         result.curves[label] = _success_points(grid, sub, target, *channels.estimate(counts))
     return result

@@ -375,19 +375,31 @@ def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=No
     n = basis.particles
     rows = np.arange(basis.size) if rows is None else np.asarray(rows, dtype=int)
     cols = np.arange(basis.size) if cols is None else np.asarray(cols, dtype=int)
+    dtype = np.result_type(u.dtype, float)
+    if n == 0:  # the vacuum lifts to 1
+        return np.ones((len(u), len(rows), len(cols)), dtype=dtype)
     r, c = basis.mode_table[rows], basis.mode_table[cols]
-    flat = u.reshape(len(u), -1)  # np.take on flat indices beats 2-D fancy indexing
+    # np.take on flat indices beats 2-D fancy indexing
+    flat = u.reshape(len(u), -1).astype(dtype, copy=False)
     perms = ([tuple(range(n))] if basis.particle.kind == DISTINGUISHABLE
              else itertools.permutations(range(n)))
-    out = np.zeros((u.shape[0], len(rows), len(cols)), dtype=np.result_type(u.dtype, float))
-    for perm in perms:
+    # a long stack holds three blocks, each allocated once: the sum, the term
+    # and its next factor; "clip" lets np.take write in place (no index is out of range)
+    out = term = factor = None
+    for perm in perms:  # the identity, an even permutation, comes first
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        sign = -1 if basis.particle.kind == FERMION and inversions % 2 else 1
-        # multiplied in place: a long stack holds three blocks at a time
-        term = np.full(out.shape, sign, dtype=out.dtype)
-        for i, j in enumerate(perm):
-            term *= np.take(flat, r[:, i, None] * basis.modes + c[None, :, j], axis=1)
-        out += term
+        odd = basis.particle.kind == FERMION and inversions % 2
+        term = np.take(flat, r[:, 0, None] * basis.modes + c[None, :, perm[0]], axis=1,
+                       out=term, mode="clip")
+        for i, j in enumerate(perm[1:], start=1):
+            factor = np.take(flat, r[:, i, None] * basis.modes + c[None, :, j], axis=1,
+                             out=factor, mode="clip")
+            term *= factor
+        if out is None:  # 0 + term, as a zero start gives it: -0 becomes +0
+            out, term = term, None
+            out += 0.0
+        else:  # an odd fermion term subtracts
+            (np.subtract if odd else np.add)(out, term, out=out)
     out /= np.outer(basis.norms[rows], basis.norms[cols])
     return out
 

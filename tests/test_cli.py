@@ -810,7 +810,7 @@ BEYOND_FLOAT = 10 ** 400  # a JSON integer that float() cannot convert
     ("config", {"modes": 2, "pattern": PAIR, "envelope": [{**SEGMENT, "value_per_mm": "x"}]},
      "'value_per_mm' must be a finite number"),
     ("config", {"modes": 2, "pattern": PAIR, "envelope": [SEGMENT], "length_mm": [10]},
-     "must be numbers"),
+     "length_mm must be a finite number, not [10]"),
     ("config", {"modes": 2, "pattern": [[[0, 0], [math.nan, 0]], [[math.nan, 0], [0, 0]]],
                 "envelope": [SEGMENT]}, "finite, Hermitian"),
     ("config", {"preset": "paper-jx4", "length_mm": [1]},
@@ -830,16 +830,25 @@ BEYOND_FLOAT = 10 ** 400  # a JSON integer that float() cannot convert
     ("config", {"modes": 2, "pattern": PAIR, "envelope": [{**SEGMENT, "length_mm": BEYOND_FLOAT}]},
      "'length_mm' must be a finite number, not 1000"),
     ("config", {"modes": 2, "pattern": PAIR, "envelope": [SEGMENT], "length_mm": BEYOND_FLOAT},
-     "must be numbers in float range"),
+     "length_mm must be a finite number, not 1000"),
     ("config", {"modes": 2, "pattern": [[[0, 0], [BEYOND_FLOAT, 0]], [[1, 0], [0, 0]]],
                 "envelope": [SEGMENT]}, "[re, im] pairs of floats"),
+    ("config", {"modes": 2.7, "pattern": PAIR, "envelope": [SEGMENT]},
+     "modes must be a JSON integer, not 2.7"),
+    ("config", {"modes": "2", "pattern": PAIR, "envelope": [SEGMENT]},
+     "modes must be a JSON integer, not '2'"),
+    ("config", {"modes": True, "pattern": PAIR, "envelope": [SEGMENT]},
+     "modes must be a JSON integer, not True"),
+    ("config", {"modes": 2, "pattern": PAIR, "envelope": [SEGMENT], "length_mm": "10"},
+     "length_mm must be a finite number, not '10'"),
 ], ids=["subspace-array", "subspace-states-number", "subspace-label-lists",
         "subspace-nested-entry", "config-pattern-number", "config-envelope-number",
         "config-segment-list", "config-segment-string", "config-length-list",
         "config-pattern-nan", "preset-length-list", "preset-length-null",
         "preset-length-string", "preset-length-numeric-string", "preset-omega-list",
         "preset-omega-string", "preset-length-beyond-float", "config-segment-beyond-float",
-        "config-length-beyond-float", "config-pattern-beyond-float"])
+        "config-length-beyond-float", "config-pattern-beyond-float", "config-modes-float",
+        "config-modes-string", "config-modes-bool", "config-length-string"])
 def test_malformed_documents_exit_2_without_traceback(tmp_path, capsys, outer_pair_file, name,
                                                       doc, detail):
     """A subspace or config document of the wrong shape is one error line."""

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fock import reference_lift
 
+from geomode import cli, fock
 from geomode import coupledmode as cm
 from geomode import experiment as xp
 from geomode import holonomy as hol
@@ -105,8 +106,7 @@ def test_distinguishable_statistics_differ_from_indistinguishable(three_state):
     spec_i = xp.InputSpec(three_state.members[1])  # |1001>
     spec_d = xp.InputSpec(three_state.members[1], statistics="distinguishable")
     engine = xp.CurveEngine([90.0])
-    pi = engine.success_curve(three_state, spec_i)[0]
-    pd = engine.success_curve(three_state, spec_d)[0]
+    (pi, pd), = engine.success_curve(three_state, [spec_i, spec_d])
     assert pi != pytest.approx(pd, abs=1e-6)
 
 
@@ -149,12 +149,11 @@ def test_three_photon_distinguishable_probabilities_match_assignment_sum():
 def test_hom_bunched_visibility_mixes_predictions(bunched_pair):
     engine = xp.CurveEngine([92.0])
     member = bunched_pair.members[0]
-    p_ind = engine.success_curve(bunched_pair, xp.InputSpec(member))[0]
-    p_dis = engine.success_curve(
-        bunched_pair, xp.InputSpec(member, statistics="distinguishable"))[0]
+    (p_ind, p_dis), = engine.success_curve(
+        bunched_pair, [xp.InputSpec(member), xp.InputSpec(member, statistics="distinguishable")])
     for v in (0.0, 0.5, 0.986, 1.0):
         spec = xp.InputSpec(member, preparation="hom_bunched", visibility=v)
-        got = engine.success_curve(bunched_pair, spec)[0]
+        got = engine.success_curve(bunched_pair, [spec])[0, 0]
         pn = v * engine.outcome_probabilities(bunched_pair, xp.InputSpec(member)) \
             + (1 - v) * engine.outcome_probabilities(
                 bunched_pair, xp.InputSpec(member, statistics="distinguishable"))
@@ -162,9 +161,9 @@ def test_hom_bunched_visibility_mixes_predictions(bunched_pair):
         assert got == pytest.approx(want, abs=1e-12)
     # pure limits
     spec1 = xp.InputSpec(member, preparation="hom_bunched", visibility=1.0)
-    assert engine.success_curve(bunched_pair, spec1)[0] == pytest.approx(p_ind, abs=1e-12)
+    assert engine.success_curve(bunched_pair, [spec1])[0, 0] == pytest.approx(p_ind, abs=1e-12)
     spec0 = xp.InputSpec(member, preparation="hom_bunched", visibility=0.0)
-    assert engine.success_curve(bunched_pair, spec0)[0] == pytest.approx(p_dis, abs=1e-12)
+    assert engine.success_curve(bunched_pair, [spec0])[0, 0] == pytest.approx(p_dis, abs=1e-12)
 
 
 def test_hom_bunched_rejects_antibunched_states(three_state):
@@ -411,7 +410,7 @@ def test_theory_plateau_width_anchor(outer_single):
 def test_plateau_contains_peak(outer_single):
     lengths = np.arange(60.0, 115.0, 0.01)
     engine = xp.CurveEngine(lengths)
-    curve = engine.success_curve(outer_single, xp.InputSpec(outer_single.members[0]))
+    curve = engine.success_curve(outer_single, [xp.InputSpec(outer_single.members[0])])[:, 0]
     iv = xp.plateau_interval(lengths, curve, xp.THEORY_RULE)
     peak = lengths[int(np.argmax(curve))]
     assert iv.start <= peak <= iv.end
@@ -509,6 +508,75 @@ def test_plateau_width_delta_lifts_only_read_amplitudes():
     assert peak < 64 * 2**20
 
 
+def test_width_table_memory_stays_flat():
+    # one engine over 5501 lengths for both halves of the table, each
+    # input's (L, members) block lifted on its own
+    tracemalloc.start()
+    try:
+        doc = cli._table_comparison_doc(0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc["all_pass"]
+    assert peak < 8 * 2**20
+
+
+def reference_curve(engine, sub, spec):
+    """One input's success curve by the one-curve formula: its own lift of
+    the cycle for the target, over its own member sum."""
+    ideal = cm.jx4_family(cm.FLAT_COUPLING_PER_MM).cycle()
+    col = [sub.basis.index_of(spec.state)]
+    amps = np.abs(fock.lift_unitary_batch(ideal[None], sub.basis, sub.member_indices, col))
+    probs = engine.outcome_probabilities(sub, spec)
+    return probs[:, int(np.argmax(amps[0, :, 0]))] / probs.sum(axis=1)
+
+
+def reference_interval(lengths, curve, rule):
+    """One curve's plateau: np.gradient or np.diff on that curve alone."""
+    peak = int(np.nanargmax(curve))
+    if rule == xp.THEORY_RULE:
+        excess = np.abs(np.gradient(curve, lengths)) - cm.SLOPE_LIMIT_PER_MM
+        return (xp._slope_edge(lengths, excess, peak, -1),
+                xp._slope_edge(lengths, excess, peak, +1))
+    steady = np.abs(np.diff(curve)) < xp.EXPERIMENTAL_STEP_LIMIT
+    return (lengths[peak - xp._run_length(steady[:peak][::-1])],
+            lengths[peak + xp._run_length(steady[peak:])])
+
+
+CURVE_ROWS = ref.REFERENCE_WIDTHS + ref.NON_HOLONOMIC_REFERENCES
+EIGHT_MEMBERS = next(i for i, r in enumerate(CURVE_ROWS) if len(r.states) == 8)
+
+
+@settings(max_examples=100)
+@given(row=st.integers(0, len(CURVE_ROWS) - 1),
+       launch=st.sampled_from(["native", "distinguishable", "hom_bunched"]),
+       start=st.floats(60.0, 95.0), steps=st.lists(st.floats(0.01, 2.0), min_size=4, max_size=60))
+@example(row=EIGHT_MEMBERS, launch="native", start=60.0, steps=[0.5] * 40)
+@example(row=1, launch="hom_bunched", start=70.0, steps=[0.25] * 100)
+def test_block_curves_and_plateaus_match_per_input_reference(row, launch, start, steps):
+    """The block path keeps every input's bits: success_curve's columns
+    and plateau_interval's intervals equal the one-input reference."""
+    sub = ref.row_subspace(CURVE_ROWS[row])
+    specs = ref.row_inputs(CURVE_ROWS[row])
+    if sub.particle.kind == "boson":
+        if launch == "distinguishable":
+            specs = [xp.InputSpec(s.state, statistics="distinguishable") for s in specs]
+        elif launch == "hom_bunched":
+            specs = [xp.InputSpec(s.state, preparation="hom_bunched") if 2 in s.state.occupations
+                     else s for s in specs]
+    lengths = start + np.cumsum([0.0, *steps])
+    engine = xp.CurveEngine(lengths)
+    curves = engine.success_curve(sub, specs)
+    assert curves.shape == (len(lengths), len(specs))
+    for spec, curve in zip(specs, curves.T):
+        assert np.array_equal(curve, reference_curve(engine, sub, spec))
+    for rule in (xp.THEORY_RULE, xp.EXPERIMENTAL_RULE):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = [(iv.start, iv.end) for iv in xp.plateau_interval(lengths, curves, rule)]
+            want = [reference_interval(lengths, curve, rule) for curve in curves.T]
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_delta_axis_engine_is_shared_and_read_only():
     rows = [next(r for r in ref.REFERENCE_WIDTHS if r.statistics == stats)
             for stats in (ref.INDIST, ref.DIST)]
@@ -570,29 +638,30 @@ def test_three_boson_success_curve_matches_per_length_lift():
     # Ryser permanents, independent of the permutation-sum kernel
     ideal = reference_lift(cm.jx_pattern(4).unitary(math.pi), basis)
     lifted = [reference_lift(u, basis) for u in engine.u_stack]
-    for spec in (xp.InputSpec(sub.members[0]), xp.InputSpec(sub.members[1])):
+    specs = [xp.InputSpec(sub.members[0]), xp.InputSpec(sub.members[1])]
+    for spec, curve in zip(specs, engine.success_curve(sub, specs).T):
         col = basis.index_of(spec.state)
         target = int(np.argmax(np.abs(ideal[idx, col])))
         probs = np.array([np.abs(amps[idx, col]) ** 2 for amps in lifted])
         expected = probs[:, target] / probs.sum(axis=1)
-        assert np.max(np.abs(engine.success_curve(sub, spec) - expected)) < 1e-12
+        assert np.max(np.abs(curve - expected)) < 1e-12
 
 
-def test_target_index_lifts_each_pair_once(three_state, bunched_pair, monkeypatch):
-    calls = []
-    monkeypatch.setattr(xp, "_ideal_target_index",
-                        lambda *args: calls.append(args) or 0)
-    engine = xp.CurveEngine([80.0, 90.0])
-    for sub in (three_state, bunched_pair, three_state, bunched_pair):
-        for state in sub.members:
-            engine.target_index(sub, state)
-    assert len(calls) == len(three_state.members) + len(bunched_pair.members)
+def test_success_curve_lifts_the_cycle_once(three_state, monkeypatch):
+    calls, targets = [], xp._ideal_targets
+    monkeypatch.setattr(xp, "_ideal_targets",
+                        lambda sub, ideal, states: calls.append(states) or targets(sub, ideal, states))
+    specs = [xp.InputSpec(m) for m in three_state.members]
+    curves = xp.CurveEngine([80.0, 90.0]).success_curve(three_state, specs)
+    assert curves.shape == (2, len(specs))
+    assert calls == [[spec.state for spec in specs]]
 
 
 def test_plateau_report_means(three_state):
     lengths = np.arange(60.0, 115.0, 0.01)
-    result = xp.scan(three_state, [xp.InputSpec(m) for m in three_state.members], lengths)
-    report = xp.plateau_report(result, xp.THEORY_RULE)
+    specs = [xp.InputSpec(m) for m in three_state.members]
+    curves = xp.CurveEngine(lengths).success_curve(three_state, specs)
+    report = xp.plateau_report(lengths, curves, [spec.label() for spec in specs], xp.THEORY_RULE)
     widths = [iv.width for iv in report.per_input.values()]
     assert report.mean_width == pytest.approx(np.mean(widths))
     assert report.mean_width == pytest.approx(20.2, abs=max(0.15 * 20.2, 1.5))
@@ -603,19 +672,19 @@ def test_plateau_report_skips_undefined_points(outer_single):
     label = spec.label()
     for rule, lengths, walk_stop in ((xp.THEORY_RULE, np.arange(60.0, 115.0, 0.05), 2),
                                      (xp.EXPERIMENTAL_RULE, np.arange(80.0, 100.01, 0.5), 1)):
-        want = xp.plateau_report(xp.scan(outer_single, [spec], lengths), rule).per_input[label]
-        holed = xp.scan(outer_single, [spec], lengths)
+        curve = xp.CurveEngine(lengths).success_curve(outer_single, [spec])
+        want = xp.plateau_report(lengths, curve, [label], rule).per_input[label]
+        holed = curve.copy()
         k = int(np.argmin(np.abs(lengths - 82.5)))  # inside the plateau, left of the peak
-        holed.curves[label][k] = xp.ScanPoint(float(lengths[k]), None, None)
-        got = xp.plateau_report(holed, rule).per_input[label]
+        holed[k] = np.nan
+        got = xp.plateau_report(lengths, holed, [label], rule).per_input[label]
         # the walk stops at the hole (theory: the slopes beside it are undefined too)
         assert got.start == lengths[k + walk_stop]
         assert got.end == want.end
         assert got.start <= cm.IDEAL_LENGTH_MM <= got.end
-        for i in range(len(lengths)):
-            holed.curves[label][i] = xp.ScanPoint(float(lengths[i]), None, None)
+        holed[:] = np.nan
         with pytest.raises(ValueError, match="no defined points"):
-            xp.plateau_report(holed, rule)
+            xp.plateau_report(lengths, holed, [label], rule)
 
 
 # ----------------------------------------------------------- HOM / fidelity

@@ -79,7 +79,7 @@ def row_loop_ingest(path, sub, detection=None, family=None):
         grid, at = np.unique(lengths, return_inverse=True)
         counts = np.zeros((grid.size, len(channels.labels)))
         np.add.at(counts, (at, [index[name] for name in names]), values)
-        target = xp._ideal_target_index(sub, ideal, spec.state)
+        target, = xp._ideal_targets(sub, ideal, [spec.state])
         result.curves[label] = xp._success_points(grid, sub, target,
                                                   *channels.estimate(counts))
     return result

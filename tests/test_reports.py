@@ -253,3 +253,22 @@ def test_count_round_trip_report_hashes(tmp_path, case):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in spec["sha256"]}
     assert got == spec["sha256"]
+
+
+PLATEAU_HASHES = json.loads((Path(__file__).parent / "data" / "plateau_hashes.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PLATEAU_HASHES["cases"]))
+def test_plateau_report_hashes(tmp_path, capsys, case):
+    """plateau --table-s2 and plateau --subspace reproduce the stored
+    sha256 of their report and standard output, bit for bit."""
+    spec = PLATEAU_HASHES["cases"][case]
+    sub = write_subspace(tmp_path / "sub.json", PLATEAU_HASHES["states"])
+    out = tmp_path / "out"
+    args = [a.format(subspace=sub) for a in spec["args"]]
+    assert main(["--out-dir", str(out), "plateau", *args]) == 0
+    stdout, stderr = capsys.readouterr()
+    got = {"report": hashlib.sha256((out / spec["report"]).read_bytes()).hexdigest(),
+           "stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    assert got == spec["sha256"]
+    assert stderr == ""
