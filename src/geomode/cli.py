@@ -365,12 +365,11 @@ def cmd_scan(args) -> int:
     directory = out_dir(args)
     write_json(directory / "scan_result.json", result.to_json())
     result.write_csv(directory / "scan_curves.csv")
-    for label, points in result.curves.items():
-        peak = max((p for p in points if p.probability is not None),
-                   key=lambda p: p.probability, default=None)
+    for label, (lengths, probability, _) in result.curves.items():
+        peak = None if np.isnan(probability).all() else np.nanargmax(probability)
         desc = "all points undefined" if peak is None else \
-            f"peak {peak.probability:.4f} at {peak.length_mm:g} mm"
-        print(f"{label}: {len(points)} points, {desc}")
+            f"peak {probability[peak]:.4f} at {lengths[peak]:g} mm"
+        print(f"{label}: {len(lengths)} points, {desc}")
     return EXIT_OK
 
 
@@ -451,15 +450,10 @@ def cmd_plateau(args) -> int:
     if rule == xp.THEORY_RULE and args.grid is None and args.lengths is None:
         args.lengths = xp.theory_lengths(0.01)
     sub, specs, lengths, detection, family = _scan_setup(args)
-    labels = [spec.label() for spec in specs]
-    if args.mode == "theory":  # the curves' block, without a scan result's points
-        engine = xp.CurveEngine(lengths, family)
-        lengths, curves = engine.lengths, engine.success_curve(sub, specs)
-    else:
-        result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode],
-                         detection=detection, family=family)
-        curves = np.column_stack([result.probabilities(label) for label in labels])
-    report = xp.plateau_report(lengths, curves, labels, rule, clip=clip)
+    result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode], detection=detection,
+                     family=family)
+    curves = np.column_stack([curve.probability for curve in result.curves.values()])
+    report = xp.plateau_report(lengths, curves, list(result.curves), rule, clip=clip)
     write_json(out_dir(args) / "plateau_report.json", report.to_json())
     for label, interval in report.per_input.items():
         print(f"{label}: plateau [{interval.start:.2f}, {interval.end:.2f}] mm, "
@@ -493,7 +487,7 @@ def cmd_ingest(args) -> int:
     directory = out_dir(args)
     write_json(directory / "ingested_scan.json", result.to_json())
     result.write_csv(directory / "ingested_curves.csv")
-    n_points = sum(len(v) for v in result.curves.values())
+    n_points = sum(len(curve.lengths) for curve in result.curves.values())
     print(f"ingested {n_points} points over {len(result.curves)} input states")
     return EXIT_OK
 

@@ -6,7 +6,8 @@ preparation including interference-based bunching with finite
 visibility; plateau-width extraction under the theory (slope) and
 experimental (step) rules; Bhattacharyya fidelities; and CSV count-data
 export/ingestion so externally measured counts run through the same
-pipeline.
+pipeline.  Theory, synthetic and ingested curves alike are one
+:class:`Curve` of float arrays per input, NaN where a point is undefined.
 
 Detection
 ---------
@@ -158,16 +159,15 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
 
 
-class ScanPoint(NamedTuple):
-    """One point of a success curve: a length (mm), its success
-    probability and one-sigma uncertainty, both None where the point is
-    undefined (no post-selected counts).  An immutable named tuple of
-    Python floats, so that a curve of thousands of points is cheap to
-    build and to read."""
+class Curve(NamedTuple):
+    """One input's success curve: lengths (mm), success probabilities and
+    their one-sigma uncertainties, float arrays of one size; probability
+    and sigma are NaN where a point is undefined (no post-selected
+    counts)."""
 
-    length_mm: float
-    probability: float | None
-    sigma: float | None
+    lengths: np.ndarray
+    probability: np.ndarray
+    sigma: np.ndarray
 
 
 @dataclass
@@ -176,41 +176,35 @@ class ScanResult:
 
     subspace: Subspace
     mode: str  # "theory" | "synthetic-experiment" | "ingested"
-    curves: dict = field(default_factory=dict)  # input label -> list[ScanPoint]
-
-    def probabilities(self, label):
-        return np.array([np.nan if p.probability is None else p.probability
-                         for p in self.curves[label]])
+    curves: dict = field(default_factory=dict)  # input label -> Curve
 
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
             "subspace": hol.subspace_to_json(self.subspace),
             "curves": {
-                label: [
-                    {"length_mm": p.length_mm, "probability": p.probability,
-                     "sigma": p.sigma}
-                    for p in points
-                ]
-                for label, points in self.curves.items()
+                label: [{"length_mm": x, "probability": p, "sigma": s}
+                        for x, p, s in zip(*(a.tolist() for a in curve))]
+                for label, curve in self.curves.items()
             },
         }
 
     def write_csv(self, path):
         """Curve export, one row per point: input label, length,
         probability and sigma with 17 significant digits, an undefined
-        value as an empty cell.  The bytes are those of ``csv.writer``'s
-        default dialect; the rows are formatted through one template and
-        written once."""
+        (NaN) value as an empty cell.  The bytes are those of
+        ``csv.writer``'s default dialect; the rows are formatted through
+        one template and written once."""
         template, values = ["input_state,length_mm,probability,sigma\r\n"], []
-        for label, points in self.curves.items():
+        for label, curve in self.curves.items():
             label = _csv_field(label).replace("%", "%%")
             # one row form per (probability defined, sigma defined)
             rows = {(p, s): f"{label},%.17g,{'%.17g' if p else ''},{'%.17g' if s else ''}\r\n"
                     for p in (False, True) for s in (False, True)}
-            template.extend(rows[p.probability is not None, p.sigma is not None]
-                            for p in points)
-            values.extend(v for v in chain.from_iterable(points) if v is not None)
+            points = np.column_stack(curve)
+            defined = ~np.isnan(points)  # lengths are finite
+            template.extend(map(rows.__getitem__, map(tuple, defined[:, 1:].tolist())))
+            values.extend(points[defined].tolist())
         with open(path, "w", newline="") as fh:
             fh.write("".join(template) % tuple(values))
 
@@ -341,11 +335,9 @@ def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theor
     engine = CurveEngine(lengths, family)
     lengths = engine.lengths
     if mode == "theory":
-        result = ScanResult(sub, "theory")
-        lengths = lengths.tolist()
-        for spec, curve in zip(inputs, engine.success_curve(sub, inputs).T.tolist()):
-            result.curves[spec.label()] = list(map(ScanPoint, lengths, curve, repeat(0.0)))
-        return result
+        block = engine.success_curve(sub, inputs).T
+        return ScanResult(sub, "theory", {spec.label(): Curve(lengths, p, np.zeros_like(p))
+                                          for spec, p in zip(inputs, block)})
     if mode != "synthetic-experiment":
         raise ValueError(f"unknown scan mode {mode!r}")
 
@@ -554,18 +546,17 @@ def _sample_channels(engine: CurveEngine, sub: Subspace, spec: InputSpec,
     return channels, counts
 
 
-def _success_points(lengths, sub: Subspace, target: int, weights, variances) -> list:
+def _success_points(lengths, sub: Subspace, target: int, weights, variances) -> Curve:
     """Post-selected success probability and its Poisson sigma per length
-    from (L, S) state weights; zero post-selected weight is undefined."""
+    from (L, S) state weights; at zero post-selected weight both are 0/0,
+    NaN (undefined)."""
     w, v = weights[:, sub.member_indices], variances[:, sub.member_indices]
     s, f = w[:, target], w.sum(axis=1) - w[:, target]
     var_s, var_f = v[:, target], v.sum(axis=1) - v[:, target]
     total = s + f
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = s / total
-        sigma = np.sqrt((f * f * var_s + s * s * var_f) / total ** 4)
-    return [ScanPoint(x, pj, sj) if tj > 0 else ScanPoint(x, None, None) for x, pj, sj, tj
-            in zip(lengths.tolist(), p.tolist(), sigma.tolist(), total.tolist())]
+        return Curve(lengths, s / total,
+                     np.sqrt((f * f * var_s + s * s * var_f) / total ** 4))
 
 
 # ---------------------------------------------------------------- plateaus
@@ -893,7 +884,7 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
     finite number, a negative count, an empty input state or channel)
     raises a ValueError naming the file line of the first such row,
     blank lines counted; groups with zero post-selected counts yield an
-    undefined-probability point (None, not 0).  An ``input_state`` is
+    undefined-probability point (NaN, not 0).  An ``input_state`` is
     the label of a state of the subspace's basis (``|2000>``,
     ``|a1 b3>``).  Each input's channel map follows its first row:
     heralded (``nXY`` labels) or the subspace's own detection.  An

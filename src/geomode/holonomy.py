@@ -380,13 +380,23 @@ def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,
 # ------------------------------------------------------------- the verdict
 
 
+#: Rows of V_m V_m^dag that :func:`projector_residual` forms at a time.
+_RESIDUAL_BLOCK = 256
+
+
 def projector_residual(columns: np.ndarray, member_indices) -> float:
     """Projector test: max |P - V P V^dag| = max |P - V_m V_m^dag| for the
     projector P on the basis states ``member_indices`` and their columns
-    V_m (S, d) of the lifted cycle V; below CYCLIC_TOL the span is cyclic."""
-    w = columns @ columns.conj().T
-    w[member_indices, member_indices] -= 1.0
-    return float(np.max(np.abs(w)))
+    V_m (S, d) of the lifted cycle V; below CYCLIC_TOL the span is cyclic.
+    The (S, S) product is formed and reduced _RESIDUAL_BLOCK rows at a time."""
+    adjoint, members = columns.conj().T, np.asarray(member_indices)
+    maxima = []
+    for lo in range(0, len(columns), _RESIDUAL_BLOCK):
+        w = columns[lo:lo + _RESIDUAL_BLOCK] @ adjoint
+        rows = members[(members >= lo) & (members < lo + len(w))]
+        w[rows - lo, rows] -= 1.0
+        maxima.append(np.max(np.abs(w)))
+    return float(np.max(maxima))
 
 
 def classify_phases(phases) -> str:

@@ -12,6 +12,7 @@ predictions of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import experiment as xp
 from . import holonomy as hol
@@ -120,8 +121,9 @@ HOLONOMIC_WIDTH_FLOOR_MM = 5.8
 STATED_NON_ABELIAN_COUNT = 18
 
 
+@cache
 def row_subspace(row: ReferenceRow) -> hol.Subspace:
-    """The subspace a row refers to (assignment rows use a two-label basis)."""
+    """The subspace a row refers to (assignment rows use a two-label basis), built once."""
     if row.statistics == ASSIGNMENT:
         basis = enumerate_basis(4, 2, ParticleType.distinguishable("a", "b"))
         return hol.subspace_from_states(basis, row.states)

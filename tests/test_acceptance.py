@@ -291,9 +291,9 @@ def test_c11_experiment_pipeline(tmp_path, b2):
     theory = xp.scan(sub, inputs)
     worst_pull = 0.0
     for label in theory.curves:
-        pt = theory.probabilities(label)
-        pi = ingested.probabilities(label)
-        sig = np.array([p.sigma for p in ingested.curves[label]])
+        pt = theory.curves[label].probability
+        pi = ingested.curves[label].probability
+        sig = ingested.curves[label].sigma
         worst_pull = max(worst_pull, float(np.max(np.abs(pi - pt) / sig)))
     dip = float(np.min(xp.hom_dip(np.linspace(-4, 4, 2001), 0.986)))
     dip_ok = abs(dip - (1 - 0.986)) < 1e-12

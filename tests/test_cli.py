@@ -304,7 +304,9 @@ def test_plateau_all_undefined_points(tmp_path, capsys, outer_pair_file, monkeyp
     def undefined_scan(sub, specs, lengths, **kwargs):
         result = xp.ScanResult(sub, "synthetic-experiment")
         for spec in specs:
-            result.curves[spec.label()] = [xp.ScanPoint(float(x), None, None) for x in lengths]
+            undefined = np.full(len(lengths), np.nan)
+            result.curves[spec.label()] = xp.Curve(np.asarray(lengths, dtype=float),
+                                                   undefined, undefined)
         return result
 
     monkeypatch.setattr(xp, "scan", undefined_scan)

@@ -286,6 +286,51 @@ def test_fermions_on_one_more_mode_count_like_bosons(modes):
     assert counts(modes + 1, FERMION) == counts(modes, BOSON)
 
 
+def pst_chain(spectrum) -> np.ndarray:
+    """The persymmetric Jacobi matrix with ``spectrum`` (distinct, ascending):
+    Lanczos on diag(lambda) from the weights 1 / |prod_{j != k} (lambda_k -
+    lambda_j)|, which are those of a mirror-symmetric chain."""
+    lam = np.asarray(spectrum, dtype=float)
+    weights = np.array([1 / abs(np.prod(np.delete(lam[k] - lam, k)))
+                        for k in range(len(lam))])
+    q, previous = np.sqrt(weights / weights.sum()), np.zeros(len(lam))
+    diagonal, couplings = [], []
+    for k in range(len(lam)):
+        r = lam * q
+        diagonal.append(q @ r)
+        r -= diagonal[-1] * q + (couplings[-1] * previous if couplings else 0.0)
+        if k < len(lam) - 1:
+            couplings.append(np.linalg.norm(r))
+            previous, q = q, r / couplings[-1]
+    return np.diag(diagonal) + np.diag(couplings, 1) + np.diag(couplings, -1)
+
+
+@pytest.mark.parametrize("modes,spectrum,kind,holonomic", [
+    (4, (-3.5, -0.5, 0.5, 3.5), "boson", 19),
+    (4, (-3.5, -0.5, 0.5, 3.5), "fermion", 8),
+    (5, (-4, -1, 0, 1, 4), "boson", 90),
+    (5, (-4, -1, 0, 1, 4), "fermion", 19),
+])
+def test_perfect_state_transfer_chains_share_the_census(modes, spectrum, kind, holonomic):
+    """A perfect-state-transfer chain whose eigenvalue gaps are odd, as
+    Jx(M)'s are, under the preset envelope gives Jx(M)'s census for two
+    particles: the same cyclic unions, holonomic verdicts and classes."""
+    chain = pst_chain(spectrum)
+    assert np.allclose(chain, chain[::-1, ::-1], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(chain), spectrum, atol=1e-12)
+    pattern = cm.CouplingPattern(chain)
+    mirror = np.eye(modes)[::-1]
+    assert np.allclose(np.abs(pattern.unitary(np.pi)), mirror, atol=1e-12)
+    envelope = cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope
+    basis = enumerate_basis(modes, 2, ParticleType(kind))
+    records = [[(r.members, r.holonomic, r.classification)
+                for r in enum.enumerate_holonomic(cm.CoupledModeSystem(p, envelope),
+                                                  basis).records]
+               for p in (pattern, cm.jx_pattern(modes))]
+    assert records[0] == records[1]
+    assert sum(is_holonomic for _, is_holonomic, _ in records[0]) == holonomic
+
+
 def _census_totals(modes, particles, particle):
     """(S, cyclic, holonomic, holonomic dim >= 2, non-scalar, scalar) on Jx(modes)."""
     report = enum.enumerate_holonomic(_jx_system(modes),

@@ -86,11 +86,11 @@ def test_success_requires_member_input(outer_single):
 
 def test_mirror_symmetry_theory_curves(outer_single, bunched_pair):
     scan = xp.scan(outer_single, [xp.InputSpec(m) for m in outer_single.members])
-    p1 = scan.probabilities("|1000>")
-    p4 = scan.probabilities("|0001>")
+    p1 = scan.curves["|1000>"].probability
+    p4 = scan.curves["|0001>"].probability
     assert np.allclose(p1, p4, atol=1e-12)
     scan2 = xp.scan(bunched_pair, [xp.InputSpec(m) for m in bunched_pair.members])
-    assert np.allclose(scan2.probabilities("|2000>"), scan2.probabilities("|0002>"),
+    assert np.allclose(scan2.curves["|2000>"].probability, scan2.curves["|0002>"].probability,
                        atol=1e-12)
 
 
@@ -344,15 +344,15 @@ def test_simulated_counts_match_scalar_reference(case, outer_single, three_state
 
 def test_theory_scan_default_lengths(outer_single):
     result = xp.scan(outer_single, [xp.InputSpec(outer_single.members[0])])
-    points = result.curves["|1000>"]
-    assert [p.length_mm for p in points] == pytest.approx(list(cm.STRUCTURE_LENGTHS_MM))
+    curve = result.curves["|1000>"]
+    assert curve.lengths == pytest.approx(list(cm.STRUCTURE_LENGTHS_MM))
     assert result.mode == "theory"
 
 
 def test_theory_scan_peaks_at_ideal_length(outer_single):
     lengths = np.arange(80.0, 100.0 + 1e-9, 0.1)
     result = xp.scan(outer_single, [xp.InputSpec(outer_single.members[0])], lengths)
-    probs = result.probabilities("|1000>")
+    probs = result.curves["|1000>"].probability
     peak_length = lengths[int(np.argmax(probs))]
     assert peak_length == pytest.approx(84.9, abs=0.1)
 
@@ -376,9 +376,9 @@ def test_synthetic_scan_converges_to_theory(three_state):
     theory = xp.scan(three_state, inputs)
     synth = xp.scan(three_state, inputs, mode="synthetic-experiment", detection=model)
     for label in theory.curves:
-        pt = theory.probabilities(label)
-        ps = synth.probabilities(label)
-        sig = np.array([p.sigma for p in synth.curves[label]])
+        pt = theory.curves[label].probability
+        ps = synth.curves[label].probability
+        sig = synth.curves[label].sigma
         assert np.all(np.abs(ps - pt) < 5 * np.maximum(sig, 1e-9))
 
 
@@ -739,12 +739,12 @@ def test_count_round_trip(tmp_path, three_state):
     ingested = xp.ingest_counts(path, three_state, model)
     direct = xp.scan(three_state, inputs, mode="synthetic-experiment", detection=model)
     for label in direct.curves:
-        pa = direct.probabilities(label)
-        pb = ingested.probabilities(label)
+        pa = direct.curves[label].probability
+        pb = ingested.curves[label].probability
         assert np.allclose(pa, pb, atol=1e-12, equal_nan=True)
-        sa = [p.sigma for p in direct.curves[label]]
-        sb = [p.sigma for p in ingested.curves[label]]
-        assert sa == pytest.approx(sb, abs=1e-12)
+        sa = direct.curves[label].sigma
+        sb = ingested.curves[label].sigma
+        assert sa == pytest.approx(sb, abs=1e-12, nan_ok=True)
 
 
 def _csv_writer_bytes(path, rows):
@@ -800,9 +800,9 @@ def test_ingest_simple_counts(tmp_path, outer_single):
         "s1,84.9,|1000>,m1,10\n"
     )
     result = xp.ingest_counts(path, outer_single)
-    point = result.curves["|1000>"][0]
-    assert point.probability == pytest.approx(0.9)
-    assert point.sigma == pytest.approx(math.sqrt(90 * 10 / 100 ** 3))
+    curve = result.curves["|1000>"]
+    assert curve.probability[0] == pytest.approx(0.9)
+    assert curve.sigma[0] == pytest.approx(math.sqrt(90 * 10 / 100 ** 3))
 
 
 def test_ingest_sigma_matches_resampling(tmp_path, outer_single):
@@ -824,8 +824,8 @@ def test_ingest_zero_counts_marker(tmp_path, outer_single):
         "s1,84.9,|1000>,m2,50\n"
     )
     result = xp.ingest_counts(path, outer_single)
-    point = result.curves["|1000>"][0]
-    assert point.probability is None
+    curve = result.curves["|1000>"]
+    assert np.isnan(curve.probability[0])
 
 
 def test_ingest_malformed_row(tmp_path, outer_single):

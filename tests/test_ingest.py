@@ -86,14 +86,15 @@ def row_loop_ingest(path, sub, detection=None, family=None):
 
 
 def outcome(reader, path, sub):
-    """('ok', repr of the curves, warnings) or ('error', message)."""
+    """('ok', repr of the curves' values, warnings) or ('error', message)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = reader(path, sub, MODEL)
         except ValueError as exc:
             return "error", str(exc)
-    return "ok", repr(result.curves), [str(w.message) for w in caught]
+    curves = {label: [a.tolist() for a in curve] for label, curve in result.curves.items()}
+    return "ok", repr(curves), [str(w.message) for w in caught]
 
 
 def quote(field: str) -> str:

@@ -196,26 +196,29 @@ def oracle_write_csv(result, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["input_state", "length_mm", "probability", "sigma"])
-        for lab, points in result.curves.items():
-            for p in points:
+        for lab, curve in result.curves.items():
+            for x, p, s in zip(*curve):
                 writer.writerow([
-                    lab, f"{p.length_mm:.17g}",
-                    "" if p.probability is None else f"{p.probability:.17g}",
-                    "" if p.sigma is None else f"{p.sigma:.17g}",
+                    lab, f"{x:.17g}",
+                    "" if np.isnan(p) else f"{p:.17g}",
+                    "" if np.isnan(s) else f"{s:.17g}",
                 ])
 
 
 def test_scan_csv_matches_csv_writer(tmp_path):
     sub = hol.subspace_from_json({"particle": "boson", "states": [[2, 0, 0, 0], [0, 0, 0, 2]]},
                                  modes=4)
-    result = xp.ScanResult(sub, "ingested", {
-        "|2000>": [xp.ScanPoint(80.0, 0.25, 0.01), xp.ScanPoint(80.5, None, None),
-                   xp.ScanPoint(81.0, 1.0, None), xp.ScanPoint(-0.0, None, 5e-324)],
-        'a,"b%s\r\n': [xp.ScanPoint(1e308, math.nan, math.inf), xp.ScanPoint(3, 1, 0)],
-        "": [xp.ScanPoint(np.float64(0.1), np.float64(0.2), 0.3)],
+    nan = math.nan
+    points = {  # (length, probability, sigma); NaN is undefined
+        "|2000>": [(80.0, 0.25, 0.01), (80.5, nan, nan), (81.0, 1.0, nan), (-0.0, nan, 5e-324)],
+        'a,"b%s\r\n': [(1e308, nan, math.inf), (3, 1, 0)],
+        "": [(0.1, 0.2, 0.3)],
         "|0002>": [],
-        "all defined": [xp.ScanPoint(90.0 + k / 7, k / 9, k / 11) for k in range(5)],
-    })
+        "all defined": [(90.0 + k / 7, k / 9, k / 11) for k in range(5)],
+    }
+    result = xp.ScanResult(sub, "ingested", {
+        label: xp.Curve(*np.array(rows, dtype=float).reshape(-1, 3).T)
+        for label, rows in points.items()})
     result.write_csv(tmp_path / "new.csv")
     oracle_write_csv(result, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -270,5 +273,24 @@ def test_plateau_report_hashes(tmp_path, capsys, case):
     stdout, stderr = capsys.readouterr()
     got = {"report": hashlib.sha256((out / spec["report"]).read_bytes()).hexdigest(),
            "stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    assert got == spec["sha256"]
+    assert stderr == ""
+
+
+SCAN_HASHES = json.loads((Path(__file__).parent / "data" / "scan_hashes.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_HASHES["cases"]))
+def test_theory_scan_report_hashes(tmp_path, capsys, case):
+    """scan in theory mode reproduces the stored sha256 of its JSON and
+    CSV reports and standard output, bit for bit."""
+    spec = SCAN_HASHES["cases"][case]
+    sub = write_subspace(tmp_path / "sub.json", SCAN_HASHES["states"])
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "scan", "--subspace", sub, *spec["args"]]) == 0
+    stdout, stderr = capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in ("scan_result.json", "scan_curves.csv")}
+    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
     assert got == spec["sha256"]
     assert stderr == ""
