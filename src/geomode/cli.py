@@ -83,12 +83,15 @@ def _format_scalar(x) -> str:
 
 
 def _column(column, indent: int):
-    """(template slot, values) of one record column at ``indent``: finite
-    floats fill ``%.17g`` slots directly, leaves come through the memo and
-    lists of strings through one template, anything else value by value."""
+    """(template slot, values) of one record column at ``indent``: floats
+    fill ``%.17g`` slots when all are finite, else :func:`_format_scalar`
+    text; leaves come through the memo and lists of strings through one
+    template, anything else value by value."""
     kinds = set(map(type, column))
-    if kinds == {float} and all(map(math.isfinite, column)):
-        return "%.17g", column
+    if kinds == {float}:
+        if all(map(math.isfinite, column)):
+            return "%.17g", column
+        return "%s", list(map(_format_scalar, column))
     if all(issubclass(kind, _LEAVES) for kind in kinds):
         return "%s", list(map(_leaf_json, column))
     if kinds <= {list, tuple} and set(map(type, chain.from_iterable(column))) <= {str}:

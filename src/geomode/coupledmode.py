@@ -94,9 +94,6 @@ class CouplingPattern:
         phases = np.exp(-1j * np.multiply.outer(np.asarray(deltas, dtype=float), lam))
         return np.einsum("ij,...j,kj->...ik", v, phases, v.conj())
 
-    def __eq__(self, other):
-        return isinstance(other, CouplingPattern) and np.array_equal(self.matrix, other.matrix)
-
 
 def jx_pattern(modes: int) -> CouplingPattern:
     """Nearest-neighbour chain with couplings kappa_{k,k+1} = sqrt(k(M-k))/2.
@@ -372,18 +369,6 @@ class CoupledModeSystem:
         return h
 
 
-def _checked_position(system: CoupledModeSystem, z: float) -> float:
-    """``z`` if it lies in [0, L] (rounding allowed); else ValueError."""
-    if not -1e-12 <= z <= system.length + 1e-9:
-        raise ValueError(f"position {z} outside [0, {system.length}]")
-    return z
-
-
-def accumulated_phase(system: CoupledModeSystem, z: float) -> float:
-    """delta(z) = int_0^z Omega(tau) dtau in radians."""
-    return system.envelope.phase(_checked_position(system, z))
-
-
 def ordered_products(generators, weights, ends) -> np.ndarray:
     """Running ordered products exp(-1j * w_k * g_k) ... exp(-1j * w_0 * g_0).
 
@@ -439,12 +424,15 @@ def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
 
 def evolve(system: CoupledModeSystem, z: float | None = None) -> np.ndarray:
     """U(0 -> z) as :func:`evolution_on_grid` computes it, by default
-    over the whole structure [0, L].
+    over the whole structure [0, L]; a z outside [0, L] (beyond rounding)
+    is a ValueError.
 
     ``U[j, k]`` is the amplitude for mode k at 0 to end in mode j at z;
     equivalently a_k^dag(z) = sum_j U[j, k] a_j^dag(0).
     """
-    z = system.length if z is None else _checked_position(system, z)
+    z = system.length if z is None else z
+    if not -1e-12 <= z <= system.length + 1e-9:
+        raise ValueError(f"position {z} outside [0, {system.length}]")
     return evolution_on_grid(system, [z])[0]
 
 

@@ -210,8 +210,8 @@ def enumerate_holonomic(system: CoupledModeSystem, basis: FockBasis,
                             resume_token, resume_token + cap)
     labels, phases = [state.label() for state in basis.states], decomposition.phases
     report.records = [
-        SubspaceRecord(tuple(map(labels.__getitem__, m)), m, len(m), True, k, k < tol,
-                       hol.classify_phases([phases[c] for c in comps]) if k < tol else None,
+        SubspaceRecord(tuple(map(labels.__getitem__, m)), m, len(m), True, k, k <= tol,
+                       hol.classify_phases([phases[c] for c in comps]) if k <= tol else None,
                        len(m) == 1)
         for m, k, comps in unions]
     if report.cyclic_subspaces > resume_token + cap:

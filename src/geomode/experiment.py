@@ -53,12 +53,11 @@ from .coupledmode import (
     FLAT_COUPLING_PER_MM,
     SLOPE_LIMIT_PER_MM,
     STRUCTURE_LENGTHS_MM,
-    CoupledModeSystem,
     StructureFamily,
-    evolve,
     jx4_family,
     jx_pattern,
 )
+from .coupledmode import evolve  # noqa: F401 -- re-exported: U(0 -> z) of one system
 from .fock import BOSON, DISTINGUISHABLE, FERMION, OccupationState, lift_unitary_batch
 from .fock import lift_unitary  # noqa: F401 -- re-exported: the validated single-matrix lift
 from .holonomy import Subspace
@@ -123,8 +122,8 @@ class DetectionModel:
     """Photon-number-resolving detection via per-port two-way splitters.
 
     ``splitter_ratios`` holds the first-arm probability of each output
-    port (pairs summing to 1 are also accepted).  Coincidence windows
-    are modeled as pure accept/reject; timing is not simulated.
+    port.  Coincidence windows are modeled as pure accept/reject; timing
+    is not simulated.
     """
 
     splitter_ratios: tuple = (0.5, 0.5, 0.5, 0.5)
@@ -132,17 +131,13 @@ class DetectionModel:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        ratios = []
-        for r in self.splitter_ratios:
-            if isinstance(r, (tuple, list)):
-                if len(r) != 2 or abs(r[0] + r[1] - 1.0) > 1e-6:
-                    raise ValueError("splitter ratio pairs must sum to 1 within 1e-6")
-                r = r[0]
-            r = float(r)
-            if not 0.0 < r < 1.0:
-                raise ValueError("splitter ratios must lie strictly inside (0, 1)")
-            ratios.append(r)
-        object.__setattr__(self, "splitter_ratios", tuple(ratios))
+        try:
+            ratios = tuple(map(float, self.splitter_ratios))
+        except TypeError:
+            raise ValueError("splitter ratios must be numbers") from None
+        if not all(0.0 < r < 1.0 for r in ratios):
+            raise ValueError("splitter ratios must lie strictly inside (0, 1)")
+        object.__setattr__(self, "splitter_ratios", ratios)
 
     def coincidence_efficiency(self, port: int) -> float:
         """Probability that a bunched pair on ``port`` fires both arms."""
@@ -309,16 +304,6 @@ class CurveEngine:
             probs = self.outcome_probabilities(sub, spec)
             np.divide(probs[:, target], probs.sum(axis=1), out=curve)
         return curves.T
-
-
-def success_probability(sub: Subspace, spec: InputSpec, system: CoupledModeSystem) -> float:
-    """P(ideal outcome | outcome in subspace) at the system's length."""
-    if spec.state.occupations not in {m.occupations for m in sub.members}:
-        raise ValueError("input state must be a member of the subspace")
-    family = StructureFamily(lambda: system.pattern.unitary(math.pi),
-                             lambda _: evolve(system)[None])
-    engine = CurveEngine([system.length], family)
-    return float(engine.success_curve(sub, [spec])[0, 0])
 
 
 def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theory",
@@ -670,13 +655,9 @@ def theory_lengths(grid_step: float) -> np.ndarray:
     return np.arange(THEORY_LO_MM, THEORY_HI_MM + grid_step / 2, grid_step)
 
 
-def theory_plateau_widths(sub: Subspace, inputs, grid_step: float = 0.005,
-                          engine: "CurveEngine" = None) -> tuple[float, float]:
+def theory_plateau_widths(sub: Subspace, inputs, engine: CurveEngine) -> tuple[float, float]:
     """(restricted, unrestricted) mean plateau widths over the engine's
-    lengths, by default :func:`theory_lengths` of ``grid_step``; the
-    restricted widths are clipped to RESTRICTED_WINDOW_MM."""
-    if engine is None:
-        engine = CurveEngine(theory_lengths(grid_step))
+    lengths, the restricted ones clipped to RESTRICTED_WINDOW_MM."""
     intervals = plateau_interval(engine.lengths,
                                  engine.success_curve(sub, _input_specs(sub, inputs)))
     return (float(np.mean([iv.clipped(*RESTRICTED_WINDOW_MM).width for iv in intervals])),

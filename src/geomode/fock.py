@@ -177,12 +177,6 @@ class FockBasis:
     def state(self, occupations) -> OccupationState:
         return self.states[self.index_of(occupations)]
 
-    def vector(self, state) -> np.ndarray:
-        """Unit basis vector for the given state."""
-        v = np.zeros(self.size, dtype=complex)
-        v[self.index_of(state)] = 1.0
-        return v
-
     @cached_property
     def state_index(self) -> dict:
         """Occupations -> position of each state in the basis."""
@@ -234,7 +228,8 @@ class FockBasis:
                 value = np.where((below[col, b] + below[col, a] - (b < a)) % 2, -1.0, 1.0)
             new[entry, a] += 1
         # a fermion created on an occupied mode leaves the basis: no entry
-        row = np.array([self.state_index.get(k, -1) for k in map(tuple, new.tolist())])
+        row = np.array([self.state_index.get(k, -1) for k in map(tuple, new.tolist())],
+                       dtype=int)
         keep = np.flatnonzero(row >= 0)
         keep = keep[np.lexsort((col[keep], row[keep]))]
         lists = tuple(x[keep] for x in (row, col, a, b, value))

@@ -310,14 +310,14 @@ class DynamicalContribution:
         return float(np.max(np.abs(self.matrices - np.conj(np.swapaxes(self.matrices, 1, 2)))))
 
 
-def k_matrix(sub: Subspace, system: CoupledModeSystem, grid=None) -> DynamicalContribution:
+def k_matrix(sub: Subspace, system: CoupledModeSystem) -> DynamicalContribution:
     """Dynamical contribution of a subspace along the cycle, in the
     Heisenberg mode family: the one-body lift of the mode coupling J(z)
     over the members, i.e. K = sum_ab J_ab a_a^dag a_b for any
     statistics and any particle number.  :func:`k_matrix_lifted` is its
     oracle.
     """
-    return gauge_field(sub, system, grid, HEISENBERG)
+    return gauge_field(sub, system, family=HEISENBERG)
 
 
 def k_matrix_lifted(sub: Subspace, system: CoupledModeSystem, grid=None) -> DynamicalContribution:
@@ -414,7 +414,7 @@ class SubspaceCheck:
 
     ``matrix`` is the lifted end-of-cycle unitary restricted to the
     members (waveguide basis): the holonomy when the subspace is
-    holonomic, i.e. cyclic with max |K| below ``tolerance``.
+    holonomic, i.e. cyclic with max |K| at or below ``tolerance``.
     """
 
     subspace: Subspace
@@ -429,7 +429,7 @@ class SubspaceCheck:
 
     @property
     def holonomic(self) -> bool:
-        return self.cyclic and self.k.max_abs < self.tolerance
+        return self.cyclic and self.k.max_abs <= self.tolerance
 
     @property
     def classification(self) -> str | None:

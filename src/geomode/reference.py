@@ -16,7 +16,7 @@ from functools import cache
 
 from . import experiment as xp
 from . import holonomy as hol
-from .fock import BOSON, ParticleType, enumerate_basis
+from .fock import ParticleType, enumerate_basis
 
 SINGLE = "single"
 INDIST = "indistinguishable"
@@ -182,12 +182,9 @@ class WidthComparison:
         return self.restricted_ok and self.unrestricted_ok
 
 
-def compare_reference_widths(grid_step: float = 0.01,
-                             engine: xp.CurveEngine | None = None) -> list[WidthComparison]:
-    """Recompute every catalogued width and compare at +-15% / 1.5 mm, on
-    the engine's lengths, by default :func:`~geomode.experiment.theory_lengths`
-    of ``grid_step``."""
-    engine = engine or xp.CurveEngine(xp.theory_lengths(grid_step))
+def compare_reference_widths(engine: xp.CurveEngine) -> list[WidthComparison]:
+    """Recompute every catalogued width on the engine's lengths and
+    compare at +-15% / 1.5 mm."""
     out = []
     for row in REFERENCE_WIDTHS:
         restricted, unrestricted = xp.theory_plateau_widths(
@@ -196,11 +193,9 @@ def compare_reference_widths(grid_step: float = 0.01,
     return out
 
 
-def non_holonomic_widths(grid_step: float = 0.01,
-                         engine: xp.CurveEngine | None = None) -> list[tuple[ReferenceRow, float]]:
-    """Unrestricted theory widths of the catalogued non-holonomic rows, on
-    the engine's lengths as in :func:`compare_reference_widths`."""
-    engine = engine or xp.CurveEngine(xp.theory_lengths(grid_step))
+def non_holonomic_widths(engine: xp.CurveEngine) -> list[tuple[ReferenceRow, float]]:
+    """Unrestricted theory widths of the catalogued non-holonomic rows on
+    the engine's lengths."""
     out = []
     for row in NON_HOLONOMIC_REFERENCES:
         _, unrestricted = xp.theory_plateau_widths(row_subspace(row), row_inputs(row),

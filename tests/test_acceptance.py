@@ -237,19 +237,21 @@ def test_c08_reference_membership(system, b1, b2):
 
 
 def test_c09_plateau_width_table():
-    comps = ref.compare_reference_widths(grid_step=0.01)
+    engine = xp.CurveEngine(xp.theory_lengths(0.01))
+    comps = ref.compare_reference_widths(engine)
     failures = [c for c in comps if not c.passed]
     widths = {c.row: c.unrestricted_mm for c in comps}
     sep_ok = all(w >= ref.HOLONOMIC_WIDTH_FLOOR_MM - 1e-9 for w in widths.values())
-    non_h = ref.non_holonomic_widths(grid_step=0.01)
+    non_h = ref.non_holonomic_widths(engine)
     sep_ok &= all(w <= ref.NON_HOLONOMIC_WIDTH_MM for _, w in non_h)
     # independent recomputation in accumulated-phase units
     delta_worst = 0.0
+    fine = xp.CurveEngine(xp.theory_lengths(0.005))
     for c in comps:
         row = c.row
         sub = ref.row_subspace(row)
         spec = ref.row_inputs(row)[0]
-        _, unrestricted = xp.theory_plateau_widths(sub, [spec], grid_step=0.005)
+        _, unrestricted = xp.theory_plateau_widths(sub, [spec], fine)
         width_delta = xp.plateau_width_delta(sub, spec)
         delta_worst = max(
             delta_worst, abs(unrestricted * cm.FLAT_COUPLING_PER_MM - width_delta))

@@ -1,4 +1,5 @@
-"""Every defaulted parameter of the package is set by at least one call.
+"""Every defaulted parameter of the package is set by at least one call,
+and all but a listed few by a call outside the tests.
 
 An AST census: for each ``def`` in ``src/geomode`` it lists the
 parameters that carry a default, then checks every call of that name in
@@ -6,7 +7,9 @@ parameters that carry a default, then checks every call of that name in
 call passes it by keyword or by position, or passes ``*args`` /
 ``**kwargs`` that may carry it.  A class's ``__init__`` is called by the
 class name.  A default that no call overrides is a configuration nobody
-runs; it belongs in a module constant instead.
+runs; it belongs in a module constant instead.  A default that only the
+tests override is a second way in to a result that the package itself
+never takes; :data:`TEST_ONLY_DEFAULTS` lists the ones kept, with why.
 """
 
 from __future__ import annotations
@@ -18,6 +21,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "geomode"
 CALLERS = ("src", "tests", "bench")
+PRODUCTION_CALLERS = ("src", "bench")
+
+#: Defaults whose other values come only from the tests, and why each stays.
+TEST_ONLY_DEFAULTS = {
+    "enumeration.enumerate_holonomic(resume_token)":
+        "the resume point of a capped census; ROADMAP item 16 keeps the signature",
+    "experiment.generate_state(dtype)": "numpy's ISeedSequence.generate_state signature",
+    "holonomy.k_two_particle(particle)": "oracle input: the statistics of the closed form",
+    "holonomy.k_n_boson(h_vac)": "oracle input: the vacuum energy of the closed form",
+    "holonomy.k_matrix_lifted(grid)": "oracle input: the grid the tests compare K on",
+}
 
 
 def _defaulted_params():
@@ -51,10 +65,11 @@ def _is_static(fn: ast.FunctionDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
 
 
-def _calls():
-    """Call name -> list of (positional count, keywords, has *args, has **kwargs)."""
+def _calls(callers):
+    """Call name -> list of (positional count, keywords, has *args, has
+    **kwargs) over the calls in the ``callers`` top-level directories."""
     calls = defaultdict(list)
-    for top in CALLERS:
+    for top in callers:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(node, ast.Call):
@@ -70,8 +85,10 @@ def _calls():
     return calls
 
 
-def unset_defaults():
-    calls = _calls()
+def unset_defaults(callers=CALLERS):
+    """``module.function(parameter)`` of each default that no call in
+    ``callers`` overrides."""
+    calls = _calls(callers)
     unset = []
     for module, name, param, pos in _defaulted_params():
         used = any(
@@ -88,8 +105,14 @@ def test_every_default_is_set_by_some_call():
     assert unset_defaults() == []
 
 
+def test_only_listed_defaults_are_set_by_the_tests_alone():
+    assert sorted(unset_defaults(PRODUCTION_CALLERS)) == sorted(TEST_ONLY_DEFAULTS)
+
+
 if __name__ == "__main__":
     params = _defaulted_params()
     unset = unset_defaults()
-    print(f"{len(params)} defaulted parameters, {len(unset)} never set")
-    print("\n".join(unset))
+    test_only = unset_defaults(PRODUCTION_CALLERS)
+    print(f"{len(params)} defaulted parameters, {len(unset)} never set, "
+          f"{len(test_only)} set only by the tests")
+    print("\n".join(unset + test_only))

@@ -208,6 +208,39 @@ def test_check_singleton_is_scalar(tmp_path, capsys):
     assert doc["classification"] == "scalar"
 
 
+@pytest.mark.parametrize("particle", ["boson", "fermion"])
+def test_check_vacuum_is_holonomic_scalar(tmp_path, capsys, particle):
+    # zero particles: the one-body lift has no entries, K is 0 and the
+    # cycle acts on the vacuum as 1
+    sub_file = write_subspace(tmp_path / "vacuum.json",
+                              {"particle": particle, "states": [[0, 0, 0, 0]]})
+    assert main(["--out-dir", str(tmp_path), "check", "--subspace", sub_file]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "check_report.json").read_text())
+    assert (doc["cyclic"], doc["max_k"], doc["verdict"]) == (True, 0.0, "holonomic")
+    assert doc["classification"] == "scalar" and doc["holonomy"] == [[[1.0, 0.0]]]
+
+
+def test_zero_coupling_is_holonomic_in_check_and_census(tmp_path, capsys):
+    # H vanishes, so the tolerance and K are both exactly 0: K at the
+    # tolerance is holonomic in the check and in the census alike
+    config = write_system(tmp_path / "zero.json", cm.CoupledModeSystem(
+        cm.CouplingPattern(np.zeros((4, 4))), cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope))
+    sub_file = write_subspace(tmp_path / "one.json",
+                              {"particle": "boson", "states": [[1, 0, 0, 0]]})
+    assert main(["--config", config, "--out-dir", str(tmp_path), "check",
+                 "--subspace", sub_file]) == 0
+    assert "max|K|: 0.000e+00  verdict: holonomic" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "check_report.json").read_text())
+    assert (doc["holonomic_tolerance"], doc["classification"]) == (0.0, "scalar")
+    assert main(["--config", config, "--out-dir", str(tmp_path), "enumerate",
+                 "--particles", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "1022 cyclic" in out
+    assert "1022 holonomic (scalar=1022, diagonal=0, non_scalar=0); " \
+           "dim>=2 holonomic=1012" in out
+
+
 # -------------------------------------------------------------------- scan
 
 

@@ -174,20 +174,18 @@ def test_hamiltonian_stack_matches_scalar_calls(ideal_system):
 
 
 def test_phase_zero_at_origin(ideal_system):
-    assert cm.accumulated_phase(ideal_system, 0.0) == 0.0
+    assert ideal_system.envelope.phase(0.0) == 0.0
 
 
 def test_cycle_completes_at_ideal_length(ideal_system):
-    assert cm.accumulated_phase(ideal_system, cm.IDEAL_LENGTH_MM) == pytest.approx(
-        math.pi, abs=1e-10
-    )
+    assert ideal_system.envelope.phase(cm.IDEAL_LENGTH_MM) == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_phase_out_of_range(ideal_system):
-    with pytest.raises(ValueError):
-        cm.accumulated_phase(ideal_system, cm.IDEAL_LENGTH_MM + 1.0)
-    with pytest.raises(ValueError):
-        cm.accumulated_phase(ideal_system, -0.5)
+    with pytest.raises(ValueError, match="outside"):
+        cm.evolve(ideal_system, cm.IDEAL_LENGTH_MM + 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        cm.evolve(ideal_system, -0.5)
 
 
 def test_flat_section_slope_is_omega():

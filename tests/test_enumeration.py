@@ -373,21 +373,28 @@ def test_enumeration_max_k_matches_lifted_oracle(modes, particles):
         assert abs(r.max_k - hol.k_matrix_lifted(sub, system).max_abs) < 1e-10
 
 
+#: H = 0: the holonomic tolerance and K are both exactly 0
+ZERO_COUPLING = cm.CoupledModeSystem(cm.CouplingPattern(np.zeros((4, 4))), PRESET_ENVELOPE)
+
+
 @pytest.mark.parametrize("name,particle", [
     pytest.param(name, particle, id=kind if name == "jx4" else f"{name}-{kind}")
     for name in ("jx4", "two-pair", "two-pair-non-commuting")
     for particle, kind in [(BOSON, "bosons"), (FERMION, "fermions"),
                            (DIST_AB, "distinguishable")]
-])
+] + [pytest.param("zero-coupling", particle, id=f"zero-coupling-{kind}")
+      for particle, kind in [(BOSON, "bosons"), (FERMION, "fermions")]])
 def test_check_subspace_agrees_with_census(system, name, particle):
     # the census reads one basis-wide K table and lifted cycle; the check
     # rebuilds both per subspace and must reach the same verdict bit for bit
-    system = system if name == "jx4" else NON_PERMUTATION_SYSTEMS[name]
+    system = {"jx4": system, "zero-coupling": ZERO_COUPLING, **NON_PERMUTATION_SYSTEMS}[name]
     basis = enumerate_basis(4, 2, particle)
     report = enum.enumerate_holonomic(system, basis)
     assert report.records
     if name == "jx4":
         assert report.holonomic_count > 0
+    if name == "zero-coupling":
+        assert report.holonomic_count == len(report.records) == 2 ** basis.size - 2
     for r in report.records:
         sub = hol.Subspace(basis, tuple(basis.states[i] for i in r.member_indices))
         check = hol.check_subspace(sub, system)

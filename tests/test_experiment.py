@@ -48,17 +48,20 @@ def delta_at(length):
 # ------------------------------------------------------ success probability
 
 
+def success_at(sub, spec, length):
+    """One input's theory success probability at one structure length."""
+    return float(xp.scan(sub, [spec], [length]).curves[spec.label()].probability[0])
+
+
 def test_success_probability_is_one_at_ideal_length(outer_single):
-    system = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
     spec = xp.InputSpec(outer_single.members[0])
-    assert xp.success_probability(outer_single, spec, system) == pytest.approx(1.0, abs=1e-12)
+    assert success_at(outer_single, spec, cm.IDEAL_LENGTH_MM) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("length", [80.0, 84.9, 88.0, 95.0])
 def test_single_photon_success_closed_form(outer_single, length):
-    system = cm.jx4_structure(length)
     spec = xp.InputSpec(outer_single.members[0])
-    got = xp.success_probability(outer_single, spec, system)
+    got = success_at(outer_single, spec, length)
     d = delta_at(length)
     s6 = math.sin(d / 2) ** 6
     c6 = math.cos(d / 2) ** 6
@@ -67,21 +70,12 @@ def test_single_photon_success_closed_form(outer_single, length):
 
 @pytest.mark.parametrize("length", [80.0, 90.0, 100.0])
 def test_two_boson_bunched_success_closed_form(bunched_pair, length):
-    system = cm.jx4_structure(length)
     spec = xp.InputSpec(bunched_pair.members[0])
-    got = xp.success_probability(bunched_pair, spec, system)
+    got = success_at(bunched_pair, spec, length)
     d = delta_at(length)
     s12 = math.sin(d / 2) ** 12
     c12 = math.cos(d / 2) ** 12
     assert got == pytest.approx(s12 / (s12 + c12), abs=1e-12)
-
-
-def test_success_requires_member_input(outer_single):
-    system = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
-    basis = outer_single.basis
-    spec = xp.InputSpec(basis.state((0, 1, 0, 0)))
-    with pytest.raises(ValueError):
-        xp.success_probability(outer_single, spec, system)
 
 
 def test_mirror_symmetry_theory_curves(outer_single, bunched_pair):
@@ -205,10 +199,10 @@ def test_detect_ideal_antibunched_state():
 def test_detection_model_validation():
     with pytest.raises(ValueError):
         xp.DetectionModel(splitter_ratios=(0.5, 1.0, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        xp.DetectionModel(splitter_ratios=((0.6, 0.5), 0.5, 0.5, 0.5))
-    model = xp.DetectionModel(splitter_ratios=((0.6, 0.4), 0.5, 0.5, 0.5))
-    assert model.splitter_ratios[0] == pytest.approx(0.6)
+    with pytest.raises(ValueError, match="must be numbers"):
+        xp.DetectionModel(splitter_ratios=((0.6, 0.4), 0.5, 0.5, 0.5))
+    model = xp.DetectionModel(splitter_ratios=(0.6, 0.5, 0.5, 0.5))
+    assert model.splitter_ratios == (0.6, 0.5, 0.5, 0.5)
 
 
 def test_inverse_estimator_unbiased_on_expected_counts():
@@ -402,7 +396,8 @@ def test_constant_curve_spans_full_range():
 
 def test_theory_plateau_width_anchor(outer_single):
     restricted, unrestricted = xp.theory_plateau_widths(
-        outer_single, [xp.InputSpec(m) for m in outer_single.members])
+        outer_single, [xp.InputSpec(m) for m in outer_single.members],
+        xp.CurveEngine(xp.theory_lengths(0.005)))
     assert unrestricted == pytest.approx(23.7, abs=0.05)
     assert restricted == pytest.approx(16.7, abs=0.1)
 
@@ -485,9 +480,10 @@ def test_experimental_rule_matches_per_sample_walk(probs):
 
 
 def test_plateau_width_delta_cross_check(outer_single, bunched_pair):
+    engine = xp.CurveEngine(xp.theory_lengths(0.005))
     for sub in (outer_single, bunched_pair):
         spec = xp.InputSpec(sub.members[0])
-        _, unrestricted = xp.theory_plateau_widths(sub, [spec], grid_step=0.005)
+        _, unrestricted = xp.theory_plateau_widths(sub, [spec], engine)
         width_delta = xp.plateau_width_delta(sub, spec)
         assert abs(unrestricted * cm.FLAT_COUPLING_PER_MM - width_delta) < 1e-3
 
@@ -607,12 +603,13 @@ def test_width_table_matches_pinned_values():
     # values of the commit before the shared delta-axis engine and the
     # vectorized plateau edges; both changes keep every float
     pinned = json.loads((Path(__file__).parent / "data" / "width_table.json").read_text())
-    comps = ref.compare_reference_widths(grid_step=0.01)
+    engine = xp.CurveEngine(xp.theory_lengths(0.01))
+    comps = ref.compare_reference_widths(engine)
     got = {
         "reference_widths": {c.row.key(): {"restricted_mm": c.restricted_mm,
                                            "unrestricted_mm": c.unrestricted_mm}
                              for c in comps},
-        "non_holonomic_widths": {row.key(): w for row, w in ref.non_holonomic_widths(0.01)},
+        "non_holonomic_widths": {row.key(): w for row, w in ref.non_holonomic_widths(engine)},
         "delta_widths_rad": {c.row.key(): xp.plateau_width_delta(ref.row_subspace(c.row),
                                                                  ref.row_inputs(c.row)[0])
                              for c in comps},
@@ -783,7 +780,8 @@ def test_count_file_quotes_labels_like_csv_writer(tmp_path):
 @pytest.mark.parametrize("call", [
     lambda sub, state: xp.scan(sub, [state], [80.0, 85.0]),
     lambda sub, state: xp.simulate_counts(sub, [state], [80.0, 85.0]),
-    lambda sub, state: xp.theory_plateau_widths(sub, [state], grid_step=0.5),
+    lambda sub, state: xp.theory_plateau_widths(sub, [state],
+                                                xp.CurveEngine(xp.theory_lengths(0.5))),
     lambda sub, state: xp.plateau_width_delta(sub, state),
 ], ids=["scan", "simulate_counts", "theory_plateau_widths", "plateau_width_delta"])
 def test_input_outside_the_subspace_is_rejected(bunched_pair, call):
