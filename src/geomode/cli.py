@@ -8,9 +8,10 @@ files.
 
 The system definition comes from ``--config`` (a JSON file, see
 ``coupledmode.system_from_json``) or the built-in ``paper-jx4`` preset:
-the calibrated four-waveguide Jx structure at its ideal length.  Scans
-and ingest use its structure family: the preset with its flat section
-varied, or U(0 -> L) of a file-defined system.
+the calibrated four-waveguide Jx structure at its ideal length, an
+ordinary system like a file's.  Scans, ingest and ``evolve --length`` use
+its ``coupledmode.StructureFamily``, which stretches the envelope's one
+constant segment.
 
 The parser is built once per process (``build_parser`` is cached), and
 options that several commands take come from shared parent parsers, so
@@ -182,34 +183,28 @@ def load_config(args) -> dict:
     return doc
 
 
-def build_system(config: dict, length_mm: float | None = None):
-    """(system, structure family) from a config document.
-
-    The preset's family fixes the ramps and varies the middle section;
-    a file-defined system's family evolves that system over [0, L].
-    """
+def build_system(config: dict):
+    """(system, its :class:`~geomode.coupledmode.StructureFamily`) from a
+    config document: the preset's structure, or a file-defined system."""
     preset = config.get("preset")
-    if preset is not None:
-        if preset != PRESET_NAME:
-            raise CommandError("invalid-config", f"unknown preset {preset!r}")
-        for key in ("omega_flat_per_mm", "length_mm"):
-            if not cm.is_finite_number(config.get(key, 0.0)):
-                raise CommandError("invalid-config",
-                                   f"{key} must be a finite number, not {config[key]!r}")
-        omega = float(config.get("omega_flat_per_mm", cm.FLAT_COUPLING_PER_MM))
-        length = length_mm if length_mm is not None else float(
-            config.get("length_mm", cm.IDEAL_LENGTH_MM))
+    if preset is None:
         try:
-            return cm.jx4_structure(length, omega_flat=omega), cm.jx4_family(omega)
-        except ValueError as exc:
-            # the length is the only checked value: the caller's, or the config's
-            raise CommandError("invalid-config" if length_mm is None
-                               else "invalid-arguments", str(exc))
+            system = cm.system_from_json(config)
+        except (ValueError, KeyError) as exc:
+            raise CommandError("invalid-config", f"bad system definition: {exc}")
+        return system, cm.StructureFamily(system)
+    if preset != PRESET_NAME:
+        raise CommandError("invalid-config", f"unknown preset {preset!r}")
+    for key in ("omega_flat_per_mm", "length_mm"):
+        if not cm.is_finite_number(config.get(key, 0.0)):
+            raise CommandError("invalid-config",
+                               f"{key} must be a finite number, not {config[key]!r}")
+    omega = float(config.get("omega_flat_per_mm", cm.FLAT_COUPLING_PER_MM))
     try:
-        system = cm.system_from_json(config)
-    except (ValueError, KeyError) as exc:
-        raise CommandError("invalid-config", f"bad system definition: {exc}")
-    return system, cm.system_family(system)
+        system = cm.jx4_structure(float(config.get("length_mm", cm.IDEAL_LENGTH_MM)), omega)
+    except ValueError as exc:
+        raise CommandError("invalid-config", str(exc))
+    return system, cm.StructureFamily(system)
 
 
 def load_subspace(args, modes: int) -> hol.Subspace:
@@ -279,14 +274,11 @@ def _scan_setup(args):
 
 
 def cmd_evolve(args) -> int:
-    config = load_config(args)
-    system, _ = build_system(config, length_mm=args.length)
+    system, family = build_system(load_config(args))
     if args.length is None:
         u, delta = system.pattern.unitary(args.delta), args.delta
     else:
-        # the preset is built at the requested length; a file system is cut there
-        z = system.length if config.get("preset") is not None else args.length
-        u, delta = cm.evolve(system, z), system.envelope.phase(z)
+        u, delta = family.stack([args.length])[0], family.phase([args.length])[0]
     doc = {"modes": u.shape[0], "delta": float(delta), "matrix": cm.matrix_to_json(u)}
     write_json(out_dir(args) / "evolution.json", doc)
     print(dumps_json(doc))
@@ -307,6 +299,10 @@ def cmd_enumerate(args) -> int:
         cyclic = exc.partial_report.cyclic_subspaces
         print(f"error[cap-exceeded]: {cyclic} cyclic subspaces exceed the cap of {args.cap}; "
               f"rerun with --cap {cyclic}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print(f"error[out-of-memory]: the census ran out of memory under the cap of "
+              f"{args.cap}; rerun with a smaller --cap", file=sys.stderr)
         return EXIT_CAP
     doc = report.to_json()
     directory = out_dir(args)

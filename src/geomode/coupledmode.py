@@ -11,19 +11,21 @@ midpoint rule steps through z.  :func:`ordered_products` is the one
 path-ordered product of exponentials of the package: the midpoint
 stepper and the gauge-field reconstruction of the holonomy
 (:func:`holonomy.holonomy_from_gauge_field`) both call it.  Envelopes,
-Hamiltonians and :func:`evolution_on_grid` take arrays of positions;
-:func:`evolve` is U(0 -> z) at one position.
+Hamiltonians and :func:`evolution_on_grid` take arrays of positions
+(U(0 -> z) along a structure is ``evolution_on_grid(system, [z])[0]``);
+:func:`evolve` is U(0 -> L) over the whole structure.
 
-The module also builds the calibrated four-waveguide Jx structure used
-throughout the package: nearest-neighbour couplings
-(sqrt(3)/2, 1, sqrt(3)/2), zero detuning, a 30 mm cosine fan-in/out in
-waveguide separation with exponentially distance-dependent coupling,
-and a flat section whose length is varied.  Two frozen calibration
-constants pin the model: the flat coupling strength (from the
-single-photon outer-pair stability width, 23.7 mm) and the ramp
-sharpness (so that one cycle, delta = pi, completes at the ideal length
-84.9 mm).  A :class:`StructureFamily` maps an array of lengths to a
-stack of evolution operators.
+A :class:`StructureFamily` maps an array of lengths to a stack of
+evolution operators for any system: a length stretches the envelope's
+one constant segment and keeps the others.  The module also builds the
+calibrated four-waveguide Jx structure used throughout the package:
+nearest-neighbour couplings (sqrt(3)/2, 1, sqrt(3)/2), zero detuning, a
+30 mm cosine fan-in/out in waveguide separation with exponentially
+distance-dependent coupling, and a flat section, its constant segment.
+Two frozen calibration constants pin the model: the flat coupling
+strength (from the single-photon outer-pair stability width, 23.7 mm)
+and the ramp sharpness (so that one cycle, delta = pi, completes at the
+ideal length 84.9 mm).
 """
 
 from __future__ import annotations
@@ -405,6 +407,15 @@ def _stepper_stack(system: CoupledModeSystem, zs: np.ndarray, max_step: float) -
     return ordered_products(system.hamiltonian(mids), h, np.cumsum(steps) - 1)[where.reshape(-1)]
 
 
+def _commuting_stack(system: CoupledModeSystem, phases, lengths) -> np.ndarray:
+    """exp(-1j * phase * pattern) times exp(-1j * z * static), when there is a
+    static part, for each (phase, z) pair of a commuting system."""
+    u = system.pattern.unitary_batch(phases)
+    if system.static_pattern is not None:
+        u = u @ system.static_pattern.unitary_batch(lengths)
+    return u
+
+
 def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
     """U(0 -> z) for each z in the grid, shape (Z, M, M).
 
@@ -416,24 +427,16 @@ def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if not system.commuting_family:
         return _stepper_stack(system, grid, STEP_MM)
-    u = system.pattern.unitary_batch(system.envelope.phase(grid))
-    if system.static_pattern is not None:
-        u = u @ system.static_pattern.unitary_batch(grid)
-    return u
+    return _commuting_stack(system, system.envelope.phase(grid), grid)
 
 
-def evolve(system: CoupledModeSystem, z: float | None = None) -> np.ndarray:
-    """U(0 -> z) as :func:`evolution_on_grid` computes it, by default
-    over the whole structure [0, L]; a z outside [0, L] (beyond rounding)
-    is a ValueError.
+def evolve(system: CoupledModeSystem) -> np.ndarray:
+    """U(0 -> L) over the whole structure, as :func:`evolution_on_grid` computes it.
 
-    ``U[j, k]`` is the amplitude for mode k at 0 to end in mode j at z;
-    equivalently a_k^dag(z) = sum_j U[j, k] a_j^dag(0).
+    ``U[j, k]`` is the amplitude for mode k at 0 to end in mode j at L;
+    equivalently a_k^dag(L) = sum_j U[j, k] a_j^dag(0).
     """
-    z = system.length if z is None else z
-    if not -1e-12 <= z <= system.length + 1e-9:
-        raise ValueError(f"position {z} outside [0, {system.length}]")
-    return evolution_on_grid(system, [z])[0]
+    return evolution_on_grid(system, [system.length])[0]
 
 
 # ------------------------------------------------- the Jx(4) structure
@@ -483,12 +486,6 @@ def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM) -> float:
     return _bisect(lambda s: math.exp(-s) * _bessel_i(s)[0] - target, 1e-9, 200.0, xtol=1e-14)
 
 
-def _ramp_sharpness(omega_flat: float) -> float:
-    if omega_flat == FLAT_COUPLING_PER_MM:
-        return RAMP_SHARPNESS
-    return calibrate_ramp_sharpness(omega_flat)
-
-
 def jx4_structure(length_mm: float,
                   omega_flat: float = FLAT_COUPLING_PER_MM) -> CoupledModeSystem:
     """The calibrated four-waveguide structure at a given total length.
@@ -500,7 +497,8 @@ def jx4_structure(length_mm: float,
     """
     if not 2 * RAMP_LENGTH_MM <= length_mm < math.inf:
         raise ValueError(f"total length must be finite and at least {2 * RAMP_LENGTH_MM} mm")
-    sharpness = _ramp_sharpness(omega_flat)
+    sharpness = (RAMP_SHARPNESS if omega_flat == FLAT_COUPLING_PER_MM
+                 else calibrate_ramp_sharpness(omega_flat))
     segments = [ExpCosineRampSegment(omega_flat, sharpness, RAMP_LENGTH_MM, rising=True)]
     flat = length_mm - 2 * RAMP_LENGTH_MM
     if flat > 0:
@@ -509,12 +507,11 @@ def jx4_structure(length_mm: float,
     return CoupledModeSystem(jx_pattern(4), Envelope(tuple(segments)))
 
 
-def jx4_delta(length_mm, omega_flat: float = FLAT_COUPLING_PER_MM,
-              sharpness: float = RAMP_SHARPNESS):
-    """Total accumulated phase of the structure family at given lengths."""
+def jx4_delta(length_mm):
+    """Total accumulated phase of the calibrated structure at given lengths, in closed form."""
     lengths = np.asarray(length_mm, dtype=float)
-    eff = 2 * RAMP_LENGTH_MM * math.exp(-sharpness) * _bessel_i(sharpness)[0]
-    return omega_flat * (eff + lengths - 2 * RAMP_LENGTH_MM)
+    eff = 2 * RAMP_LENGTH_MM * math.exp(-RAMP_SHARPNESS) * _bessel_i(RAMP_SHARPNESS)[0]
+    return FLAT_COUPLING_PER_MM * (eff + lengths - 2 * RAMP_LENGTH_MM)
 
 
 # ------------------------------------------------------ structure families
@@ -522,47 +519,58 @@ def jx4_delta(length_mm, omega_flat: float = FLAT_COUPLING_PER_MM,
 
 @dataclass(frozen=True)
 class StructureFamily:
-    """Structures indexed by their length.
-
-    ``stack(lengths)`` gives the (L, M, M) single-particle evolution
-    operators, one per length.  ``cycle()`` gives the (M, M)
-    single-particle operator of one whole cycle, which defines each
-    input's ideal outcome; it is a function so that a family whose cycle
-    costs a whole stepped evolution pays for it only where it is read.
+    """One system's structures indexed by their length L: L stretches the
+    envelope's one :class:`ConstantSegment` to L - L_f, L_f being the other
+    segments' total length.  ``phase`` and ``stack`` raise ValueError for an
+    envelope without exactly one constant segment and for a length not
+    positive or below L_f.  ``cycle()``, U(0 -> L) of the system as
+    configured, defines each input's ideal outcome for every system.
     """
 
-    cycle: Callable[[], np.ndarray]
-    stack: Callable[[np.ndarray], np.ndarray]
+    system: CoupledModeSystem
 
-
-def jx4_family(omega_flat: float) -> StructureFamily:
-    """:func:`jx4_structure` at each length, from its total phase :func:`jx4_delta`."""
-    sharpness = _ramp_sharpness(omega_flat)
-    pattern = jx_pattern(4)
-
-    def stack(lengths):
+    def _stretched(self, lengths):
+        """(constant segment's index, L_f, the other segments' phase, lengths)."""
+        segments = self.system.envelope.segments
+        constant = [k for k, s in enumerate(segments) if isinstance(s, ConstantSegment)]
+        if len(constant) != 1:
+            raise ValueError("a structure family stretches the envelope's one constant "
+                             f"segment; this envelope has {len(constant)}")
+        others = segments[:constant[0]] + segments[constant[0] + 1:]
+        fixed = sum(s.length for s in others)
         lengths = np.asarray(lengths, dtype=float)
-        if np.any(lengths < 2 * RAMP_LENGTH_MM):
-            raise ValueError(f"total length must be at least {2 * RAMP_LENGTH_MM} mm")
-        return pattern.unitary_batch(jx4_delta(lengths, omega_flat, sharpness=sharpness))
+        if not np.all((lengths >= fixed) & (lengths > 0)):
+            raise ValueError(f"structure lengths must be positive and at least {fixed} mm")
+        return constant[0], fixed, float(sum(s.total_phase for s in others)), lengths
 
-    return StructureFamily(lambda: pattern.unitary(math.pi), stack)
+    def phase(self, lengths) -> np.ndarray:
+        """Total accumulated phase of the structure at each length."""
+        k, fixed, fixed_phase, lengths = self._stretched(lengths)
+        omega = self.system.envelope.segments[k].value
+        ratio = fixed_phase / omega if omega else math.inf
+        if ratio == math.inf:  # omega is 0, or too small to divide by
+            return fixed_phase + omega * (lengths - fixed)
+        return omega * (ratio + lengths - fixed)
 
+    def stack(self, lengths) -> np.ndarray:
+        """(L, M, M) single-particle evolution operators, one per length.  A
+        non-commuting system is stepped once, to the stretched segment's ends a
+        and b and to the structure's end; H is constant on the segment, so
+        U(L) = U(0 -> end) U(0 -> b)^dag exp(-1j H_flat (L - L_f)) U(0 -> a)."""
+        system = self.system
+        if system.commuting_family:
+            return _commuting_stack(system, self.phase(lengths), np.asarray(lengths, float))
+        k, fixed, _, lengths = self._stretched(lengths)
+        segments = system.envelope.segments
+        a = sum(s.length for s in segments[:k])
+        u_a, u_b, u_end = evolution_on_grid(system, [a, a + segments[k].length, system.length])
+        flat = CouplingPattern(segments[k].value * system.pattern.matrix
+                               + system.static_pattern.matrix)
+        return u_end @ u_b.conj().T @ flat.unitary_batch(lengths - fixed) @ u_a
 
-def system_family(system: CoupledModeSystem) -> StructureFamily:
-    """U(0 -> L) of one system for each propagation length L > 0, with
-    its whole-structure evolution as the cycle.
-
-    Lengths past the end of the envelope see zero coupling.
-    """
-
-    def stack(lengths):
-        lengths = np.asarray(lengths, dtype=float)
-        if np.any(lengths <= 0):
-            raise ValueError("propagation lengths must be positive")
-        return evolution_on_grid(system, lengths)
-
-    return StructureFamily(lambda: evolve(system), stack)
+    def cycle(self) -> np.ndarray:
+        """U(0 -> L) of the configured system."""
+        return evolve(self.system)
 
 
 # ----------------------------------------------------------------- JSON

@@ -51,13 +51,17 @@ from numpy.random.bit_generator import ISeedSequence
 from . import holonomy as hol
 from .coupledmode import (
     FLAT_COUPLING_PER_MM,
+    IDEAL_LENGTH_MM,
     SLOPE_LIMIT_PER_MM,
     STRUCTURE_LENGTHS_MM,
+    ConstantSegment,
+    CoupledModeSystem,
+    Envelope,
     StructureFamily,
-    jx4_family,
+    jx4_structure,
     jx_pattern,
 )
-from .coupledmode import evolve  # noqa: F401 -- re-exported: U(0 -> z) of one system
+from .coupledmode import evolve  # noqa: F401 -- re-exported: U(0 -> L) of one system
 from .fock import BOSON, DISTINGUISHABLE, FERMION, OccupationState, lift_unitary_batch
 from .fock import lift_unitary  # noqa: F401 -- re-exported: the validated single-matrix lift
 from .holonomy import Subspace
@@ -242,7 +246,7 @@ def _ideal_targets(sub: Subspace, ideal, states) -> np.ndarray:
 class CurveEngine:
     """Batched outcome probabilities of a structure family over lengths.
 
-    The family (default: the calibrated Jx structure) gives one
+    The family (default: the calibrated Jx structure's) gives one
     single-particle evolution stack over non-empty, strictly ascending,
     finite lengths.  Each query lifts only the amplitudes it reads: the
     input's column over the outcome states, one input at a time.
@@ -253,7 +257,7 @@ class CurveEngine:
         if (lengths.ndim != 1 or lengths.size == 0 or not np.all(np.isfinite(lengths))
                 or np.any(np.diff(lengths) <= 0)):
             raise ValueError("lengths must be a non-empty ascending list of finite numbers")
-        family = family or jx4_family(FLAT_COUPLING_PER_MM)
+        family = family or StructureFamily(jx4_structure(IDEAL_LENGTH_MM))
         self.lengths = lengths
         self.u_stack = family.stack(self.lengths)
         self._ideal = family.cycle()
@@ -398,7 +402,7 @@ def channel_map(basis, statistics: str, model: DetectionModel) -> ChannelMap:
             channels = [("-".join(f"{lab}{m + 1}" for lab, m
                                   in zip(basis.particle.labels, state.occupations)), 1.0)]
         elif basis.particles != 2:
-            raise ValueError("synthetic detection covers at most two photons "
+            raise ValueError("synthetic detection covers one or two photons "
                              f"(this basis has {basis.particles})")
         elif statistics == DISTINGUISHABLE_STATS:
             channels = [(f"n{modes[0] + 1}{modes[1] + 1}", 1.0)]
@@ -667,12 +671,12 @@ def theory_plateau_widths(sub: Subspace, inputs, engine: CurveEngine) -> tuple[f
 @cache
 def _delta_axis_engine() -> CurveEngine:
     """The Jx4 engine over DELTA_AXIS_SAMPLES phases in (0.02 pi, 1.98 pi),
-    built at the first call and shared by every later one.  Its phase axis
-    and evolution stack are read-only."""
+    built at the first call and shared by every later one.  Under one
+    constant segment of value 1 a structure's length is its phase.  Its
+    phase axis and evolution stack are read-only."""
     deltas = np.linspace(0.02 * math.pi, 1.98 * math.pi, DELTA_AXIS_SAMPLES)
-    pattern = jx_pattern(4)
-    family = StructureFamily(lambda: pattern.unitary(math.pi), pattern.unitary_batch)
-    engine = CurveEngine(deltas, family)
+    unit = CoupledModeSystem(jx_pattern(4), Envelope((ConstantSegment(1.0, math.pi),)))
+    engine = CurveEngine(deltas, StructureFamily(unit))
     engine.lengths.flags.writeable = False
     engine.u_stack.flags.writeable = False
     return engine
@@ -908,7 +912,7 @@ def ingest_counts(path, sub: Subspace, detection: DetectionModel | None = None,
     if bad.any():
         raise ValueError(f"malformed count row at line {lines[bad.argmax()]}")
 
-    ideal = (family or jx4_family(FLAT_COUPLING_PER_MM)).cycle()
+    ideal = (family or StructureFamily(jx4_structure(IDEAL_LENGTH_MM))).cycle()
     states = {state.label(): state for state in sub.basis.states}
     names = list(channel_index)
     result = ScanResult(sub, "ingested")

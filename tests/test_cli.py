@@ -77,7 +77,7 @@ def write_system(path, system):
 
 
 @pytest.mark.parametrize("from_file, flags, detail", [
-    (True, ["--length", "-5"], "[0, 84.9"),
+    (True, ["--length", "-5"], "at least 60.0 mm"),
     (True, ["--length", "nan"], "argument --length: must be a finite number"),
     (False, ["--length", "nan"], "argument --length: must be a finite number"),
     (False, ["--length", "inf"], "argument --length: must be a finite number"),
@@ -315,19 +315,17 @@ def test_plateau_dummy_constant_system(tmp_path):
 
 
 def test_plateau_warns_on_open_edges(tmp_path, capsys, three_state_file):
-    # the Jx4 system file: flat past the envelope's end, so the slope rule
-    # finds no plateau edge on the 60-115 mm grid; the preset finds both
-    cfg = tmp_path / "jx4.json"
-    cfg.write_text(json.dumps(cm.system_to_json(cm.jx4_structure(cm.IDEAL_LENGTH_MM))))
-    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "file"), "plateau",
-                 "--subspace", three_state_file]) == 0
-    doc = json.loads((tmp_path / "file" / "plateau_report.json").read_text())
+    # on 84-86 mm the slope rule finds no plateau edge, so each plateau runs
+    # to both ends of the grid; on the 60-115 mm grid it finds both edges
+    assert main(["--out-dir", str(tmp_path / "open"), "plateau",
+                 "--subspace", three_state_file, "--grid", "84:86:0.1"]) == 0
+    doc = json.loads((tmp_path / "open" / "plateau_report.json").read_text())
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("warning[open-plateau]: ")]
     assert len(warnings) == len(doc["per_input"]) == 3
     for label, line in zip(doc["per_input"], warnings):
         assert line.startswith(f"warning[open-plateau]: {label}: ")
-        assert "end (115.00 mm)" in line
+        assert "start (84.00 mm) and end (86.00 mm)" in line
     assert main(["--out-dir", str(tmp_path / "preset"), "plateau",
                  "--subspace", three_state_file]) == 0
     assert "warning" not in capsys.readouterr().err
@@ -506,8 +504,22 @@ def test_three_photon_distinguishable_synthetic_scan_is_rejected(tmp_path, capsy
         code = main(["--out-dir", str(tmp_path), "scan", "--mode", "synthetic", *opts])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error[invalid-arguments]: synthetic detection covers at most two photons" in err
+        assert "error[invalid-arguments]: synthetic detection covers one or two photons" in err
         assert "indistinguishable" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("states", [[[0, 0, 0, 0]], [[2, 1, 0, 0], [0, 0, 1, 2]]],
+                         ids=["vacuum", "three-photons"])
+@pytest.mark.parametrize("command", [["simulate-counts"], ["scan", "--mode", "synthetic"]])
+def test_synthetic_detection_covers_one_or_two_photons(tmp_path, capsys, command, states):
+    """The boson vacuum and three photons are both outside the detection model."""
+    sub_file = write_subspace(tmp_path / "sub.json", {"particle": "boson", "states": states})
+    code = main(["--out-dir", str(tmp_path / "out"), *command, "--subspace", sub_file,
+                 "--lengths", "80,90"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error[invalid-arguments]: synthetic detection covers "
+                                       f"one or two photons (this basis has {sum(states[0])})\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["simulate-counts"], ["scan", "--mode", "synthetic"]])
@@ -574,6 +586,58 @@ def test_scan_without_a_sharp_cycle_image_exits_2(tmp_path, capsys, outer_pair_f
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error[invalid-arguments]:") and "no sharp image" in err
+
+
+def test_preset_length_sets_the_cycle(tmp_path, capsys, outer_pair_file):
+    """A preset length_mm is the configured structure, whose evolution is the
+    scan's cycle: at 90 mm it closes on no permutation, as its file config does."""
+    for name, doc in (("preset", {"preset": "paper-jx4", "length_mm": 90}),
+                      ("file", cm.system_to_json(cm.jx4_structure(90.0)))):
+        code = main(["--config", write_subspace(tmp_path / f"{name}.json", doc),
+                     "--out-dir", str(tmp_path / "out"), "scan", "--subspace", outer_pair_file])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("error[invalid-arguments]:") and "no sharp image" in err
+
+
+def test_preset_as_a_file_config_gives_the_same_reports(tmp_path, three_state_file):
+    """The preset and its own system written as a file config are one system:
+    plateau, scan, simulate-counts and ingest write the same bytes."""
+    config = write_system(tmp_path / "jx4.json", cm.jx4_structure(cm.IDEAL_LENGTH_MM))
+    written = {}
+    for name, flags in (("preset", []), ("file", ["--config", config])):
+        out = tmp_path / name
+        for command in (["plateau"], ["scan"], ["simulate-counts", "--trials", "2000"],
+                        ["ingest", "--trials", "2000", "--counts", str(out / "counts.csv")]):
+            assert main([*flags, "--out-dir", str(out), command[0],
+                         "--subspace", three_state_file, *command[1:]]) == 0
+        written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written["file"]) == ["counts.csv", "ingested_curves.csv", "ingested_scan.json",
+                                       "plateau_report.json", "scan_curves.csv",
+                                       "scan_result.json"]
+    assert written["file"] == written["preset"]
+
+
+def test_commands_without_a_length_axis_exit_2(tmp_path, capsys, outer_pair_file):
+    """An envelope of two constant segments has no one segment to stretch: the
+    commands over lengths exit 2, and those that read its cycle run."""
+    two = cm.CoupledModeSystem(cm.jx_pattern(4), cm.Envelope(
+        (cm.ConstantSegment(math.pi / 80, 40.0), cm.ConstantSegment(math.pi / 80, 40.0))))
+    config = ["--config", write_system(tmp_path / "two.json", two)]
+    out = ["--out-dir", str(tmp_path / "out")]
+    for command in (["scan", "--subspace", outer_pair_file], ["plateau", "--subspace",
+                    outer_pair_file], ["simulate-counts", "--subspace", outer_pair_file],
+                    ["evolve", "--length", "80"]):
+        assert main([*config, *out, *command]) == 2
+        assert capsys.readouterr().err == (
+            "error[invalid-arguments]: a structure family stretches the envelope's one "
+            "constant segment; this envelope has 2\n")
+    assert not (tmp_path / "out").exists()
+    assert main(["--out-dir", str(tmp_path), "simulate-counts", "--subspace",
+                 outer_pair_file, "--trials", "1000"]) == 0
+    assert main([*config, *out, "ingest", "--subspace", outer_pair_file, "--trials", "1000",
+                 "--counts", str(tmp_path / "counts.csv")]) == 0
+    assert main([*config, *out, "check", "--subspace", outer_pair_file]) == 0
 
 
 def test_check_subspace_takes_modes_from_config(tmp_path):
@@ -646,6 +710,22 @@ def test_capped_census_of_2_20_unions_fits_in_2_gib(tmp_path):
     assert out.returncode == 3, out.stderr
     assert out.stderr == ("error[cap-exceeded]: 1048574 cyclic subspaces exceed the cap of "
                           "4096; rerun with --cap 1048574\n")
+
+
+def test_census_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    """A census that runs out of memory under a large --cap is one error line
+    that advises a smaller cap, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli.en, "enumerate_holonomic", exhausted)
+    code = main(["--out-dir", str(tmp_path / "out"), "enumerate", "--particles", "2",
+                 "--cap", "268435454"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("error[out-of-memory]: the census ran out of memory under the cap "
+                            "of 268435454; rerun with a smaller --cap\n")
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("modes,particles", [(m, n) for m in range(4, 9) for n in range(2, 5)])
@@ -982,6 +1062,22 @@ def _system_axis():
 
 
 SYSTEM_AXIS = _system_axis()
+
+
+@pytest.mark.parametrize("name", ["preset", "file-jx4", "jx4-detuned"])
+def test_evolve_length_writes_the_scan_stack(tmp_path, name):
+    """evolve --length L writes the operator and phase that a scan over the
+    seven structure lengths uses at L, on the preset and on file configs."""
+    system = SYSTEM_AXIS[name]
+    config = [] if system is None else ["--config", write_system(tmp_path / "s.json", system)]
+    family = cm.StructureFamily(system or cm.jx4_structure(cm.IDEAL_LENGTH_MM))
+    lengths = np.array(cm.STRUCTURE_LENGTHS_MM)
+    stack, phases = xp.CurveEngine(lengths, family).u_stack, family.phase(lengths)
+    for length, u, delta in zip(lengths.tolist(), stack, phases):
+        assert main([*config, "--out-dir", str(tmp_path), "evolve", "--length",
+                     repr(length)]) == 0
+        doc = json.loads((tmp_path / "evolution.json").read_text())
+        assert np.array_equal(read_matrix(doc), u) and doc["delta"] == delta
 
 
 @pytest.mark.parametrize("particle", ["boson", "fermion", "distinguishable"])

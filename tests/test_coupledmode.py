@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -181,13 +181,6 @@ def test_cycle_completes_at_ideal_length(ideal_system):
     assert ideal_system.envelope.phase(cm.IDEAL_LENGTH_MM) == pytest.approx(math.pi, abs=1e-10)
 
 
-def test_phase_out_of_range(ideal_system):
-    with pytest.raises(ValueError, match="outside"):
-        cm.evolve(ideal_system, cm.IDEAL_LENGTH_MM + 1.0)
-    with pytest.raises(ValueError, match="outside"):
-        cm.evolve(ideal_system, -0.5)
-
-
 def test_flat_section_slope_is_omega():
     d1 = cm.jx4_structure(90.0).envelope.total_phase
     d2 = cm.jx4_structure(97.5).envelope.total_phase
@@ -222,7 +215,7 @@ def test_structure_rejects_non_finite_lengths(length):
 
 
 def test_evolve_zero_interval_is_identity(ideal_system):
-    u = cm.evolve(ideal_system, 0.0)
+    u = cm.evolution_on_grid(ideal_system, [0.0])[0]
     assert np.allclose(u, np.eye(4), atol=1e-14)
 
 
@@ -242,8 +235,7 @@ def test_evolve_matches_expm_oracle(ideal_system):
 
 def test_evolution_composes(ideal_system):
     z1, z2 = 42.0, 80.0
-    u1 = cm.evolve(ideal_system, z1)
-    u2 = cm.evolve(ideal_system, z2)
+    u1, u2 = cm.evolution_on_grid(ideal_system, [z1, z2])
     phase = ideal_system.envelope.phase
     u12 = ideal_system.pattern.unitary(phase(z2) - phase(z1))
     assert np.max(np.abs(u2 @ u1.conj().T - u12)) < 1e-9
@@ -251,8 +243,7 @@ def test_evolution_composes(ideal_system):
 
 def test_commuting_evolution_commutes_with_pattern(ideal_system):
     kappa = ideal_system.pattern.matrix
-    for z in np.linspace(0, ideal_system.length, 7):
-        u = cm.evolve(ideal_system, float(z))
+    for u in cm.evolution_on_grid(ideal_system, np.linspace(0, ideal_system.length, 7)):
         assert np.max(np.abs(u @ kappa - kappa @ u)) < 1e-9
 
 
@@ -295,7 +286,7 @@ def test_commuting_static_part_folds_in():
         cm.jx_pattern(4), cm.Envelope((cm.ConstantSegment(0.08, 10.0),)), static
     )
     assert sys_.commuting_family
-    fast = cm.evolve(sys_, 10.0)
+    fast = cm.evolve(sys_)
     stepped = cm._stepper_stack(sys_, np.array([10.0]), 1e-3)[0]
     assert np.max(np.abs(fast - stepped)) < 1e-7
 
@@ -346,57 +337,149 @@ def test_segment_json_unknown_kind():
 # ---------------------------------------------------- evolution kernel
 
 
-def _extended(system, length):
-    """The system with zero coupling appended out to ``length``."""
-    extra = length - system.length
-    if extra <= 0:
-        return system
-    env = cm.Envelope(system.envelope.segments + (cm.ConstantSegment(0.0, extra),))
+def _stretched(system, length):
+    """The system with its one constant segment stretched to a total ``length``
+    (dropped when the other segments already make up that length)."""
+    segments = system.envelope.segments
+    k = next(i for i, s in enumerate(segments) if isinstance(s, cm.ConstantSegment))
+    flat = length - sum(s.length for i, s in enumerate(segments) if i != k)
+    middle = (cm.ConstantSegment(segments[k].value, flat),) if flat > 0 else ()
+    env = cm.Envelope(segments[:k] + middle + segments[k + 1:])
     return cm.CoupledModeSystem(system.pattern, env, system.static_pattern)
 
 
 def _per_length(system, lengths):
-    return np.stack([cm.evolve(_extended(system, L), float(L)) for L in lengths])
+    return np.stack([cm.evolve(_stretched(system, L)) for L in lengths])
 
 
 def _stepped_per_length(system, lengths, max_step):
-    return np.stack([cm._stepper_stack(_extended(system, L), np.array([float(L)]), max_step)[0]
+    return np.stack([cm._stepper_stack(_stretched(system, L), np.array([float(L)]), max_step)[0]
                      for L in lengths])
 
 
 def test_preset_family_matches_per_length_structures():
     lengths = np.array([60.0, 71.3, 80.0, 84.9, 93.3333, 115.0])
-    stack = cm.jx4_family(cm.FLAT_COUPLING_PER_MM).stack(lengths)
-    want = np.stack([cm.evolve(cm.jx4_structure(L)) for L in lengths])
-    assert np.max(np.abs(stack - want)) <= 1e-13
-    omega = 0.09
-    stack = cm.jx4_family(omega).stack(lengths)
-    want = np.stack([cm.evolve(cm.jx4_structure(L, omega_flat=omega)) for L in lengths])
-    assert np.max(np.abs(stack - want)) <= 1e-13
+    for omega in (cm.FLAT_COUPLING_PER_MM, 0.09):
+        family = cm.StructureFamily(cm.jx4_structure(cm.IDEAL_LENGTH_MM, omega_flat=omega))
+        want = np.stack([cm.evolve(cm.jx4_structure(L, omega_flat=omega)) for L in lengths])
+        assert np.max(np.abs(family.stack(lengths) - want)) <= 1e-13
     with pytest.raises(ValueError, match="at least 60.0 mm"):
-        cm.jx4_family(cm.FLAT_COUPLING_PER_MM).stack([59.9, 80.0])
+        family.stack([59.9, 80.0])
+
+
+def test_family_phase_is_the_closed_form_bit_for_bit():
+    """The preset's family phase equals :func:`jx4_delta` exactly on the theory
+    axes, the seven structure lengths and 60-200 mm in 0.01 mm steps."""
+    family = cm.StructureFamily(cm.jx4_structure(cm.IDEAL_LENGTH_MM))
+    axes = [np.arange(60.0, 115.0 + step / 2, step) for step in (0.01, 0.005)]
+    axes += [np.array(cm.STRUCTURE_LENGTHS_MM), np.arange(60.0, 200.0 + 0.005, 0.01)]
+    assert sum(map(len, axes)) == 30_510
+    for lengths in axes:
+        assert np.array_equal(family.phase(lengths), cm.jx4_delta(lengths))
+    assert np.max(np.abs(family.cycle() - cm.jx_pattern(4).unitary(math.pi))) < 1e-15
 
 
 def test_file_family_matches_evolve_commuting(ideal_system):
     static = cm.CouplingPattern(0.02 * np.eye(4))
     system = cm.CoupledModeSystem(ideal_system.pattern, ideal_system.envelope, static)
-    lengths = np.array([0.5, 17.0, 30.0, 55.55, 84.9, 90.0, 120.0])
-    stack = cm.system_family(system).stack(lengths)
-    assert np.max(np.abs(stack - _per_length(system, lengths))) <= 1e-13
-    with pytest.raises(ValueError):
-        cm.system_family(system).stack([0.0, 10.0])
+    lengths = np.array([60.0, 71.3, 84.9, 90.0, 120.0])
+    family = cm.StructureFamily(system)
+    assert np.max(np.abs(family.stack(lengths) - _per_length(system, lengths))) <= 1e-13
+    for bad in ([0.0, 70.0], [59.9, 70.0], [-1.0]):
+        with pytest.raises(ValueError, match="positive and at least 60.0 mm"):
+            family.stack(bad)
 
 
 def test_file_family_non_commuting_within_stepper_accuracy(ideal_system):
     static = cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0]))
     system = cm.CoupledModeSystem(ideal_system.pattern, ideal_system.envelope, static)
     assert not system.commuting_family
-    lengths = np.array([10.003, 42.5117, 80.0071, 84.9, 95.00013])
-    stack = cm.system_family(system).stack(lengths)
+    lengths = np.array([60.0, 72.5117, 84.9, 95.00013, 130.0])
+    stack = cm.StructureFamily(system).stack(lengths)
     # each length on its own step partition: both are O(h^2) midpoint products
-    assert np.max(np.abs(stack - _per_length(system, lengths))) < 1e-7
+    assert np.max(np.abs(stack - _per_length(system, lengths))) < 1e-9
     fine = _stepped_per_length(system, lengths, 2.5e-3)
     assert np.max(np.abs(stack - fine)) < 1e-7
+
+
+@pytest.mark.parametrize("segments, count", [
+    ((cm.CosineRampSegment(0.0, 0.1, 30.0),), 0),
+    ((cm.ConstantSegment(0.1, 30.0), cm.ConstantSegment(0.2, 30.0)), 2),
+], ids=["no-constant-segment", "two-constant-segments"])
+def test_family_needs_one_constant_segment(segments, count):
+    """Without exactly one constant segment a family has no length axis; its
+    cycle, the configured system's own evolution, is still there."""
+    system = cm.CoupledModeSystem(cm.jx_pattern(4), cm.Envelope(segments))
+    family = cm.StructureFamily(system)
+    for method in (family.phase, family.stack):
+        with pytest.raises(ValueError, match=f"this envelope has {count}$"):
+            method([80.0])
+    assert np.array_equal(family.cycle(), cm.evolve(system))
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324])
+def test_family_phase_of_a_vanishing_stretched_segment(value):
+    """A stretched segment of value 0, or too small to divide the other
+    segments' phase by, adds no phase: the phase stays finite."""
+    ramp = cm.CosineRampSegment(0.0, 0.5, 2.0)
+    system = cm.CoupledModeSystem(cm.jx_pattern(4),
+                                  cm.Envelope((ramp, cm.ConstantSegment(value, 1.0))))
+    assert np.array_equal(cm.StructureFamily(system).phase([2.0, 50.0]), [0.5, 0.5])
+
+
+def _hermitian(rng, modes, scale):
+    a = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    return scale * (a + a.conj().T) / 2
+
+
+@st.composite
+def _family_cases(draw):
+    """(system, lengths): a random pattern under an envelope of 1-3 segments,
+    one of them constant (value 0 included) and the ramps meeting it without
+    a jump, an optional static part, and lengths from the other segments'
+    total up."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.integers(2, 4))
+    value = draw(st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.0, 0.3))
+    ramp_length = st.floats(2.0, 20.0)
+    segments = [cm.ConstantSegment(value, draw(ramp_length))]
+    if draw(st.booleans()):
+        segments.insert(0, draw(st.sampled_from([True, False])) and cm.ExpCosineRampSegment(
+            value, draw(st.floats(0.5, 4.0)), draw(ramp_length), rising=True)
+            or cm.CosineRampSegment(draw(st.floats(0.0, 0.3)), value, draw(ramp_length)))
+    if draw(st.booleans()):
+        segments.append(draw(st.sampled_from([True, False])) and cm.ExpCosineRampSegment(
+            value, draw(st.floats(0.5, 4.0)), draw(ramp_length), rising=False)
+            or cm.CosineRampSegment(value, draw(st.floats(0.0, 0.3)), draw(ramp_length)))
+    pattern = cm.CouplingPattern(_hermitian(rng, modes, 1.0))
+    static = draw(st.sampled_from([None, "commuting", "non-commuting"]))
+    if static == "commuting":
+        static = cm.CouplingPattern(0.03 * np.eye(modes) + 0.2 * pattern.matrix)
+    elif static == "non-commuting":
+        static = cm.CouplingPattern(_hermitian(rng, modes, 0.05))
+    fixed = sum(s.length for s in segments if not isinstance(s, cm.ConstantSegment))
+    extra = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.0, 30.0), min_size=1,
+                          max_size=3))
+    lengths = fixed + np.array(extra)
+    assume(np.all(lengths > 0))
+    return cm.CoupledModeSystem(pattern, cm.Envelope(tuple(segments)), static), lengths
+
+
+@settings(deadline=None)
+@given(case=_family_cases())
+def test_family_stack_is_the_stretched_system(case):
+    """stack(L) is U(0 -> L) of the system with its constant segment
+    stretched to L: exactly up to rounding when the Hamiltonians commute,
+    within the midpoint rule's accuracy when they do not."""
+    system, lengths = case
+    family = cm.StructureFamily(system)
+    stretched = [_stretched(system, L) for L in lengths]
+    phases = [s.envelope.total_phase for s in stretched]
+    assert np.allclose(family.phase(lengths), phases, rtol=1e-13, atol=1e-13)
+    tolerance = 1e-12 if system.commuting_family else 1e-7
+    want = np.stack([cm.evolve(s) for s in stretched])
+    assert np.max(np.abs(family.stack(lengths) - want)) < tolerance
+    assert np.array_equal(family.cycle(), cm.evolve(system))
 
 
 @given(n=st.integers(1, 20), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -421,7 +504,8 @@ def test_evolution_on_grid_accepts_any_order(ideal_system):
     grid = np.array([50.0, 3.0, 50.0, 20.0])
     u = cm.evolution_on_grid(system, grid)
     assert np.array_equal(u[0], u[2])
-    assert np.max(np.abs(u - _per_length(system, grid))) < 1e-7
+    per_position = np.stack([cm.evolution_on_grid(system, [z])[0] for z in grid])
+    assert np.max(np.abs(u - per_position)) < 1e-7
     # before z = 0 only the static part acts, as on the commuting path
     back = cm.evolution_on_grid(system, [-2.0])[0]
     assert np.max(np.abs(back - static.unitary(-2.0))) < 1e-14

@@ -520,7 +520,7 @@ def test_width_table_memory_stays_flat():
 def reference_curve(engine, sub, spec):
     """One input's success curve by the one-curve formula: its own lift of
     the cycle for the target, over its own member sum."""
-    ideal = cm.jx4_family(cm.FLAT_COUPLING_PER_MM).cycle()
+    ideal = cm.StructureFamily(cm.jx4_structure(cm.IDEAL_LENGTH_MM)).cycle()
     col = [sub.basis.index_of(spec.state)]
     amps = np.abs(fock.lift_unitary_batch(ideal[None], sub.basis, sub.member_indices, col))
     probs = engine.outcome_probabilities(sub, spec)

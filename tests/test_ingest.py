@@ -61,7 +61,7 @@ def row_loop_ingest(path, sub, detection=None, family=None):
         warnings.warn(f"count file {path} has no data rows")
         return xp.ScanResult(sub, "ingested")
 
-    ideal = (family or xp.jx4_family(xp.FLAT_COUPLING_PER_MM)).cycle()
+    ideal = (family or xp.StructureFamily(xp.jx4_structure(xp.IDEAL_LENGTH_MM))).cycle()
     states = {state.label(): state for state in sub.basis.states}
     result = xp.ScanResult(sub, "ingested")
     for label in sorted(records):
