@@ -8,10 +8,11 @@ Subpackages:
   evolution operators, the calibrated four-waveguide Jx structure.
 * :mod:`geomode.holonomy` -- mode couplings, dynamical contributions,
   gauge fields, holonomy extraction.
-* :mod:`geomode.enumeration` -- exhaustive cyclic-subspace enumeration
-  and reports.
+* :mod:`geomode.enumeration` -- exhaustive cyclic-subspace enumeration.
 * :mod:`geomode.experiment` -- stability-scan simulator, detection
   model, plateau analysis, count-data ingestion.
+* :mod:`geomode.reference` -- the bundled width catalogue and its table.
+* :mod:`geomode.report` -- the byte-stable JSON and CSV report writers.
 * :mod:`geomode.cli` -- the ``geomode`` command-line interface.
 """
 

@@ -1,29 +1,24 @@
-"""Command-line interface.
+"""Command-line interface: each command parses its arguments, calls the
+library, maps the verdict to an exit code and prints.
 
 Subcommands: evolve, enumerate, check, scan, plateau, simulate-counts,
-ingest, fidelity.  Global flags: --config, --seed, --out-dir.  All
-emitted JSON is deterministic: floats are serialized with 17
-significant digits and re-running a command reproduces byte-identical
-files.
-
-The system definition comes from ``--config`` (a JSON file, see
-``coupledmode.system_from_json``) or the built-in ``paper-jx4`` preset:
-the calibrated four-waveguide Jx structure at its ideal length, an
-ordinary system like a file's.  Scans, ingest and ``evolve --length`` use
-its ``coupledmode.StructureFamily``, which stretches the envelope's one
-constant segment.
+ingest, fidelity.  Global flags: --config, --seed, --out-dir.  Every
+report document comes from the library and is written by
+:mod:`geomode.report`, so re-running a command reproduces byte-identical
+files.  The system comes from ``--config`` (a JSON file, see
+``coupledmode.system_from_json``) or the ``paper-jx4`` preset, the
+calibrated Jx structure at its ideal length, an ordinary system whose
+``coupledmode.StructureFamily`` serves scans, ingest and ``evolve --length``.
 
 The parser is built once per process (``build_parser`` is cached), and
 options that several commands take come from shared parent parsers, so
 each flag is defined once.  ``main`` runs the command ``cmd_<name>``
 (``-`` read as ``_``) that it finds by name in this module at call time.
-
-Arguments are validated in two places only.  The parser checks all
-that the argument text decides (typed flags and exclusive groups), and
-``main`` is the one boundary that reports a ``ValueError`` raised by
-the library on a caller's value as ``error[invalid-arguments]:``.  The
-commands keep only the checks that need the built system or a file;
-whether ``--subspace`` was given is checked in ``load_subspace`` alone.
+The parser checks all that the argument text decides.  ``main`` prints
+every ``error[kind]:`` line: a ``CommandError`` exits with its code, and a
+``ValueError`` the library raises on a caller's value exits 2 as
+``error[invalid-arguments]:``.  The commands keep only the checks that
+need the built system or a file.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +38,7 @@ from . import enumeration as en
 from . import experiment as xp
 from . import holonomy as hol
 from . import reference as ref
+from . import report as rp
 from .fock import ParticleType, enumerate_basis
 
 EXIT_OK = 0
@@ -57,96 +52,11 @@ SCAN_MODES = {"theory": "theory", "synthetic": "synthetic-experiment"}
 
 
 class CommandError(Exception):
-    """A usage or configuration error: ``error[kind]:`` and exit EXIT_CONFIG."""
+    """A failed command: one ``error[kind]:`` line on stderr and exit ``code``."""
 
-    def __init__(self, kind: str, message: str):
+    def __init__(self, kind: str, message: str, code: int = EXIT_CONFIG):
         super().__init__(message)
-        self.kind = kind
-
-
-# ------------------------------------------------------- deterministic JSON
-
-
-#: JSON leaves whose text follows from their value and type alone (bool is an int)
-_LEAVES = (str, int, type(None))
-#: the JSON text of a leaf, memoised: a report's columns repeat their values
-_leaf_json = functools.lru_cache(maxsize=1 << 16, typed=True)(json.dumps)
-
-
-def _format_scalar(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g") if math.isfinite(x) else "null"
-    if x is None or isinstance(x, bool):
-        return {None: "null", False: "false", True: "true"}[x]
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    raise TypeError(f"cannot serialize {type(x)!r}")
-
-
-def _column(column, indent: int):
-    """(template slot, values) of one record column at ``indent``: floats
-    fill ``%.17g`` slots when all are finite, else :func:`_format_scalar`
-    text; leaves come through the memo and lists of strings through one
-    template, anything else value by value."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        if all(map(math.isfinite, column)):
-            return "%.17g", column
-        return "%s", list(map(_format_scalar, column))
-    if all(issubclass(kind, _LEAVES) for kind in kinds):
-        return "%s", list(map(_leaf_json, column))
-    if kinds <= {list, tuple} and set(map(type, chain.from_iterable(column))) <= {str}:
-        inner, close = "\n" + " " * (indent + 2), "\n" + " " * indent + "]"
-        return "%s", ["[" + inner + ("," + inner).join(map(_leaf_json, v)) + close if v else "[]"
-                      for v in column]
-    return "%s", [dumps_json(v, indent) for v in column]
-
-
-def _dumps_records(seq: list, indent: int) -> str | None:
-    """A list of dicts with the same keys in the same order, written
-    through one template of :func:`_column` slots; None for any other list."""
-    if set(map(type, seq)) != {dict} or len(set(map(tuple, seq))) != 1 or not seq[0]:
-        return None
-    slots, cells = zip(*(_column(column, indent + 4) for column in zip(*map(dict.values, seq))))
-    pad, inner = " " * (indent + 2), " " * (indent + 4)
-    keys = (json.dumps(str(k)).replace("%", "%%") for k in seq[0])
-    body = ",\n".join(f"{inner}{k}: {slot}" for k, slot in zip(keys, slots))
-    item = f"{pad}{{\n{body}\n{pad}}}"
-    return ("[\n" + ",\n".join([item] * len(seq)) + f"\n{' ' * indent}]") % tuple(
-        chain.from_iterable(zip(*cells)))
-
-
-def dumps_json(obj, indent: int = 0) -> str:
-    """JSON with 17-significant-digit floats (byte-stable re-runs)."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {dumps_json(v, indent + 2)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating, type(None), bool))
-               for v in seq):
-            return "[" + ", ".join(map(_format_scalar, seq)) + "]"
-        records = _dumps_records(seq, indent)
-        if records is not None:
-            return records
-        parts = [f"{inner}{dumps_json(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, complex):
-        return "[" + _format_scalar(obj.real) + ", " + _format_scalar(obj.imag) + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    return _format_scalar(obj)
-
-
-def write_json(path: Path, obj) -> None:
-    path.write_text(dumps_json(obj) + "\n")
+        self.kind, self.code = kind, code
 
 
 # ---------------------------------------------------------------- plumbing
@@ -154,8 +64,7 @@ def write_json(path: Path, obj) -> None:
 
 @contextmanager
 def _reading(path, kind: str, what: str):
-    """Report a file that cannot be read (missing, a directory, no
-    permission, not UTF-8) as one ``error[kind]:`` line."""
+    """An unreadable file (missing, a directory, not UTF-8) is one ``error[kind]:`` line."""
     try:
         yield
     except FileNotFoundError:
@@ -165,27 +74,25 @@ def _reading(path, kind: str, what: str):
         raise CommandError(kind, f"cannot read {what} {path}: {reason}") from None
 
 
-def _read_text(path, kind: str, what: str) -> str:
+def _read_json(path, kind: str, what: str, invalid: str):
+    """The JSON document in file ``path``; invalid JSON is ``error[kind]: invalid: <reason>``."""
     with _reading(path, kind, what):
-        return Path(path).read_text()
-
-
-def load_config(args) -> dict:
-    if not args.config:
-        return {"preset": PRESET_NAME}
-    text = _read_text(args.config, "invalid-config", "config file")
+        text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CommandError("invalid-config", f"config is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise CommandError("invalid-config", "config must be a JSON object")
-    return doc
+        raise CommandError(kind, f"{invalid}: {exc}") from None
 
 
-def build_system(config: dict):
-    """(system, its :class:`~geomode.coupledmode.StructureFamily`) from a
-    config document: the preset's structure, or a file-defined system."""
+def build_system(args):
+    """(system, its :class:`~geomode.coupledmode.StructureFamily`) from
+    ``--config``: a file-defined system, or the preset's structure."""
+    config = {"preset": PRESET_NAME}
+    if args.config:
+        config = _read_json(args.config, "invalid-config", "config file",
+                            "config is not valid JSON")
+        if not isinstance(config, dict):
+            raise CommandError("invalid-config", "config must be a JSON object")
     preset = config.get("preset")
     if preset is None:
         try:
@@ -208,14 +115,14 @@ def build_system(config: dict):
 
 
 def load_subspace(args, modes: int) -> hol.Subspace:
-    """The ``--subspace`` file; ``modes`` is the configured system's mode count.
-
-    The one check that ``--subspace`` was given, for every command that reads it."""
+    """The ``--subspace`` file over ``modes`` modes; the one check that
+    ``--subspace`` was given, for every command that reads it."""
     if not args.subspace:
         raise CommandError("invalid-arguments", "this command needs --subspace FILE")
-    text = _read_text(args.subspace, "invalid-arguments", "subspace file")
+    doc = _read_json(args.subspace, "invalid-arguments", "subspace file",
+                     "bad subspace definition")
     try:
-        return hol.subspace_from_json(json.loads(text), modes=modes)
+        return hol.subspace_from_json(doc, modes=modes)
     except (ValueError, KeyError) as exc:
         raise CommandError("invalid-arguments", f"bad subspace definition: {exc}")
 
@@ -257,10 +164,9 @@ def _scan_inputs(sub: hol.Subspace, args) -> list[xp.InputSpec]:
 
 
 def _scan_setup(args):
-    """(subspace, inputs, lengths, detection, family) of a scan, plateau
-    or count simulation; without --grid or --lengths, the seven realized
-    lengths."""
-    system, family = build_system(load_config(args))
+    """(subspace, inputs, lengths, detection, family) of a scan, plateau or
+    count simulation; without --grid or --lengths, the seven realized lengths."""
+    system, family = build_system(args)
     sub = load_subspace(args, system.modes)
     lengths = cm.STRUCTURE_LENGTHS_MM if args.lengths is None else args.lengths
     if args.grid is not None:
@@ -274,19 +180,22 @@ def _scan_setup(args):
 
 
 def cmd_evolve(args) -> int:
-    system, family = build_system(load_config(args))
+    system, family = build_system(args)
     if args.length is None:
+        if system.static_pattern is not None:
+            raise CommandError("invalid-arguments", "--delta fixes U only for a system without "
+                               "a static_pattern; give --length")
         u, delta = system.pattern.unitary(args.delta), args.delta
     else:
         u, delta = family.stack([args.length])[0], family.phase([args.length])[0]
-    doc = {"modes": u.shape[0], "delta": float(delta), "matrix": cm.matrix_to_json(u)}
-    write_json(out_dir(args) / "evolution.json", doc)
-    print(dumps_json(doc))
+    doc = cm.evolution_to_json(u, delta)
+    rp.write_json(out_dir(args) / "evolution.json", doc)
+    print(rp.dumps_json(doc))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    system, _ = build_system(load_config(args))
+    system, _ = build_system(args)
     basis = enumerate_basis(system.modes, args.particles,
                             _particle_type(args.type, args.particles))
     if basis.size < 2:
@@ -297,16 +206,14 @@ def cmd_enumerate(args) -> int:
         report = en.enumerate_holonomic(system, basis, cap=args.cap)
     except en.EnumerationCapError as exc:
         cyclic = exc.partial_report.cyclic_subspaces
-        print(f"error[cap-exceeded]: {cyclic} cyclic subspaces exceed the cap of {args.cap}; "
-              f"rerun with --cap {cyclic}", file=sys.stderr)
-        return EXIT_CAP
+        raise CommandError("cap-exceeded", f"{cyclic} cyclic subspaces exceed the cap of "
+                           f"{args.cap}; rerun with --cap {cyclic}", EXIT_CAP) from None
     except MemoryError:
-        print(f"error[out-of-memory]: the census ran out of memory under the cap of "
-              f"{args.cap}; rerun with a smaller --cap", file=sys.stderr)
-        return EXIT_CAP
+        raise CommandError("out-of-memory", "the census ran out of memory under the cap of "
+                           f"{args.cap}; rerun with a smaller --cap", EXIT_CAP) from None
     doc = report.to_json()
     directory = out_dir(args)
-    write_json(directory / "enumeration_report.json", doc)
+    rp.write_json(directory / "enumeration_report.json", doc)
     report.write_csv(directory / "enumeration_summary.csv")
     totals = doc["totals"]
     print(f"{totals['subspaces']} total, {totals['cyclic']} cyclic, "
@@ -318,43 +225,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    system, _ = build_system(load_config(args))
-    sub = load_subspace(args, system.modes)
-    check = hol.check_subspace(sub, system)
-    k = check.k
-    doc = {
-        "subspace": hol.subspace_to_json(sub),
-        "cyclic": check.cyclic,
-        "projector_residual": check.residual,
-        "max_k": k.max_abs,
-        "holonomic_tolerance": check.tolerance,
-        "holonomic": check.holonomic,
-    }
-    code = EXIT_OK
-    if not check.cyclic:
-        doc["verdict"] = "not-cyclic"
-        code = EXIT_NOT_CYCLIC
-    elif not check.holonomic:
-        mi, ni = k.worst_element()
-        doc["verdict"] = "cyclic-not-holonomic"
-        doc["worst_element"] = [sub.members[mi].label(), sub.members[ni].label()]
-        code = EXIT_NOT_HOLONOMIC
-    else:
-        doc["verdict"] = "holonomic"
-        doc["classification"] = check.classification
-        doc["holonomy"] = cm.matrix_to_json(check.matrix)
-    write_json(out_dir(args) / "check_report.json", doc)
-    print(f"cyclic: {doc['cyclic']}  max|K|: {k.max_abs:.3e}  verdict: {doc['verdict']}")
-    if code == EXIT_OK:
+    system, _ = build_system(args)
+    check = hol.check_subspace(load_subspace(args, system.modes), system)
+    doc = check.to_json()
+    rp.write_json(out_dir(args) / "check_report.json", doc)
+    print(f"cyclic: {check.cyclic}  max|K|: {check.k.max_abs:.3e}  verdict: {doc['verdict']}")
+    if check.holonomic:
         print(f"classification: {doc['classification']}")
         for row in doc["holonomy"]:
             print("  " + "  ".join(f"{re:+.3f}{im:+.3f}i" for re, im in row))
-    elif code == EXIT_NOT_HOLONOMIC:
-        print(f"error[not-holonomic]: max|K| {k.max_abs:.6e} at element "
-              f"{doc['worst_element']}", file=sys.stderr)
-    else:
-        print(f"error[not-cyclic]: projector residual {check.residual:.6e}", file=sys.stderr)
-    return code
+        return EXIT_OK
+    if check.cyclic:
+        raise CommandError("not-holonomic", f"max|K| {check.k.max_abs:.6e} at element "
+                           f"{doc['worst_element']}", EXIT_NOT_HOLONOMIC)
+    raise CommandError("not-cyclic", f"projector residual {check.residual:.6e}", EXIT_NOT_CYCLIC)
 
 
 def cmd_scan(args) -> int:
@@ -362,7 +246,7 @@ def cmd_scan(args) -> int:
     result = xp.scan(sub, specs, lengths, mode=SCAN_MODES[args.mode], detection=detection,
                      family=family)
     directory = out_dir(args)
-    write_json(directory / "scan_result.json", result.to_json())
+    rp.write_json(directory / "scan_result.json", result.to_json())
     result.write_csv(directory / "scan_curves.csv")
     for label, (lengths, probability, _) in result.curves.items():
         peak = None if np.isnan(probability).all() else np.nanargmax(probability)
@@ -370,39 +254,6 @@ def cmd_scan(args) -> int:
             f"peak {probability[peak]:.4f} at {lengths[peak]:g} mm"
         print(f"{label}: {len(lengths)} points, {desc}")
     return EXIT_OK
-
-
-def _table_comparison_doc(grid_step: float):
-    engine = xp.CurveEngine(xp.theory_lengths(grid_step))  # shared by both halves
-    rows = [{"subspace": c.row.key(), "restricted_mm": c.restricted_mm,
-             "restricted_reference_mm": c.row.restricted_mm, "restricted_pass": c.restricted_ok,
-             "unrestricted_mm": c.unrestricted_mm,
-             "unrestricted_reference_mm": c.row.unrestricted_mm,
-             "unrestricted_pass": c.unrestricted_ok}
-            for c in ref.compare_reference_widths(engine=engine)]
-    non_h = [
-        {"subspace": row.key(), "unrestricted_mm": width,
-         "classified_non_holonomic": width <= ref.NON_HOLONOMIC_WIDTH_MM}
-        for row, width in ref.non_holonomic_widths(engine=engine)
-    ]
-    census = en.enumerate_holonomic(cm.jx4_structure(cm.IDEAL_LENGTH_MM),
-                                    enumerate_basis(4, 2, ParticleType.boson()))
-    totals = census.to_json()["totals"]
-    return {
-        "tolerance": "max(15%, 1.5 mm)",
-        "rows": rows,
-        "non_holonomic_rows": non_h,
-        "holonomy_census": {
-            "enumerated_dim_ge_2": totals["holonomic_dim_ge_2"],
-            "enumerated_non_scalar": totals["holonomic_non_scalar"],
-            "enumerated_scalar_dim_ge_2": sum(r.classification == hol.SCALAR
-                                              for r in census.holonomic_records(2)),
-            "catalogued_subspaces": sum(r.statistics == ref.INDIST for r in ref.REFERENCE_WIDTHS),
-            "stated_non_abelian_count": ref.STATED_NON_ABELIAN_COUNT,
-        },
-        "all_pass": all(r["restricted_pass"] and r["unrestricted_pass"] for r in rows)
-        and all(r["classified_non_holonomic"] for r in non_h),
-    }
 
 
 def cmd_plateau(args) -> int:
@@ -417,22 +268,14 @@ def cmd_plateau(args) -> int:
         if extra:
             raise CommandError("invalid-arguments", "--table-s2 recomputes the paper-jx4 "
                                f"catalogue and takes no {', '.join(extra)}")
-    clip = None
-    if args.clip_lo is not None or args.clip_hi is not None:
-        clip = (args.clip_lo, args.clip_hi)
-        if None in clip or not -math.inf < clip[0] < clip[1] < math.inf:
-            raise CommandError("invalid-arguments", "--clip-lo and --clip-hi go together "
-                               "and need finite LO < HI")
-    if args.table_s2:
-        doc = _table_comparison_doc(args.table_grid_step)
-        write_json(out_dir(args) / "plateau_table.json", doc)
+        doc = ref.width_table(xp.CurveEngine(xp.theory_lengths(args.table_grid_step)))
+        rp.write_json(out_dir(args) / "plateau_table.json", doc)
         print(f"{'subspace':55s} {'restricted':>18s} {'unrestricted':>18s}")
         for row in doc["rows"]:
-            rtxt = f"{row['restricted_mm']:6.2f}/{row['restricted_reference_mm']:5.1f} " \
-                   f"{'ok' if row['restricted_pass'] else 'FAIL'}"
-            utxt = f"{row['unrestricted_mm']:6.2f}/{row['unrestricted_reference_mm']:5.1f} " \
-                   f"{'ok' if row['unrestricted_pass'] else 'FAIL'}"
-            print(f"{row['subspace']:55s} {rtxt:>18s} {utxt:>18s}")
+            r, u = (f"{row[k + '_mm']:6.2f}/{row[k + '_reference_mm']:5.1f} "
+                    f"{'ok' if row[k + '_pass'] else 'FAIL'}"
+                    for k in ("restricted", "unrestricted"))
+            print(f"{row['subspace']:55s} {r:>18s} {u:>18s}")
         for row in doc["non_holonomic_rows"]:
             verdict = "ok" if row["classified_non_holonomic"] else "FAIL"
             print(f"{row['subspace']:55s} non-holonomic width "
@@ -445,6 +288,12 @@ def cmd_plateau(args) -> int:
               f"{census['stated_non_abelian_count']}")
         print(f"all_pass: {doc['all_pass']}")
         return EXIT_OK
+    clip = None
+    if args.clip_lo is not None or args.clip_hi is not None:
+        clip = (args.clip_lo, args.clip_hi)
+        if None in clip or not -math.inf < clip[0] < clip[1] < math.inf:
+            raise CommandError("invalid-arguments", "--clip-lo and --clip-hi go together "
+                               "and need finite LO < HI")
     rule = xp.THEORY_RULE if args.rule == "theory" else xp.EXPERIMENTAL_RULE
     if rule == xp.THEORY_RULE and args.grid is None and args.lengths is None:
         args.lengths = xp.theory_lengths(0.01)
@@ -453,7 +302,7 @@ def cmd_plateau(args) -> int:
                      family=family)
     curves = np.column_stack([curve.probability for curve in result.curves.values()])
     report = xp.plateau_report(lengths, curves, list(result.curves), rule, clip=clip)
-    write_json(out_dir(args) / "plateau_report.json", report.to_json())
+    rp.write_json(out_dir(args) / "plateau_report.json", report.to_json())
     for label, interval in report.per_input.items():
         print(f"{label}: plateau [{interval.start:.2f}, {interval.end:.2f}] mm, "
               f"width {interval.width:.2f} mm")
@@ -479,29 +328,21 @@ def cmd_simulate_counts(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    system, family = build_system(load_config(args))
+    system, family = build_system(args)
     sub = load_subspace(args, system.modes)
     with _reading(args.counts, "invalid-arguments", "count file"):
         result = xp.ingest_counts(args.counts, sub, _detection(args, system.modes), family)
     directory = out_dir(args)
-    write_json(directory / "ingested_scan.json", result.to_json())
+    rp.write_json(directory / "ingested_scan.json", result.to_json())
     result.write_csv(directory / "ingested_curves.csv")
     n_points = sum(len(curve.lengths) for curve in result.curves.values())
     print(f"ingested {n_points} points over {len(result.curves)} input states")
     return EXIT_OK
 
 
-def _load_distribution(path: str):
-    text = _read_text(path, "invalid-arguments", "distribution file")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CommandError("invalid-arguments", f"bad distribution JSON: {exc}")
-
-
 def cmd_fidelity(args) -> int:
-    p = _load_distribution(args.theory)
-    q = _load_distribution(args.experiment)
+    p, q = (_read_json(path, "invalid-arguments", "distribution file", "bad distribution JSON")
+            for path in (args.theory, args.experiment))
     if isinstance(p, dict) and isinstance(q, dict):
         keys = sorted(set(p) | set(q))
         p = [p.get(k, 0.0) for k in keys]
@@ -547,10 +388,8 @@ class ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = ArgumentParser(
-        prog="geomode",
-        description="Multi-particle holonomies in coupled-mode lattices",
-    )
+    parser = ArgumentParser(prog="geomode",
+                            description="Multi-particle holonomies in coupled-mode lattices")
     parser.add_argument("--config", help="system definition JSON (default: paper-jx4 preset)")
     parser.add_argument("--seed", type=int, default=xp.DEFAULT_SEED,
                         help="master random seed (default %(default)s)")
@@ -626,9 +465,9 @@ def main(argv=None) -> int:
         # looked up at each call, so a rebound cmd_* attribute is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CommandError, ValueError) as exc:
-        # the one boundary for the library's verdict on a value the caller passed
+        # the one boundary for a failed command and the library's verdict on a caller's value
         print(f"error[{getattr(exc, 'kind', 'invalid-arguments')}]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.code if isinstance(exc, CommandError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

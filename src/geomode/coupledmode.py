@@ -620,6 +620,11 @@ def matrix_to_json(m: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def evolution_to_json(u: np.ndarray, delta: float) -> dict:
+    """The report of a single-particle evolution operator at phase ``delta``."""
+    return {"modes": u.shape[0], "delta": float(delta), "matrix": matrix_to_json(u)}
+
+
 def _matrix_from_json(rows):
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows])

@@ -13,14 +13,14 @@ cap (:func:`ordered_unions`), and the holonomic ones classed by component phases
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from . import fock
 from . import holonomy as hol
+from . import report as rp
 from .coupledmode import CoupledModeSystem, evolve
-from .experiment import _csv_field
 from .fock import FockBasis
 
 ENUMERATION_CAP = 4096
@@ -140,13 +140,10 @@ class EnumerationReport:
         }
 
     def write_csv(self, path):
-        """One row per record with the bytes of ``csv.writer``'s default
-        dialect, formatted through one template and written once."""
-        rows = [(_csv_field(" ".join(r.members)), r.dimension, r.cyclic, r.holonomic,
-                 r.classification or "", r.max_k) for r in self.records]
-        with open(path, "w", newline="") as fh:
-            fh.write("members,dimension,cyclic,holonomic,classification,max_k\r\n"
-                     + "%s,%d,%s,%s,%s,%.17g\r\n" * len(rows) % tuple(chain.from_iterable(rows)))
+        rp.write_csv(path, ("members", "dimension", "cyclic", "holonomic", "classification",
+                            "max_k"),
+                     [(" ".join(r.members), r.dimension, r.cyclic, r.holonomic,
+                       r.classification, r.max_k) for r in self.records])
 
 
 def orbit_graph(decomposition: OrbitDecomposition, k_table: np.ndarray) -> np.ndarray:

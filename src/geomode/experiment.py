@@ -37,7 +37,6 @@ import csv
 import io
 import math
 import operator
-import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -49,6 +48,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import holonomy as hol
+from . import report as rp
 from .coupledmode import (
     FLAT_COUPLING_PER_MM,
     IDEAL_LENGTH_MM,
@@ -149,15 +149,6 @@ class DetectionModel:
         return 2.0 * r * (1.0 - r)
 
 
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer``'s default dialect writes it: quoted,
-    with its quotes doubled, when it holds a comma, quote or line break."""
-    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
-
-
 class Curve(NamedTuple):
     """One input's success curve: lengths (mm), success probabilities and
     their one-sigma uncertainties, float arrays of one size; probability
@@ -189,23 +180,10 @@ class ScanResult:
         }
 
     def write_csv(self, path):
-        """Curve export, one row per point: input label, length,
-        probability and sigma with 17 significant digits, an undefined
-        (NaN) value as an empty cell.  The bytes are those of
-        ``csv.writer``'s default dialect; the rows are formatted through
-        one template and written once."""
-        template, values = ["input_state,length_mm,probability,sigma\r\n"], []
-        for label, curve in self.curves.items():
-            label = _csv_field(label).replace("%", "%%")
-            # one row form per (probability defined, sigma defined)
-            rows = {(p, s): f"{label},%.17g,{'%.17g' if p else ''},{'%.17g' if s else ''}\r\n"
-                    for p in (False, True) for s in (False, True)}
-            points = np.column_stack(curve)
-            defined = ~np.isnan(points)  # lengths are finite
-            template.extend(map(rows.__getitem__, map(tuple, defined[:, 1:].tolist())))
-            values.extend(points[defined].tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(template) % tuple(values))
+        """One CSV row per point: input label, length, probability, sigma."""
+        rp.write_csv(path, ("input_state", "length_mm", "probability", "sigma"),
+                     chain.from_iterable(zip(repeat(label), *(a.tolist() for a in curve))
+                                         for label, curve in self.curves.items()))
 
 
 # ----------------------------------------------------------- theory curves
@@ -766,23 +744,8 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
 
 
 def write_counts_csv(path, rows):
-    """Write the header and ``rows`` (tuples of :data:`COUNT_COLUMNS`
-    fields) with the bytes of ``csv.writer``'s default dialect, formatted
-    as one string and written once.  The rows are formatted again, with
-    their text fields quoted, only when the text holds a quote or more
-    commas or line breaks than the rows account for."""
-    rows = list(rows)
-    width = len(COUNT_COLUMNS)
-    if set(map(len, rows)) - {width}:
-        raise ValueError(f"count rows need {width} fields")
-    template = (",".join(["%s"] * width) + "\r\n") * len(rows)
-    body = template % tuple(chain.from_iterable(rows))
-    if ('"' in body or body.count(",") > (width - 1) * len(rows)
-            or body.count("\r") > len(rows) or body.count("\n") > len(rows)):
-        body = template % tuple(_csv_field(value) if isinstance(value, str) else value
-                                for value in chain.from_iterable(rows))
-    with open(path, "w", newline="") as fh:
-        fh.writelines([",".join(COUNT_COLUMNS) + "\r\n", body])
+    """Write the header and ``rows``, tuples of :data:`COUNT_COLUMNS` fields."""
+    rp.write_csv(path, COUNT_COLUMNS, rows)
 
 
 #: Records per block of the count-file tokenizer.  The whole file is read

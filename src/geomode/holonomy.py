@@ -40,6 +40,7 @@ import numpy as np
 
 from . import fock
 from .coupledmode import STEP_MM, CoupledModeSystem, evolution_on_grid, evolve, ordered_products
+from .coupledmode import matrix_to_json
 from .fock import (
     BOSON,
     DISTINGUISHABLE,
@@ -437,6 +438,20 @@ class SubspaceCheck:
         phases = np.diag(self.matrix)
         linked = np.max(np.abs(self.matrix - np.diag(phases)), axis=1) > CYCLIC_TOL
         return classify_phases(np.where(linked, None, phases).tolist()) if self.holonomic else None
+
+    def to_json(self) -> dict:
+        """The check report: the verdict, then the worst K element or the holonomy."""
+        doc = {"subspace": subspace_to_json(self.subspace), "cyclic": self.cyclic,
+               "projector_residual": self.residual, "max_k": self.k.max_abs,
+               "holonomic_tolerance": self.tolerance, "holonomic": self.holonomic,
+               "verdict": "holonomic" if self.holonomic
+               else "cyclic-not-holonomic" if self.cyclic else "not-cyclic"}
+        if self.holonomic:
+            doc.update(classification=self.classification, holonomy=matrix_to_json(self.matrix))
+        elif self.cyclic:
+            doc["worst_element"] = [self.subspace.members[i].label()
+                                    for i in self.k.worst_element()]
+        return doc
 
 
 def check_subspace(sub: Subspace, system: CoupledModeSystem) -> SubspaceCheck:

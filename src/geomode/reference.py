@@ -4,7 +4,8 @@ Holds the catalogue of holonomic subspaces with their mean stability
 plateau widths (restricted to the realized 80-100 mm scan window and on
 the unrestricted length axis), the known cyclic-but-not-holonomic
 subspaces, and a comparison runner that recomputes every width from the
-theory pipeline.  The first row's unrestricted width (23.7 mm) is the
+theory pipeline into the ``plateau --table-s2`` document
+(:func:`width_table`).  The first row's unrestricted width (23.7 mm) is the
 calibration anchor for the flat coupling; all other values are
 predictions of the model.
 """
@@ -14,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from . import enumeration as en
 from . import experiment as xp
 from . import holonomy as hol
+from .coupledmode import IDEAL_LENGTH_MM, jx4_structure
 from .fock import ParticleType, enumerate_basis
 
 SINGLE = "single"
@@ -202,3 +205,31 @@ def non_holonomic_widths(engine: xp.CurveEngine) -> list[tuple[ReferenceRow, flo
                                                    engine=engine)
         out.append((row, unrestricted))
     return out
+
+
+def width_table(engine: xp.CurveEngine) -> dict:
+    """The catalogue's widths on the engine's lengths, and the two-boson census."""
+    rows = [{"subspace": c.row.key(), "restricted_mm": c.restricted_mm,
+             "restricted_reference_mm": c.row.restricted_mm, "restricted_pass": c.restricted_ok,
+             "unrestricted_mm": c.unrestricted_mm,
+             "unrestricted_reference_mm": c.row.unrestricted_mm,
+             "unrestricted_pass": c.unrestricted_ok} for c in compare_reference_widths(engine)]
+    non_h = [{"subspace": row.key(), "unrestricted_mm": width,
+              "classified_non_holonomic": width <= NON_HOLONOMIC_WIDTH_MM}
+             for row, width in non_holonomic_widths(engine)]
+    census = en.enumerate_holonomic(jx4_structure(IDEAL_LENGTH_MM),
+                                    enumerate_basis(4, 2, ParticleType.boson()))
+    totals = census.to_json()["totals"]
+    return {
+        "tolerance": "max(15%, 1.5 mm)", "rows": rows, "non_holonomic_rows": non_h,
+        "holonomy_census": {
+            "enumerated_dim_ge_2": totals["holonomic_dim_ge_2"],
+            "enumerated_non_scalar": totals["holonomic_non_scalar"],
+            "enumerated_scalar_dim_ge_2": sum(r.classification == hol.SCALAR
+                                              for r in census.holonomic_records(2)),
+            "catalogued_subspaces": sum(r.statistics == INDIST for r in REFERENCE_WIDTHS),
+            "stated_non_abelian_count": STATED_NON_ABELIAN_COUNT,
+        },
+        "all_pass": all(r["restricted_pass"] and r["unrestricted_pass"] for r in rows)
+        and all(r["classified_non_holonomic"] for r in non_h),
+    }

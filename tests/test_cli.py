@@ -14,6 +14,7 @@ from geomode import coupledmode as cm
 from geomode import experiment as xp
 from geomode import fock
 from geomode import holonomy as hol
+from geomode import report
 from geomode.cli import main
 
 
@@ -63,6 +64,22 @@ def test_evolve_ideal_length_matches_delta_pi(tmp_path):
     u1 = read_matrix(json.loads((d1 / "evolution.json").read_text()))
     u2 = read_matrix(json.loads((d2 / "evolution.json").read_text()))
     assert np.max(np.abs(u1 - u2)) < 1e-10
+
+
+def test_evolve_delta_refuses_a_static_part(tmp_path, capsys):
+    """A phase alone does not fix U once the system has a static part."""
+    jx4 = cm.jx4_structure(cm.IDEAL_LENGTH_MM)
+    detuned = cm.CoupledModeSystem(jx4.pattern, jx4.envelope,
+                                   cm.CouplingPattern(np.diag([0.01, 0, 0, 0])))
+    config = write_system(tmp_path / "detuned.json", detuned)
+    code = main(["--config", config, "--out-dir", str(tmp_path / "out"), "evolve",
+                 "--delta", str(math.pi)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[invalid-arguments]:") and "--length" in err
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+    assert main(["--config", config, "--out-dir", str(tmp_path / "out"), "evolve",
+                 "--length", "84.9"]) == 0
 
 
 def test_evolve_needs_exactly_one_flag(tmp_path, capsys):
@@ -812,9 +829,9 @@ def test_fidelity_rejects_undefined_entries(tmp_path, capsys, theory, experiment
 
 
 def test_dumps_json_float_precision():
-    text = cli.dumps_json({"x": 0.1, "v": [1.0, 2.5]})
+    text = report.dumps_json({"x": 0.1, "v": [1.0, 2.5]})
     assert "0.10000000000000001" in text
-    assert cli.dumps_json(float("nan")) == "null"
+    assert report.dumps_json(float("nan")) == "null"
 
 
 
@@ -1083,16 +1100,23 @@ def test_evolve_length_writes_the_scan_stack(tmp_path, name):
 @pytest.mark.parametrize("particle", ["boson", "fermion", "distinguishable"])
 @pytest.mark.parametrize("name", list(SYSTEM_AXIS))
 def test_enumerate_and_check_on_every_system(tmp_path, capsys, name, particle):
-    """Every admitted system: a documented exit code, one error line when it
-    is not 0, no traceback, and a report over the config's own modes."""
+    """Every admitted system through every command that takes a system: a
+    documented exit code, one error line when it is not 0, no traceback,
+    and a report over the config's own modes."""
     system = SYSTEM_AXIS[name]
     modes = 4 if system is None else system.modes
     config = [] if system is None else ["--config", write_system(tmp_path / "s.json", system)]
     basis = fock.enumerate_basis(modes, 2, cli._particle_type(particle, 2))
     sub = write_subspace(tmp_path / "sub.json", hol.subspace_to_json(
         hol.Subspace(basis, basis.states[:2])))
+    counts = str(tmp_path / "simulate-counts" / "counts.csv")
     for command in (["enumerate", "--particles", "2", "--type", particle],
-                    ["check", "--subspace", sub]):
+                    ["check", "--subspace", sub],
+                    ["evolve", "--delta", "3.1"], ["evolve", "--length", "84.9"],
+                    ["scan", "--subspace", sub],
+                    ["plateau", "--subspace", sub, "--grid", "80:100:1"],
+                    ["simulate-counts", "--subspace", sub, "--trials", "100"],
+                    ["ingest", "--subspace", sub, "--counts", counts]):
         out = tmp_path / command[0]
         code = main([*config, "--out-dir", str(out), *command])
         captured = capsys.readouterr()

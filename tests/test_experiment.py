@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fock import reference_lift
 
-from geomode import cli, fock
+from geomode import fock
 from geomode import coupledmode as cm
 from geomode import experiment as xp
 from geomode import holonomy as hol
@@ -509,7 +509,7 @@ def test_width_table_memory_stays_flat():
     # input's (L, members) block lifted on its own
     tracemalloc.start()
     try:
-        doc = cli._table_comparison_doc(0.01)
+        doc = ref.width_table(xp.CurveEngine(xp.theory_lengths(0.01)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,6 +6,8 @@ import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomode import cli
 from geomode import coupledmode as cm
 from geomode import enumeration as en
 from geomode import experiment as xp
 from geomode import holonomy as hol
+from geomode import report
 from geomode.cli import main
 from geomode.fock import ParticleType, enumerate_basis
 
@@ -75,15 +77,15 @@ def write_subspace(path, states, particle="boson"):
 
 @pytest.fixture
 def recorded_reports(monkeypatch):
-    """Every (path, document) that ``cli.write_json`` writes."""
+    """Every (path, document) that ``report.write_json`` writes."""
     written = []
-    real = cli.write_json
+    real = report.write_json
 
     def record(path, obj):
         written.append((path, obj))
         real(path, obj)
 
-    monkeypatch.setattr(cli, "write_json", record)
+    monkeypatch.setattr(report, "write_json", record)
     return written
 
 
@@ -116,7 +118,7 @@ def test_dumps_json_matches_recursive_writer_on_every_report(tmp_path, recorded_
                      "ingested_scan.json"}
     assert len(recorded_reports) == 9
     for path, doc in recorded_reports:
-        assert cli.dumps_json(doc) == oracle_dumps_json(doc), path.name
+        assert report.dumps_json(doc) == oracle_dumps_json(doc), path.name
     # the last write of each name is the file on disk
     for path, doc in dict(recorded_reports).items():
         assert path.read_text() == oracle_dumps_json(doc) + "\n"
@@ -158,7 +160,7 @@ DOCUMENTS = st.recursive(
 @settings(max_examples=250)
 @given(DOCUMENTS)
 def test_dumps_json_matches_recursive_writer(doc):
-    assert cli.dumps_json(doc) == oracle_dumps_json(doc)
+    assert report.dumps_json(doc) == oracle_dumps_json(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -177,7 +179,7 @@ def test_dumps_json_matches_recursive_writer(doc):
         "empty-dicts", "non-finite", "mixed-types", "array", "nested", "bools-and-ints",
         "label-lists"])
 def test_dumps_json_matches_recursive_writer_on_edge_cases(doc):
-    assert cli.dumps_json(doc) == oracle_dumps_json(doc)
+    assert report.dumps_json(doc) == oracle_dumps_json(doc)
 
 
 def test_dumps_json_rejects_unknown_values():
@@ -185,7 +187,7 @@ def test_dumps_json_rejects_unknown_values():
         with pytest.raises(TypeError):
             oracle_dumps_json(doc)
         with pytest.raises(TypeError):
-            cli.dumps_json(doc)
+            report.dumps_json(doc)
 
 
 # ------------------------------------------------------------- CSV oracle
@@ -237,6 +239,45 @@ def test_enumeration_csv_matches_csv_writer(tmp_path):
                 writer.writerow([" ".join(r.members), r.dimension, r.cyclic, r.holonomic,
                                  r.classification or "", f"{r.max_k:.17g}"])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+CSV_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", "a", "b", " "]), max_size=6)
+CSV_KINDS = [CSV_TEXT, st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+             st.floats(allow_nan=True, allow_infinity=True)]
+CSV_KINDS.append(st.one_of(st.none(), *CSV_KINDS))  # a mixed column
+
+
+def csv_tables():
+    """(header, rows) of two to five columns, each column of one kind or mixed."""
+    return st.lists(st.sampled_from(CSV_KINDS), min_size=2, max_size=5).flatmap(
+        lambda kinds: st.tuples(st.tuples(*[CSV_TEXT] * len(kinds)),
+                                st.lists(st.tuples(*kinds), max_size=8)))
+
+
+@settings(max_examples=300)
+@given(csv_tables())
+def test_shared_csv_writer_matches_csv_writer(tmp_path_factory, table):
+    """The one CSV writer has ``csv.writer``'s bytes once a float is given
+    as its 17-digit text and a NaN as an empty cell."""
+    header, rows = table
+    directory = tmp_path_factory.getbasetemp()
+    report.write_csv(directory / "new.csv", header, rows)
+    with open(directory / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([("" if math.isnan(v) else f"{v:.17g}") if isinstance(v, float) else v
+                          for v in row] for row in rows)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+def test_census_module_does_not_load_the_simulator():
+    src = str(Path(report.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import geomode.enumeration\n"
+            "print('geomode.experiment' in sys.modules, 'geomode.report' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["False", "True"]
 
 
 # ------------------------------------------------------- golden reports
