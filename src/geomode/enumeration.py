@@ -143,7 +143,7 @@ class EnumerationReport:
         rp.write_csv(path, ("members", "dimension", "cyclic", "holonomic", "classification",
                             "max_k"),
                      [(" ".join(r.members), r.dimension, r.cyclic, r.holonomic,
-                       r.classification, r.max_k) for r in self.records])
+                       r.classification or "", r.max_k) for r in self.records])
 
 
 def orbit_graph(decomposition: OrbitDecomposition, k_table: np.ndarray) -> np.ndarray:
