@@ -211,8 +211,8 @@ def _ideal_targets(sub: Subspace, ideal, states) -> np.ndarray:
     """Member hit by each input state under ``ideal``, the family's
     single-particle cycle; the inputs' columns over the members are lifted
     in one call."""
-    amps = np.abs(lift_unitary_batch(ideal[None], sub.basis, sub.member_indices,
-                                     [sub.basis.index_of(state) for state in states])[0])
+    amps = np.abs(lift_unitary_batch(ideal[:, :, None], sub.basis, sub.member_indices,
+                                     [sub.basis.index_of(state) for state in states])[:, :, 0])
     targets = np.argmax(amps, axis=0)
     blurred = np.abs(amps[targets, np.arange(len(targets))] - 1.0) > 1e-8
     if blurred.any():
@@ -226,8 +226,10 @@ class CurveEngine:
 
     The family (default: the calibrated Jx structure's) gives one
     single-particle evolution stack over non-empty, strictly ascending,
-    finite lengths.  Each query lifts only the amplitudes it reads: the
-    input's column over the outcome states, one input at a time.
+    finite lengths, kept once and length-last: ``u_stack`` is (M, M, L),
+    so the lift reads whole length rows.  Each query lifts only the
+    amplitudes it reads: the input's column over the outcome states, one
+    input at a time.
     """
 
     def __init__(self, lengths, family: StructureFamily | None = None):
@@ -237,7 +239,7 @@ class CurveEngine:
             raise ValueError("lengths must be a non-empty ascending list of finite numbers")
         family = family or StructureFamily(jx4_structure(IDEAL_LENGTH_MM))
         self.lengths = lengths
-        self.u_stack = family.stack(self.lengths)
+        self.u_stack = np.ascontiguousarray(np.moveaxis(family.stack(self.lengths), 0, -1))
         self._ideal = family.cycle()
 
     @cached_property
@@ -252,7 +254,8 @@ class CurveEngine:
         """(L, n_outcomes) outcome probabilities for one input.
 
         Outcomes are the subspace members (``over_members``) or the full
-        basis; rows are not normalized (post-selection happens later).
+        basis; rows are not normalized (post-selection happens later).  The
+        block is the transpose of the kernel's length-contiguous one.
         """
         stats = _statistics(sub, spec)
         if spec.preparation == "hom_bunched":
@@ -270,11 +273,11 @@ class CurveEngine:
             # Per(|U|^2[out, in]) / prod n_out!; the kernel divides by
             # sqrt(prod n_out! prod n_in!).
             norms = sub.basis.norms
-            lifted = lift_unitary_batch(self._transition_stack, sub.basis, rows, col)[:, :, 0]
-            lifted *= norms[col[0]] / norms[rows]
-            return lifted
-        probs = np.abs(lift_unitary_batch(self.u_stack, sub.basis, rows, col)[:, :, 0])
-        return np.square(probs, out=probs)
+            lifted = lift_unitary_batch(self._transition_stack, sub.basis, rows, col)[:, 0]
+            lifted *= (norms[col[0]] / norms[rows])[:, None]
+            return lifted.T
+        probs = np.abs(lift_unitary_batch(self.u_stack, sub.basis, rows, col)[:, 0])
+        return np.square(probs, out=probs).T
 
     def success_curve(self, sub: Subspace, inputs) -> np.ndarray:
         """(L, n) post-selected success probabilities, one column per
@@ -284,8 +287,16 @@ class CurveEngine:
         curves = np.empty((len(targets), len(self.lengths)))
         for curve, spec, target in zip(curves, inputs, targets):
             probs = self.outcome_probabilities(sub, spec)
-            np.divide(probs[:, target], probs.sum(axis=1), out=curve)
+            np.divide(probs[:, target], _outcome_sums(probs), out=curve)
         return curves.T
+
+
+def _outcome_sums(probs) -> np.ndarray:
+    """Row sums of an (L, n) outcome block, with the bits of a row-by-row
+    sum.  numpy adds the n columns of a length-contiguous block one after
+    another, as it adds a contiguous row of fewer than 8 values, but sums a
+    row of 8 or more pairwise: such a block is made row-contiguous first."""
+    return (np.ascontiguousarray(probs) if probs.shape[1] >= 8 else probs).sum(axis=1)
 
 
 def scan(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM, mode: str = "theory",
@@ -344,7 +355,7 @@ class ChannelMap:
         """(L, C) Poisson means for (L, S) basis-state distributions; a
         distribution off normalization by more than 1e-9 is renormalized."""
         probs = np.asarray(probs, dtype=float)
-        total = probs.sum(axis=-1, keepdims=True)
+        total = _outcome_sums(probs)[:, None]
         probs = np.where(np.abs(total - 1.0) > 1e-9, probs / total, probs)
         return trials * (probs[..., self.source] * self.click)
 
@@ -521,9 +532,11 @@ def _success_points(lengths, sub: Subspace, target: int, weights, variances) -> 
     s, f = w[:, target], w.sum(axis=1) - w[:, target]
     var_s, var_f = v[:, target], v.sum(axis=1) - v[:, target]
     total = s + f
+    # total**4 as two squares: numpy's pow has SIMD forms that round differently
+    # from CPU to CPU, a square rounds the same everywhere
     with np.errstate(divide="ignore", invalid="ignore"):
         return Curve(lengths, s / total,
-                     np.sqrt((f * f * var_s + s * s * var_f) / total ** 4))
+                     np.sqrt((f * f * var_s + s * s * var_f) / np.square(np.square(total))))
 
 
 # ---------------------------------------------------------------- plateaus
@@ -731,6 +744,8 @@ def simulate_counts(sub: Subspace, inputs, lengths=STRUCTURE_LENGTHS_MM,
     lengths = np.asarray(lengths, dtype=float)
     inputs = _input_specs(sub, inputs)
     engine = CurveEngine(lengths, family)
+    # refuse, as scan and ingest do, an input without a sharp image
+    _ideal_targets(sub, engine._ideal, [spec.state for spec in inputs])
     rows = []
     for i, spec in enumerate(inputs):
         channels, counts = _sample_channels(engine, sub, spec, detection, i)

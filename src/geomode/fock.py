@@ -336,9 +336,9 @@ def lift_unitary(u, basis: FockBasis, cols=None) -> np.ndarray:
     """Lift a single-particle M x M unitary to the N-particle basis.
 
     Checks that ``u`` is an M x M unitary and returns
-    ``lift_unitary_batch(u[None], basis, cols=cols)[0]``: permanents for
-    bosons, determinants for fermions, per-label products for
-    distinguishable particles.
+    ``lift_unitary_batch(u[:, :, None], basis, cols=cols)[:, :, 0]``:
+    permanents for bosons, determinants for fermions, per-label products
+    for distinguishable particles.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (basis.modes, basis.modes):
@@ -346,36 +346,38 @@ def lift_unitary(u, basis: FockBasis, cols=None) -> np.ndarray:
                          "the basis mode count")
     if not is_unitary(u):
         raise ValueError(f"input matrix is not unitary within {UNITARY_TOL}")
-    return lift_unitary_batch(u[None], basis, cols=cols)[0]
+    return lift_unitary_batch(u[:, :, None], basis, cols=cols)[:, :, 0]
 
 
 def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=None) -> np.ndarray:
-    """Lift a stack of single-particle unitaries: (Z, M, M) -> (Z, R, C).
+    """Lift a length-last stack of single-particle unitaries:
+    (M, M, Z) -> (R, C, Z).
 
     Returns the block <rows| lift(U_z) |cols> for the basis indices
-    ``rows`` and ``cols`` (default: the whole basis, giving (Z, S, S));
+    ``rows`` and ``cols`` (default: the whole basis, giving (S, S, Z));
     only that block is allocated.  An entry <s|lift(U)|t> sums
     sign(sigma) prod_i U[s_i, t_sigma(i)] over the permutations sigma of
     the occupied modes (every sigma for bosons, with sign +1, and for
     fermions, with its parity; the identity alone for distinguishable
-    particles) and divides by sqrt(prod n_s! prod n_t!).  Any stack of
-    matrices is accepted, and a real stack gives a real block: for
-    bosons, the stack |U|**2 gives permanents of the transition
-    probabilities of independent photons.  :func:`lift_unitary` is the
-    validated single-unitary form.
+    particles) and divides by sqrt(prod n_s! prod n_t!).  The stack index
+    is the last, contiguous axis, so each factor U[s_i, t_j, :] is one
+    row of the (M*M, Z) view.  Any stack of matrices is accepted, and a
+    real stack gives a real block: for bosons, the stack |U|**2 gives
+    permanents of the transition probabilities of independent photons.
+    :func:`lift_unitary` is the validated single-unitary form.
     """
     u = np.asarray(u_batch)
-    if u.ndim != 3 or u.shape[1:] != (basis.modes, basis.modes):
-        raise ValueError("expected a (Z, M, M) stack of matrices")
+    m = basis.modes
+    if u.ndim != 3 or u.shape[:2] != (m, m):
+        raise ValueError("expected an (M, M, Z) stack of matrices")
     n = basis.particles
     rows = np.arange(basis.size) if rows is None else np.asarray(rows, dtype=int)
     cols = np.arange(basis.size) if cols is None else np.asarray(cols, dtype=int)
     dtype = np.result_type(u.dtype, float)
     if n == 0:  # the vacuum lifts to 1
-        return np.ones((len(u), len(rows), len(cols)), dtype=dtype)
+        return np.ones((len(rows), len(cols), u.shape[2]), dtype=dtype)
     r, c = basis.mode_table[rows], basis.mode_table[cols]
-    # np.take on flat indices beats 2-D fancy indexing
-    flat = u.reshape(len(u), -1).astype(dtype, copy=False)
+    flat = u.reshape(m * m, -1).astype(dtype, copy=False)
     perms = ([tuple(range(n))] if basis.particle.kind == DISTINGUISHABLE
              else itertools.permutations(range(n)))
     # a long stack holds three blocks, each allocated once: the sum, the term
@@ -384,10 +386,10 @@ def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=No
     for perm in perms:  # the identity, an even permutation, comes first
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         odd = basis.particle.kind == FERMION and inversions % 2
-        term = np.take(flat, r[:, 0, None] * basis.modes + c[None, :, perm[0]], axis=1,
+        term = np.take(flat, r[:, 0, None] * m + c[None, :, perm[0]], axis=0,
                        out=term, mode="clip")
         for i, j in enumerate(perm[1:], start=1):
-            factor = np.take(flat, r[:, i, None] * basis.modes + c[None, :, j], axis=1,
+            factor = np.take(flat, r[:, i, None] * m + c[None, :, j], axis=0,
                              out=factor, mode="clip")
             term *= factor
         if out is None:  # 0 + term, as a zero start gives it: -0 becomes +0
@@ -395,7 +397,11 @@ def lift_unitary_batch(u_batch: np.ndarray, basis: FockBasis, rows=None, cols=No
             out += 0.0
         else:  # an odd fermion term subtracts
             (np.subtract if odd else np.add)(out, term, out=out)
-    out /= np.outer(basis.norms[rows], basis.norms[cols])
+    norms = np.outer(basis.norms[rows], basis.norms[cols])
+    # x / 1 keeps x's bits: the sum holds no -0 (see above), and finite
+    # values pass a division by 1 or by 1 + 0j unchanged
+    if (norms != 1.0).any():
+        out /= norms[:, :, None]
     return out
 
 

@@ -353,9 +353,11 @@ def holonomic_tolerance(system: CoupledModeSystem) -> float:
 
 
 def _member_kets_batch(sub: Subspace, system: CoupledModeSystem, grid, family: str) -> np.ndarray:
-    """(Z, S, dim) lifted family kets of the members: their lifted columns."""
-    phi = mode_family_matrices(system, grid, family)
-    return fock.lift_unitary_batch(phi, sub.basis, cols=sub.member_indices)
+    """(Z, S, dim) lifted family kets of the members: their lifted columns,
+    lifted length-last from the family stack transposed once."""
+    phi = np.moveaxis(mode_family_matrices(system, grid, family), 0, -1)
+    kets = fock.lift_unitary_batch(phi, sub.basis, cols=sub.member_indices)
+    return np.ascontiguousarray(np.moveaxis(kets, -1, 0))
 
 
 def gauge_field(sub: Subspace, system: CoupledModeSystem, grid=None,

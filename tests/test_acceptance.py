@@ -186,8 +186,8 @@ def test_c06_two_particle_gauge_relation():
             f0, fp, fm = phi(t0), phi(t0 + h_fd), phi(t0 - h_fd)
             a_single = 1j * f0.conj().T @ ((fp - fm) / (2 * h_fd))
             lift0 = fock.lift_unitary(f0, basis)
-            lifts = fock.lift_unitary_batch(np.stack([fp, fm]), basis)
-            a_two = 1j * lift0.conj().T @ ((lifts[0] - lifts[1]) / (2 * h_fd))
+            lifts = fock.lift_unitary_batch(np.stack([fp, fm], axis=-1), basis)
+            a_two = 1j * lift0.conj().T @ ((lifts[..., 0] - lifts[..., 1]) / (2 * h_fd))
             bi, ki = rng.integers(0, basis.size, size=2)
             got = hol.k_two_particle(basis.states[bi], basis.states[ki], a_single, particle)
             worst = max(worst, abs(got - a_two[bi, ki]))

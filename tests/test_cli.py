@@ -605,6 +605,22 @@ def test_scan_without_a_sharp_cycle_image_exits_2(tmp_path, capsys, outer_pair_f
     assert err.startswith("error[invalid-arguments]:") and "no sharp image" in err
 
 
+def test_simulate_counts_refuses_what_ingest_refuses(tmp_path, capsys):
+    """On the preset, neither |2000> nor |1100> has a sharp image inside
+    {|2000>, |1100>}: simulate-counts exits 2 with scan's error line and
+    writes no count file."""
+    sub = write_subspace(tmp_path / "sub.json",
+                         {"particle": "boson", "states": [[2, 0, 0, 0], [1, 1, 0, 0]]})
+    errors = []
+    for command in ("scan", "simulate-counts"):
+        out = tmp_path / command
+        assert main(["--out-dir", str(out), command, "--subspace", sub, "--trials", "100"]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists() or not any(out.iterdir())
+    assert errors[0] == errors[1] == ("error[invalid-arguments]: input |2000> has no sharp "
+                                      "image inside the subspace\n")
+
+
 def test_preset_length_sets_the_cycle(tmp_path, capsys, outer_pair_file):
     """A preset length_mm is the configured structure, whose evolution is the
     scan's cycle: at 90 mm it closes on no permutation, as its file config does."""
@@ -1090,7 +1106,7 @@ def test_evolve_length_writes_the_scan_stack(tmp_path, name):
     family = cm.StructureFamily(system or cm.jx4_structure(cm.IDEAL_LENGTH_MM))
     lengths = np.array(cm.STRUCTURE_LENGTHS_MM)
     stack, phases = xp.CurveEngine(lengths, family).u_stack, family.phase(lengths)
-    for length, u, delta in zip(lengths.tolist(), stack, phases):
+    for length, u, delta in zip(lengths.tolist(), np.moveaxis(stack, -1, 0), phases):
         assert main([*config, "--out-dir", str(tmp_path), "evolve", "--length",
                      repr(length)]) == 0
         doc = json.loads((tmp_path / "evolution.json").read_text())

@@ -107,7 +107,7 @@ def test_distinguishable_statistics_differ_from_indistinguishable(three_state):
 def test_two_photon_distinguishable_probabilities_match_pair_formula(three_state):
     # |U[o1,a] U[o2,b]|^2, plus the exchanged term when o1 != o2
     engine = xp.CurveEngine([70.0, 84.9, 100.0])
-    u = engine.u_stack
+    u = np.moveaxis(engine.u_stack, -1, 0)
     for member in three_state.members:
         a, b = member.mode_list()
         spec = xp.InputSpec(member, statistics="distinguishable")
@@ -127,7 +127,7 @@ def test_three_photon_distinguishable_probabilities_match_assignment_sum():
     basis = enumerate_basis(4, 3, BOSON)
     sub = hol.subspace_from_states(basis, [(2, 1, 0, 0), (1, 1, 1, 0)])
     engine = xp.CurveEngine([70.0, 84.9, 100.0])
-    p = np.abs(engine.u_stack) ** 2
+    p = np.moveaxis(np.abs(engine.u_stack) ** 2, -1, 0)
     for member in sub.members:
         modes_in = member.mode_list()
         want = np.zeros((len(p), basis.size))
@@ -489,7 +489,7 @@ def test_plateau_width_delta_cross_check(outer_single, bunched_pair):
 
 
 def test_plateau_width_delta_lifts_only_read_amplitudes():
-    # 60 001 delta samples: the full lifted (Z, 10, 10) stack alone is
+    # 60 001 delta samples: the full lifted (10, 10, Z) stack alone is
     # ~96 MB, while the members' input column is a few MB
     row = next(r for r in ref.REFERENCE_WIDTHS
                if r.statistics == ref.INDIST and len(r.states) == 4)
@@ -517,14 +517,29 @@ def test_width_table_memory_stays_flat():
     assert peak < 8 * 2**20
 
 
+def test_delta_axis_engine_holds_one_stack():
+    # the length-last (4, 4, 60 001) stack is the engine's one copy of U:
+    # after its build the engine holds that stack, its phase axis and little else
+    tracemalloc.start()
+    try:
+        engine = xp._delta_axis_engine.__wrapped__()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stack = engine.u_stack
+    assert stack.shape == (4, 4, xp.DELTA_AXIS_SAMPLES) and stack.flags.c_contiguous
+    assert stack.nbytes + engine.lengths.nbytes <= held < 1.1 * stack.nbytes
+
+
 def reference_curve(engine, sub, spec):
     """One input's success curve by the one-curve formula: its own lift of
     the cycle for the target, over its own member sum."""
     ideal = cm.StructureFamily(cm.jx4_structure(cm.IDEAL_LENGTH_MM)).cycle()
     col = [sub.basis.index_of(spec.state)]
-    amps = np.abs(fock.lift_unitary_batch(ideal[None], sub.basis, sub.member_indices, col))
-    probs = engine.outcome_probabilities(sub, spec)
-    return probs[:, int(np.argmax(amps[0, :, 0]))] / probs.sum(axis=1)
+    amps = np.abs(fock.lift_unitary_batch(ideal[:, :, None], sub.basis, sub.member_indices,
+                                          col))
+    probs = np.ascontiguousarray(engine.outcome_probabilities(sub, spec))
+    return probs[:, int(np.argmax(amps[:, 0, 0]))] / probs.sum(axis=1)
 
 
 def reference_interval(lengths, curve, rule):
@@ -541,6 +556,20 @@ def reference_interval(lengths, curve, rule):
 
 CURVE_ROWS = ref.REFERENCE_WIDTHS + ref.NON_HOLONOMIC_REFERENCES
 EIGHT_MEMBERS = next(i for i, r in enumerate(CURVE_ROWS) if len(r.states) == 8)
+
+
+def test_eight_member_curves_sum_their_outcomes_row_by_row():
+    """On the 8-member assignment row each success_curve column is the
+    target over a row-contiguous member sum (which numpy adds pairwise),
+    bit for bit, although the engine's blocks are length-contiguous."""
+    row = CURVE_ROWS[EIGHT_MEMBERS]
+    sub, specs = ref.row_subspace(row), ref.row_inputs(row)
+    engine = xp.CurveEngine(xp.theory_lengths(0.01))
+    targets = xp._ideal_targets(sub, engine._ideal, [spec.state for spec in specs])
+    for spec, target, curve in zip(specs, targets, engine.success_curve(sub, specs).T):
+        probs = engine.outcome_probabilities(sub, spec)
+        assert probs.shape == (len(engine.lengths), 8)
+        assert np.array_equal(curve, probs[:, target] / np.ascontiguousarray(probs).sum(axis=1))
 
 
 @settings(max_examples=100)
@@ -634,7 +663,7 @@ def test_three_boson_success_curve_matches_per_length_lift():
     idx = list(sub.member_indices)
     # Ryser permanents, independent of the permutation-sum kernel
     ideal = reference_lift(cm.jx_pattern(4).unitary(math.pi), basis)
-    lifted = [reference_lift(u, basis) for u in engine.u_stack]
+    lifted = [reference_lift(u, basis) for u in np.moveaxis(engine.u_stack, -1, 0)]
     specs = [xp.InputSpec(sub.members[0]), xp.InputSpec(sub.members[1])]
     for spec, curve in zip(specs, engine.success_curve(sub, specs).T):
         col = basis.index_of(spec.state)

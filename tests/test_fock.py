@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
@@ -427,18 +427,49 @@ def test_lift_unitary_matches_entrywise_reference(basis, seed):
     assert np.max(np.abs(lift_unitary(u, basis) - reference_lift(u, basis))) < 1e-12
 
 
-@given(basis=bases(), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_lift_unitary_batch_block_matches_lift_unitary(basis, seed, data):
-    # the permutation-sum kernel against the entry-wise Ryser / determinant /
-    # per-label reference, on any block of rows and columns
+@given(basis=bases(), seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 4),
+       real=st.booleans(), data=st.data())
+def test_lift_unitary_batch_block_matches_lift_unitary(basis, seed, stack, real, data):
+    # the length-last permutation-sum kernel against the entry-wise Ryser /
+    # determinant / per-label reference, on any (M, M, Z) stack of matrices
+    # and any block of rows and columns
     rng = np.random.default_rng(seed)
-    us = np.stack([random_unitary(basis.modes, rng) for _ in range(2)])
+    us = rng.normal(size=(basis.modes, basis.modes, stack))
+    if not real:
+        us = us + 1j * rng.normal(size=us.shape)
     rows = data.draw(index_subsets(basis.size))
     cols = data.draw(index_subsets(basis.size))
     block = lift_unitary_batch(us, basis, rows, cols)
-    assert block.shape == (2, len(rows), len(cols))
-    for z, u in enumerate(us):
-        assert np.max(np.abs(block[z] - reference_lift(u, basis)[np.ix_(rows, cols)])) < 1e-12
+    assert block.shape == (len(rows), len(cols), stack)
+    assert block.dtype == (float if real else complex)
+    for z in range(stack):
+        want = reference_lift(us[:, :, z], basis)[np.ix_(rows, cols)]
+        assert np.max(np.abs(block[:, :, z] - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+SIGNED_ZEROS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@given(basis=bases(), stack=st.integers(1, 3), real=st.booleans(), data=st.data())
+def test_lift_unitary_batch_unit_norm_block_equals_the_divided_block(basis, stack, real, data):
+    # The kernel skips its division when every picked state has norm 1: the
+    # block it returns equals that block divided by 1, bit for bit, also on
+    # stacks full of zeros and signed zeros, real or complex.
+    unit = [i for i, norm in enumerate(basis.norms) if norm == 1.0]
+    assume(unit)
+    m = basis.modes
+    parts = [np.array(data.draw(st.lists(SIGNED_ZEROS, min_size=m * m * stack,
+                                         max_size=m * m * stack))).reshape(m, m, stack)
+             for _ in range(1 if real else 2)]
+    us = parts[0] if real else parts[0] + 1j * parts[1]
+    if not real:  # x + 1j * y turns a -0 real part into +0; set the parts directly
+        us.real, us.imag = parts
+    rows = data.draw(st.lists(st.sampled_from(unit), min_size=1, max_size=len(unit), unique=True))
+    cols = data.draw(st.lists(st.sampled_from(unit), min_size=1, max_size=len(unit), unique=True))
+    skipped = lift_unitary_batch(us, basis, rows, cols)
+    divided = skipped / np.outer(basis.norms[rows], basis.norms[cols])[:, :, None]
+    assert np.array_equal(skipped.view(np.uint64), divided.view(np.uint64))
 
 
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1))
@@ -447,7 +478,7 @@ def test_lift_unitary_batch_is_a_unitary_representation(basis, seed):
     rng = np.random.default_rng(seed)
     u = random_unitary(basis.modes, rng)
     v = random_unitary(basis.modes, rng)
-    lu, lv, luv = lift_unitary_batch(np.stack([u, v, u @ v]), basis)
+    lu, lv, luv = np.moveaxis(lift_unitary_batch(np.stack([u, v, u @ v], axis=-1), basis), -1, 0)
     assert np.max(np.abs(luv - lu @ lv)) < 1e-12
     for m in (lu, lv, luv):
         assert np.max(np.abs(m.conj().T @ m - np.eye(basis.size))) < 1e-12

@@ -498,7 +498,8 @@ def ket_difference_gauge(sub, system, zs, family, step):
     central differences, (4 CD(step/2) - CD(step)) / 3."""
     offsets = np.array([0.0, step / 2, -step / 2, step, -step])
     phi = hol.mode_family_matrices(system, (offsets[:, None] + zs).ravel(), family)
-    kets = fock.lift_unitary_batch(phi, sub.basis)[:, :, list(sub.member_indices)]
+    kets = fock.lift_unitary_batch(np.moveaxis(phi, 0, -1), sub.basis)
+    kets = np.moveaxis(kets[:, list(sub.member_indices)], -1, 0)
     center, half_p, half_m, full_p, full_m = kets.reshape(5, len(zs), *kets.shape[1:])
 
     def central(plus, minus, h):
@@ -586,8 +587,8 @@ def test_gauge_relation_matches_finite_difference(particle):
         f0, fp, fm = phi(t0), phi(t0 + h_fd), phi(t0 - h_fd)
         a_single = 1j * f0.conj().T @ ((fp - fm) / (2 * h_fd))
         lift0 = fock.lift_unitary(f0, basis)
-        liftp = fock.lift_unitary_batch(np.stack([fp, fm]), basis)
-        a_two = 1j * lift0.conj().T @ ((liftp[0] - liftp[1]) / (2 * h_fd))
+        liftp = fock.lift_unitary_batch(np.stack([fp, fm], axis=-1), basis)
+        a_two = 1j * lift0.conj().T @ ((liftp[..., 0] - liftp[..., 1]) / (2 * h_fd))
         bi, ki = rng.integers(0, basis.size, size=2)
         bra, ket = basis.states[bi], basis.states[ki]
         got = hol.k_two_particle(bra, ket, a_single, particle)
