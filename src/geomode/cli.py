@@ -17,8 +17,9 @@ each flag is defined once.  ``main`` runs the command ``cmd_<name>``
 The parser checks all that the argument text decides.  ``main`` prints
 every ``error[kind]:`` line: a ``CommandError`` exits with its code, and a
 ``ValueError`` the library raises on a caller's value exits 2 as
-``error[invalid-arguments]:``.  The commands keep only the checks that
-need the built system or a file.
+``error[invalid-arguments]:``.  A ``MemoryError`` from any command
+exits 3 as ``error[out-of-memory]: <command> ran out of memory``.  The
+commands keep only the checks that need the built system or a file.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def cmd_evolve(args) -> int:
         if system.static_pattern is not None:
             raise CommandError("invalid-arguments", "--delta fixes U only for a system without "
                                "a static_pattern; give --length")
-        u, delta = system.pattern.unitary(args.delta), args.delta
+        u, delta = system.pattern.unitary_batch(args.delta), args.delta
     else:
         u, delta = family.stack([args.length])[0], family.phase([args.length])[0]
     doc = cm.evolution_to_json(u, delta)
@@ -462,8 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # looked up at each call, so a rebound cmd_* attribute is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        try:
+            # looked up at each call, so a rebound cmd_* attribute is the one that runs
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
+        except MemoryError:
+            raise CommandError("out-of-memory", f"{args.command} ran out of memory",
+                               EXIT_CAP) from None
     except (CommandError, ValueError) as exc:
         # the one boundary for a failed command and the library's verdict on a caller's value
         print(f"error[{getattr(exc, 'kind', 'invalid-arguments')}]: {exc}", file=sys.stderr)

@@ -2,15 +2,14 @@
 
 A system is H(z) = Omega(z) * kappa + kappa_static, with kappa a
 Hermitian coupling pattern, Omega(z) >= 0 a piecewise envelope in
-rad/mm, and an optional static part.  When the static part vanishes (or
-commutes with the pattern) the Hamiltonians at different z commute and
-the evolution depends only on the accumulated phase
-delta(z) = int_0^z Omega; the evolution operator is then computed
-exactly from the eigendecomposition of the pattern.  Otherwise the
-midpoint rule steps through z.  :func:`ordered_products` is the one
-path-ordered product of exponentials of the package: the midpoint
-stepper and the gauge-field reconstruction of the holonomy
-(:func:`holonomy.holonomy_from_gauge_field`) both call it.  Envelopes,
+rad/mm, and an optional static part.  One kernel evolves every system.
+Each exp(-1j * w * G) of a Hermitian G is formed by ``_exponential``.
+When the static part vanishes or commutes with the pattern
+(``commuting_family``) the evolution is exactly
+exp(-1j * delta(z) * kappa) exp(-1j * z * kappa_static), with
+delta(z) = int_0^z Omega.  Otherwise :func:`midpoint_stepper`, the one
+stepper, steps H(z) through :func:`ordered_products`; the gauge-field
+reconstruction of the holonomy steps -A through it too.  Envelopes,
 Hamiltonians and :func:`evolution_on_grid` take arrays of positions
 (U(0 -> z) along a structure is ``evolution_on_grid(system, [z])[0]``);
 :func:`evolve` is U(0 -> L) over the whole structure.
@@ -81,20 +80,18 @@ class CouplingPattern:
     def _eigh(self):
         return np.linalg.eigh(self.matrix)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigh[0]
-
-    def unitary(self, delta: float) -> np.ndarray:
-        """exp(-1j * delta * pattern), exactly unitary via eigendecomposition."""
-        lam, v = self._eigh
-        return (v * np.exp(-1j * delta * lam)) @ v.conj().T
-
     def unitary_batch(self, deltas) -> np.ndarray:
-        """Stack of exp(-1j * delta_k * pattern) over an array of phases."""
-        lam, v = self._eigh
-        phases = np.exp(-1j * np.multiply.outer(np.asarray(deltas, dtype=float), lam))
-        return np.einsum("ij,...j,kj->...ik", v, phases, v.conj())
+        """exp(-1j * delta * pattern) for one phase, or the stack over an array of phases."""
+        return _exponential(*self._eigh, deltas)
+
+
+def _exponential(lam, v, weights) -> np.ndarray:
+    """exp(-1j * w * G) = V diag(exp(-1j * w * lam)) V^dag from the
+    eigendecomposition (lam, V) of a Hermitian G, exactly unitary; the one
+    exponential of the package.  ``lam`` (..., d) and ``v`` (..., d, d)
+    broadcast against the weights' shape."""
+    phases = np.exp(-1j * (np.asarray(weights, dtype=float)[..., None] * lam))
+    return np.einsum("...ij,...j,...kj->...ik", v, phases, v.conj())
 
 
 def jx_pattern(modes: int) -> CouplingPattern:
@@ -376,13 +373,10 @@ def ordered_products(generators, weights, ends) -> np.ndarray:
 
     ``generators`` is an (n, d, d) stack of Hermitian matrices and
     ``weights`` their n real weights; every factor comes from one batched
-    eigendecomposition and is exactly unitary.  Returns the running
-    product through factor k for each index k in ``ends``, shape
-    (len(ends), d, d).
+    eigendecomposition.  Returns the running product through factor k for
+    each index k in ``ends``, shape (len(ends), d, d).
     """
-    lam, v = np.linalg.eigh(generators)
-    weights = np.asarray(weights, dtype=float)
-    factors = (v * np.exp(-1j * weights[:, None] * lam)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    factors = _exponential(*np.linalg.eigh(generators), weights)
     u = np.eye(factors.shape[-1], dtype=complex)
     for i, factor in enumerate(factors):
         u = factor @ u
@@ -390,21 +384,24 @@ def ordered_products(generators, weights, ends) -> np.ndarray:
     return factors[ends]
 
 
-def _stepper_stack(system: CoupledModeSystem, zs: np.ndarray, max_step: float) -> np.ndarray:
-    """U(0 -> z) for each z in ``zs`` by one chained midpoint-rule product.
+def midpoint_stepper(generator: Callable[[np.ndarray], np.ndarray], positions,
+                     max_step: float) -> np.ndarray:
+    """U(0 -> z) of the generator G(z) for each z in ``positions``, by one
+    chained midpoint-rule product: the one stepper of the package.
 
     The positions are visited in ascending order; each interval between
-    consecutive positions is cut into equal steps of at most ``max_step``,
-    and each step contributes exp(-1j * h * H(midpoint)).
+    consecutive positions is cut into ceil(span / max_step) equal steps, and
+    each step contributes exp(-1j * h * G(midpoint)).  ``generator`` maps an
+    array of positions to the (n, d, d) stack of Hermitian G there.
     """
-    knots, where = np.unique(zs, return_inverse=True)
+    knots, where = np.unique(positions, return_inverse=True)
     starts = np.concatenate(([0.0], knots[:-1]))
     spans = knots - starts
     steps = np.maximum(1, np.ceil(spans / max_step).astype(int))
     h = np.repeat(spans / steps, steps)
     within = np.arange(h.size) - np.repeat(np.cumsum(steps) - steps, steps)
     mids = np.repeat(starts, steps) + (within + 0.5) * h
-    return ordered_products(system.hamiltonian(mids), h, np.cumsum(steps) - 1)[where.reshape(-1)]
+    return ordered_products(generator(mids), h, np.cumsum(steps) - 1)[where.reshape(-1)]
 
 
 def _commuting_stack(system: CoupledModeSystem, phases, lengths) -> np.ndarray:
@@ -426,7 +423,7 @@ def evolution_on_grid(system: CoupledModeSystem, grid) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     if not system.commuting_family:
-        return _stepper_stack(system, grid, STEP_MM)
+        return midpoint_stepper(system.hamiltonian, grid, STEP_MM)
     return _commuting_stack(system, system.envelope.phase(grid), grid)
 
 
@@ -478,7 +475,10 @@ def calibrate_ramp_sharpness(omega_flat: float = FLAT_COUPLING_PER_MM) -> float:
     Total phase of a structure of length L with ramps of length
     r = RAMP_LENGTH_MM is omega * (2 r exp(-s) I0(s) + L - 2 r); the
     sharpness s solves exp(-s) I0(s) = (pi / omega - (L_id - 2 r)) / (2 r).
+    The flat coupling omega must be positive.
     """
+    if not omega_flat > 0:
+        raise ValueError(f"the flat coupling must be positive, not {omega_flat!r} rad/mm")
     target = ((math.pi / omega_flat - (IDEAL_LENGTH_MM - 2 * RAMP_LENGTH_MM))
               / (2 * RAMP_LENGTH_MM))
     if not 0 < target < 1:
@@ -564,8 +564,7 @@ class StructureFamily:
         segments = system.envelope.segments
         a = sum(s.length for s in segments[:k])
         u_a, u_b, u_end = evolution_on_grid(system, [a, a + segments[k].length, system.length])
-        flat = CouplingPattern(segments[k].value * system.pattern.matrix
-                               + system.static_pattern.matrix)
+        flat = CouplingPattern(system.hamiltonian(a + segments[k].length / 2))
         return u_end @ u_b.conj().T @ flat.unitary_batch(lengths - fixed) @ u_a
 
     def cycle(self) -> np.ndarray:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .coupledmode import STEP_MM, CoupledModeSystem, evolution_on_grid, evolve, ordered_products
-from .coupledmode import matrix_to_json
+from .coupledmode import STEP_MM, CoupledModeSystem, evolution_on_grid, evolve
+from .coupledmode import matrix_to_json, midpoint_stepper, ordered_products
 from .fock import (
     BOSON,
     DISTINGUISHABLE,
@@ -486,24 +486,25 @@ def holonomy_from_gauge_field(sub: Subspace, system: CoupledModeSystem) -> np.nd
     """Path-ordered reconstruction P exp(i int A dz) of the holonomy.
 
     Transports by the gauge field A of the phase-adjusted family along
-    the cycle with :func:`coupledmode.ordered_products` and maps the
-    result back to the waveguide basis with the end-of-cycle overlap of
-    the family kets (the family is periodic only up to a permutation).
-    Without a static part A(z) = Omega(z) C with the constant
-    C = lift(pattern + 1/2), so the ordered product is exactly the one
-    factor exp(i delta(L) C); otherwise it takes A at the midpoints of
-    ceil(L / STEP_MM) equal steps, the step bound of the evolution.  For
-    a holonomic subspace this reproduces :func:`extract_holonomy`.
+    the cycle and maps the result back to the waveguide basis with the
+    end-of-cycle overlap of the family kets (the family is periodic only
+    up to a permutation).  For a commuting family A(z) = Omega(z) C + D,
+    C = lift(pattern + 1/2) and D = lift(static), so the ordered product is
+    coupledmode's one exponential, exp(i (delta(L) C + L D)), whenever the
+    members' blocks of C and D commute, as on a holonomic subspace, where D
+    vanishes; otherwise coupledmode's one stepper, :func:`midpoint_stepper`,
+    steps -A.  For a holonomic subspace this reproduces :func:`extract_holonomy`.
     """
-    if system.static_pattern is None:
-        c = fock.lift_one_body(system.pattern.matrix + 0.5 * np.eye(system.modes), sub.basis,
-                              sub.member_indices)
-        g = ordered_products(c[None], [-system.envelope.total_phase], [0])[0]
+    if system.commuting_family:
+        one_body = system.pattern.matrix + 0.5 * np.eye(system.modes)
+        integral = system.envelope.total_phase * one_body
+        if system.static_pattern is not None:
+            integral = integral + system.length * system.static_pattern.matrix
+        a = fock.lift_one_body(integral, sub.basis, sub.member_indices)
+        g = ordered_products(a[None], [-1.0], [0])[0]
     else:
-        steps = math.ceil(system.length / STEP_MM)
-        h = system.length / steps
-        a = gauge_field(sub, system, (np.arange(steps) + 0.5) * h, PHASE_ADJUSTED).matrices
-        g = ordered_products(a, np.full(steps, -h), [steps - 1])[0]
+        g = midpoint_stepper(lambda z: -gauge_field(sub, system, z).matrices, [system.length],
+                             STEP_MM)[0]
     start, end = _member_kets_batch(sub, system, [0.0, system.length], PHASE_ADJUSTED)
     closure = start.conj().T @ end
     return closure @ g

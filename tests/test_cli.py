@@ -11,6 +11,7 @@ import pytest
 
 from geomode import cli
 from geomode import coupledmode as cm
+from geomode import enumeration as en
 from geomode import experiment as xp
 from geomode import fock
 from geomode import holonomy as hol
@@ -64,6 +65,17 @@ def test_evolve_ideal_length_matches_delta_pi(tmp_path):
     u1 = read_matrix(json.loads((d1 / "evolution.json").read_text()))
     u2 = read_matrix(json.loads((d2 / "evolution.json").read_text()))
     assert np.max(np.abs(u1 - u2)) < 1e-10
+
+
+@pytest.mark.parametrize("length", cm.STRUCTURE_LENGTHS_MM)
+def test_evolve_delta_of_a_length_writes_the_length_bytes(tmp_path, length):
+    """On the preset, evolve --delta at the family phase of a structure length
+    writes the evolution.json of evolve --length: both take the one exponential."""
+    delta = cm.StructureFamily(cm.jx4_structure(cm.IDEAL_LENGTH_MM)).phase([length])[0]
+    for name, value in (("delta", float(delta)), ("length", length)):
+        assert main(["--out-dir", str(tmp_path / name), "evolve", f"--{name}", repr(value)]) == 0
+    assert ((tmp_path / "delta" / "evolution.json").read_bytes()
+            == (tmp_path / "length" / "evolution.json").read_bytes())
 
 
 def test_evolve_delta_refuses_a_static_part(tmp_path, capsys):
@@ -761,6 +773,20 @@ def test_census_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_of_memory_in_any_command_exits_3(tmp_path, capsys, monkeypatch, outer_pair_file):
+    """A MemoryError from a command other than enumerate is one error line
+    naming the command, with exit 3, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli.xp, "scan", exhausted)
+    code = main(["--out-dir", str(tmp_path / "out"), "scan", "--subspace", outer_pair_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error[out-of-memory]: scan ran out of memory\n"
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("modes,particles", [(m, n) for m in range(4, 9) for n in range(2, 5)])
 def test_north_star_boson_census(tmp_path, capsys, modes, particles):
     """N bosons on Jx(M), M = 4..8, N = 2..4: the mirror cycle's c = (S + P) / 2
@@ -973,6 +999,10 @@ BEYOND_FLOAT = 10 ** 400  # a JSON integer that float() cannot convert
      "omega_flat_per_mm must be a finite number, not [0.1]"),
     ("config", {"preset": "paper-jx4", "omega_flat_per_mm": "x"},
      "omega_flat_per_mm must be a finite number, not 'x'"),
+    ("config", {"preset": "paper-jx4", "omega_flat_per_mm": 0},
+     "the flat coupling must be positive, not 0.0 rad/mm"),
+    ("config", {"preset": "paper-jx4", "omega_flat_per_mm": -0.0},
+     "the flat coupling must be positive, not -0.0 rad/mm"),
     ("config", {"preset": "paper-jx4", "length_mm": BEYOND_FLOAT},
      "length_mm must be a finite number, not 1000"),
     ("config", {"modes": 2, "pattern": PAIR, "envelope": [{**SEGMENT, "length_mm": BEYOND_FLOAT}]},
@@ -994,7 +1024,8 @@ BEYOND_FLOAT = 10 ** 400  # a JSON integer that float() cannot convert
         "config-segment-list", "config-segment-string", "config-length-list",
         "config-pattern-nan", "preset-length-list", "preset-length-null",
         "preset-length-string", "preset-length-numeric-string", "preset-omega-list",
-        "preset-omega-string", "preset-length-beyond-float", "config-segment-beyond-float",
+        "preset-omega-string", "preset-omega-zero", "preset-omega-negative-zero",
+        "preset-length-beyond-float", "config-segment-beyond-float",
         "config-length-beyond-float", "config-pattern-beyond-float", "config-modes-float",
         "config-modes-string", "config-modes-bool", "config-length-string"])
 def test_malformed_documents_exit_2_without_traceback(tmp_path, capsys, outer_pair_file, name,
@@ -1113,26 +1144,45 @@ def test_evolve_length_writes_the_scan_stack(tmp_path, name):
         assert np.array_equal(read_matrix(doc), u) and doc["delta"] == delta
 
 
+def _sharp_members(system, basis):
+    """States of a proper cyclic subspace on which the lifted cycle is a phased
+    permutation: the first components of the cycle that it permutes up to
+    phases, until they hold two states; none when no component qualifies."""
+    cycle = np.abs(fock.lift_unitary(cm.evolve(system), basis))
+    members = []
+    for orbit in en.decompose_orbits(system, basis).orbits:
+        block = cycle[np.ix_(orbit, orbit)]
+        if len(members) < 2 and np.allclose(block.max(axis=1), 1.0, rtol=0, atol=1e-8):
+            members += orbit
+    return [basis.states[i] for i in members]
+
+
 @pytest.mark.parametrize("particle", ["boson", "fermion", "distinguishable"])
 @pytest.mark.parametrize("name", list(SYSTEM_AXIS))
 def test_enumerate_and_check_on_every_system(tmp_path, capsys, name, particle):
     """Every admitted system through every command that takes a system: a
     documented exit code, one error line when it is not 0, no traceback,
-    and a report over the config's own modes."""
+    and a report over the config's own modes.  The subspace is one on which
+    the cycle is a phased permutation, so that scan, plateau, simulate-counts
+    and ingest exit 0 and check finds it cyclic; only where the cycle has no
+    such subspace (the detuned Jx4) is it the basis's first two states."""
     system = SYSTEM_AXIS[name]
     modes = 4 if system is None else system.modes
     config = [] if system is None else ["--config", write_system(tmp_path / "s.json", system)]
     basis = fock.enumerate_basis(modes, 2, cli._particle_type(particle, 2))
+    members = _sharp_members(system or cm.jx4_structure(cm.IDEAL_LENGTH_MM), basis)
+    assert bool(members) == (name != "jx4-detuned")
     sub = write_subspace(tmp_path / "sub.json", hol.subspace_to_json(
-        hol.Subspace(basis, basis.states[:2])))
+        hol.Subspace(basis, members or basis.states[:2])))
     counts = str(tmp_path / "simulate-counts" / "counts.csv")
+    ideal = ["--splitters", "ideal"]
     for command in (["enumerate", "--particles", "2", "--type", particle],
                     ["check", "--subspace", sub],
                     ["evolve", "--delta", "3.1"], ["evolve", "--length", "84.9"],
-                    ["scan", "--subspace", sub],
-                    ["plateau", "--subspace", sub, "--grid", "80:100:1"],
-                    ["simulate-counts", "--subspace", sub, "--trials", "100"],
-                    ["ingest", "--subspace", sub, "--counts", counts]):
+                    ["scan", "--subspace", sub, *ideal],
+                    ["plateau", "--subspace", sub, "--grid", "80:100:1", *ideal],
+                    ["simulate-counts", "--subspace", sub, "--trials", "100", *ideal],
+                    ["ingest", "--subspace", sub, "--counts", counts, *ideal]):
         out = tmp_path / command[0]
         code = main([*config, "--out-dir", str(out), *command])
         captured = capsys.readouterr()
@@ -1140,6 +1190,10 @@ def test_enumerate_and_check_on_every_system(tmp_path, capsys, name, particle):
         assert code in (0, 2, 3, 4, 5), (command, code)
         if code:
             assert captured.err.startswith("error[") and captured.err.count("\n") == 1
+        if members and command[0] in ("scan", "plateau", "simulate-counts", "ingest"):
+            assert code == 0, (command, captured.err)
+        if members and command[0] == "check":
+            assert code in (0, 5), captured.err
         if code == 0 and command[0] == "enumerate":
             report = json.loads((out / "enumeration_report.json").read_text())
             assert report["modes"] == modes

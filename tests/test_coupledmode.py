@@ -31,7 +31,7 @@ def test_jx_coupling_m2():
 
 
 def test_jx_spectrum_is_spin_three_halves():
-    lam = cm.jx_pattern(4).eigenvalues
+    lam = np.linalg.eigvalsh(cm.jx_pattern(4).matrix)
     assert np.allclose(sorted(lam), [-1.5, -0.5, 0.5, 1.5], atol=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_evolve_matches_expm_oracle(ideal_system):
     # compare against scipy.linalg.expm at delta = pi/2
     target = math.pi / 2
     kappa = ideal_system.pattern.matrix
-    u = ideal_system.pattern.unitary(target)
+    u = ideal_system.pattern.unitary_batch(target)
     assert np.max(np.abs(u - expm(-1j * target * kappa))) < 1e-10
 
 
@@ -237,7 +237,7 @@ def test_evolution_composes(ideal_system):
     z1, z2 = 42.0, 80.0
     u1, u2 = cm.evolution_on_grid(ideal_system, [z1, z2])
     phase = ideal_system.envelope.phase
-    u12 = ideal_system.pattern.unitary(phase(z2) - phase(z1))
+    u12 = ideal_system.pattern.unitary_batch(phase(z2) - phase(z1))
     assert np.max(np.abs(u2 @ u1.conj().T - u12)) < 1e-9
 
 
@@ -259,7 +259,7 @@ def test_spin_transfer_closed_form(ideal_system):
 def test_stepper_reproduces_commuting_fast_path(ideal_system):
     zs = np.array([25.0, 35.0])  # spans ramp end and flat section
     fast = cm.evolution_on_grid(ideal_system, zs)
-    stepped = cm._stepper_stack(ideal_system, zs, 1e-3)
+    stepped = cm.midpoint_stepper(ideal_system.hamiltonian, zs, 1e-3)
     assert np.max(np.abs(fast - stepped)) < 1e-7
 
 
@@ -269,7 +269,7 @@ def test_non_commuting_system_uses_stepper():
         cm.jx_pattern(4), cm.Envelope((cm.ConstantSegment(0.08, 10.0),)), static
     )
     assert not sys_.commuting_family
-    u = cm._stepper_stack(sys_, np.array([10.0]), 1e-3)[0]
+    u = cm.midpoint_stepper(sys_.hamiltonian, [10.0], 1e-3)[0]
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
     # oracle: fine Magnus-free product with very small steps
     u_ref = np.eye(4, dtype=complex)
@@ -287,7 +287,7 @@ def test_commuting_static_part_folds_in():
     )
     assert sys_.commuting_family
     fast = cm.evolve(sys_)
-    stepped = cm._stepper_stack(sys_, np.array([10.0]), 1e-3)[0]
+    stepped = cm.midpoint_stepper(sys_.hamiltonian, [10.0], 1e-3)[0]
     assert np.max(np.abs(fast - stepped)) < 1e-7
 
 
@@ -353,7 +353,7 @@ def _per_length(system, lengths):
 
 
 def _stepped_per_length(system, lengths, max_step):
-    return np.stack([cm._stepper_stack(_stretched(system, L), np.array([float(L)]), max_step)[0]
+    return np.stack([cm.midpoint_stepper(_stretched(system, L).hamiltonian, [L], max_step)[0]
                      for L in lengths])
 
 
@@ -376,7 +376,7 @@ def test_family_phase_is_the_closed_form_bit_for_bit():
     assert sum(map(len, axes)) == 30_510
     for lengths in axes:
         assert np.array_equal(family.phase(lengths), cm.jx4_delta(lengths))
-    assert np.max(np.abs(family.cycle() - cm.jx_pattern(4).unitary(math.pi))) < 1e-15
+    assert np.max(np.abs(family.cycle() - cm.jx_pattern(4).unitary_batch(math.pi))) < 1e-15
 
 
 def test_file_family_matches_evolve_commuting(ideal_system):
@@ -498,6 +498,27 @@ def test_ordered_products_match_expm_chain(n, d, seed):
     assert np.max(np.abs(got - np.stack(chain[1:])[ends])) < 1e-12
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modes=st.integers(2, 4), low=st.floats(0.0, 0.5),
+       rise=st.floats(0.5, 1.5), rising=st.booleans(), length=st.floats(1.0, 4.0))
+def test_midpoint_stepper_converges_at_second_order(seed, modes, low, rise, rising, length):
+    """On a cosine ramp with a random pattern and a random static part the
+    stepper's error against a 4096-step reference falls by 3 to 5 when the
+    step halves: the midpoint rule is second order."""
+    rng = np.random.default_rng(seed)
+    ends = (low, low + rise) if rising else (low + rise, low)
+    system = cm.CoupledModeSystem(cm.CouplingPattern(_hermitian(rng, modes, 1.0)),
+                                  cm.Envelope((cm.CosineRampSegment(*ends, length),)),
+                                  cm.CouplingPattern(_hermitian(rng, modes, 0.5)))
+    assert not system.commuting_family
+
+    def stepped(steps):
+        return cm.midpoint_stepper(system.hamiltonian, [length], length / steps)[0]
+    reference = stepped(4096)
+    coarse, fine = (np.max(np.abs(stepped(steps) - reference)) for steps in (16, 32))
+    assert 3.0 <= coarse / fine <= 5.0
+
+
 def test_evolution_on_grid_accepts_any_order(ideal_system):
     static = cm.CouplingPattern(np.diag([0.01, 0.0, 0.0, 0.0]))
     system = cm.CoupledModeSystem(ideal_system.pattern, ideal_system.envelope, static)
@@ -508,4 +529,4 @@ def test_evolution_on_grid_accepts_any_order(ideal_system):
     assert np.max(np.abs(u - per_position)) < 1e-7
     # before z = 0 only the static part acts, as on the commuting path
     back = cm.evolution_on_grid(system, [-2.0])[0]
-    assert np.max(np.abs(back - static.unitary(-2.0))) < 1e-14
+    assert np.max(np.abs(back - static.unitary_batch(-2.0))) < 1e-14

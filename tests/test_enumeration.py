@@ -320,7 +320,7 @@ def test_perfect_state_transfer_chains_share_the_census(modes, spectrum, kind, h
     assert np.allclose(np.linalg.eigvalsh(chain), spectrum, atol=1e-12)
     pattern = cm.CouplingPattern(chain)
     mirror = np.eye(modes)[::-1]
-    assert np.allclose(np.abs(pattern.unitary(np.pi)), mirror, atol=1e-12)
+    assert np.allclose(np.abs(pattern.unitary_batch(np.pi)), mirror, atol=1e-12)
     envelope = cm.jx4_structure(cm.IDEAL_LENGTH_MM).envelope
     basis = enumerate_basis(modes, 2, ParticleType(kind))
     records = [[(r.members, r.holonomic, r.classification)

@@ -662,7 +662,7 @@ def test_three_boson_success_curve_matches_per_length_lift():
     engine = xp.CurveEngine(lengths)
     idx = list(sub.member_indices)
     # Ryser permanents, independent of the permutation-sum kernel
-    ideal = reference_lift(cm.jx_pattern(4).unitary(math.pi), basis)
+    ideal = reference_lift(cm.jx_pattern(4).unitary_batch(math.pi), basis)
     lifted = [reference_lift(u, basis) for u in np.moveaxis(engine.u_stack, -1, 0)]
     specs = [xp.InputSpec(sub.members[0]), xp.InputSpec(sub.members[1])]
     for spec, curve in zip(specs, engine.success_curve(sub, specs).T):

@@ -642,6 +642,30 @@ def test_gauge_reconstruction_matches_holonomy(system, members):
     assert np.max(np.abs(rebuilt - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("members", [
+    [(2, 0, 0, 0), (0, 0, 0, 2)],
+    [(2, 0, 0, 0), (0, 0, 0, 2), (1, 0, 0, 1)],
+])
+def test_gauge_reconstruction_with_a_commuting_static_part_is_closed_form(
+        system, boson_basis, monkeypatch, members):
+    """A static part that commutes with the pattern keeps the family
+    commuting: the reconstruction takes the closed form, sampling no gauge
+    field.  The static part (pi / 84.9)(kappa^2 - 3/4) turns the cycle's
+    static factor into the scalar i and vanishes on these members."""
+    kappa = system.pattern.matrix
+    static = cm.CouplingPattern(math.pi / 84.9 * (kappa @ kappa - 0.75 * np.eye(4)))
+    commuting = cm.CoupledModeSystem(system.pattern, system.envelope, static)
+    assert commuting.commuting_family
+    sub = sub_boson(boson_basis, *members)
+    direct = hol.extract_holonomy(sub, commuting).matrix
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("the commuting reconstruction sampled the gauge field")
+    monkeypatch.setattr(hol, "gauge_field", sampled)
+    rebuilt = hol.holonomy_from_gauge_field(sub, commuting)
+    assert np.max(np.abs(rebuilt - direct)) < 1e-14
+
+
 # --------------------------------------------- Heisenberg-picture condition
 
 
